@@ -13,7 +13,6 @@ from .dilation import (
     NotCommuting,
     SupportOverflow,
     SzNagyOperators,
-    WellDefinednessFailure,
     ando,
     apply_u,
     apply_v,
@@ -34,6 +33,7 @@ from .linalg import (
     NotIndependent,
     NotSquare,
     Singular,
+    column_ranks,
     complete_basis,
     from_cols,
     hstack,
@@ -42,11 +42,9 @@ from .linalg import (
     is_invertible,
     kernel_basis,
     mat,
-    mat_pow,
     matvec,
     rank,
     rref,
-    solve,
     vstack,
     zeros,
 )

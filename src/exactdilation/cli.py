@@ -131,10 +131,13 @@ def _cmd_ando(args) -> int:
         raise ProblemError("the two-map suite needs both 'T' and 'S' (or a recipe)")
     if args.dump_operators is not None and args.out is None:
         raise ProblemError("--dump-operators needs --out to name the dump file")
-    report = check_ando(t, s, _params(args), recipe=problem.recipe)
+    if args.dump_operators is not None and args.dump_operators < 0:
+        raise ProblemError("--dump-operators level must be >= 0")
+    params = _params(args)
+    ops = ando(t, s)
+    report = check_ando(t, s, params, recipe=problem.recipe, ops=ops)
     status = _emit_report(report, args)
     if args.dump_operators is not None:
-        ops = ando(t, s)
         k = args.dump_operators
         dump = {"trunc": k,
                 "U": mat_to_grid(truncated_matrix("U", ops, k)),

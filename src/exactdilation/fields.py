@@ -78,11 +78,11 @@ class FieldSpec:
         return mpq(n) if self.is_rational else n % self.modulus
 
     def coerce(self, x):
-        """Accept an int, a scalar string, or an already-exact scalar."""
+        """Accept an int, a scalar string, or an already-exact scalar; never a float."""
         if isinstance(x, str):
             return self.parse(x)
-        if isinstance(x, bool):
-            raise TypeError("bool is not a scalar")
+        if isinstance(x, (bool, float)):
+            raise TypeError(f"{type(x).__name__} is not an exact scalar: {x!r}")
         if isinstance(x, int):
             return self.from_int(x)
         if self.is_rational:

@@ -25,11 +25,10 @@ __all__ = [
     "hstack",
     "vstack",
     "matvec",
-    "mat_pow",
     "rref",
     "rank",
+    "column_ranks",
     "kernel_basis",
-    "solve",
     "complete_basis",
     "is_invertible",
     "inverse",
@@ -69,14 +68,8 @@ class Mat:
 
     # -- access ---------------------------------------------------------------
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -210,17 +203,6 @@ def matvec(m: Mat, x: Sequence) -> tuple:
     return tuple(out)
 
 
-def mat_pow(m: Mat, k: int) -> Mat:
-    if not m.is_square():
-        raise NotSquare("matrix power needs a square matrix")
-    if k < 0:
-        raise ValueError("negative power")
-    acc = identity(m.field, m.rows)
-    for _ in range(k):
-        acc = acc @ m
-    return acc
-
-
 # -- elimination kernel ---------------------------------------------------------------
 
 
@@ -312,6 +294,31 @@ def rank(m: Mat) -> int:
     return len(pivot_rows)
 
 
+def column_ranks(m: Mat, widths: Iterable[int]) -> list:
+    """Rank of the leading ``w`` columns of ``m`` for each ``w`` in ``widths``.
+
+    ``widths`` must be nondecreasing; one elimination inserts the columns in
+    order and reads the rank off at each width.
+    """
+    cols = [{} for _ in range(m.cols)]
+    for i, raw in enumerate(m.entries):
+        for j, v in enumerate(raw):
+            if v != 0:
+                cols[j][i] = v
+    pivot_rows: dict = {}
+    done = 0
+    out = []
+    for w in widths:
+        if not done <= w <= m.cols:
+            raise ValueError(f"widths must be nondecreasing and at most {m.cols}")
+        for col in cols[done:w]:
+            if col:
+                _echelon_insert(pivot_rows, col, m.field)
+        done = w
+        out.append(len(pivot_rows))
+    return out
+
+
 def kernel_basis(m: Mat) -> Mat:
     """Columns spanning ker(m); count is always cols(m) - rank(m)."""
     reduced, pivots = rref(m)
@@ -328,24 +335,6 @@ def kernel_basis(m: Mat) -> Mat:
             vec[pc] = neg(reduced.entries[r_idx][fc])
         cols.append(tuple(vec))
     return from_cols(m.field, m.cols, cols)
-
-
-def solve(m: Mat, b: Sequence) -> Optional[tuple]:
-    """One solution of m x = b, or None when the system is inconsistent."""
-    if len(b) != m.rows:
-        raise DimensionMismatch(f"solve: {m.rows} rows vs {len(b)} rhs entries")
-    aug = hstack(m, from_cols(m.field, m.rows, [tuple(b)]))
-    reduced, pivots = rref(aug)
-    pivots = [c for c in pivots if c < m.cols]
-    r = len(pivots)
-    # any leftover nonzero row means 0 = 1
-    for i in range(r, m.rows):
-        if reduced.entries[i][m.cols] != 0:
-            return None
-    x = [m.field.zero()] * m.cols
-    for r_idx, pc in enumerate(pivots):
-        x[pc] = reduced.entries[r_idx][m.cols]
-    return tuple(x)
 
 
 def complete_basis(basis_cols: Mat, ambient_dim: int, scan: str = "forward") -> Mat:

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .linalg import Mat
-from .pairs import RECIPE_KINDS, PairRecipe, gen_pair
+from .pairs import RECIPE_KINDS, InvalidRecipe, PairRecipe, gen_pair
 
 __all__ = ["Problem", "ProblemError", "parse_problem", "load_problem",
            "problem_to_dict", "mat_to_grid", "grid_to_mat", "resolve_pair"]
@@ -58,6 +58,11 @@ def grid_to_mat(field: FieldSpec, dim: int, grid, name: str) -> Mat:
     return Mat(field, dim, dim, rows)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_problem(obj) -> Problem:
     if not isinstance(obj, dict):
         raise ProblemError("problem must be a JSON object")
@@ -80,7 +85,7 @@ def parse_problem(obj) -> Problem:
         raise ProblemError("'S' is only valid alongside an explicit 'T'")
 
     if has_matrices:
-        if "dim" not in obj or not isinstance(obj["dim"], int) or obj["dim"] < 0:
+        if "dim" not in obj or not _is_int(obj["dim"]) or obj["dim"] < 0:
             raise ProblemError("explicit problems need a nonnegative integer 'dim'")
         dim = obj["dim"]
         t = grid_to_mat(field, dim, obj["T"], "T")
@@ -99,12 +104,13 @@ def parse_problem(obj) -> Problem:
     if entry["kind"] not in RECIPE_KINDS or entry["kind"] == "explicit":
         raise ProblemError(f"recipe kind must be one of "
                            f"{sorted(set(RECIPE_KINDS) - {'explicit'})}, got {entry['kind']!r}")
-    if not isinstance(entry["dim"], int) or entry["dim"] < 0:
+    if not _is_int(entry["dim"]) or entry["dim"] < 0:
         raise ProblemError("recipe 'dim' must be a nonnegative integer")
-    if not isinstance(entry["seed"], int):
-        raise ProblemError("recipe 'seed' must be an integer")
-    if "dim" in obj and obj["dim"] != entry["dim"]:
-        raise ProblemError("top-level 'dim' contradicts the recipe 'dim'")
+    for key in ("seed", "degree", "height"):
+        if key in entry and not _is_int(entry[key]):
+            raise ProblemError(f"recipe '{key}' must be an integer")
+    if "dim" in obj and (not _is_int(obj["dim"]) or obj["dim"] != entry["dim"]):
+        raise ProblemError("top-level 'dim', if given, must equal the recipe 'dim'")
     recipe = PairRecipe(kind=entry["kind"], dim=entry["dim"], field=field,
                         seed=entry["seed"], degree=entry.get("degree", 3),
                         height=entry.get("height", 5))
@@ -125,7 +131,10 @@ def load_problem(path) -> Problem:
 def resolve_pair(problem: Problem) -> tuple[Mat, Optional[Mat]]:
     """Explicit matrices, or the pair the recipe generates."""
     if problem.recipe is not None:
-        return gen_pair(problem.recipe)
+        try:
+            return gen_pair(problem.recipe)
+        except InvalidRecipe as exc:
+            raise ProblemError(str(exc)) from exc
     return problem.T, problem.S
 
 

@@ -14,6 +14,7 @@ from typing import Optional
 
 from .dilation import (
     AndoOperators,
+    Generators,
     NotCommuting,
     ando,
     apply_u,
@@ -24,7 +25,7 @@ from .dilation import (
     truncated_matrix,
 )
 from .fields import FieldSpec
-from .linalg import Mat, kernel_basis, matvec, rank
+from .linalg import Mat, column_ranks, kernel_basis, matvec
 from .pairs import PairRecipe, check_commute
 from .rng import SplitMix64, rand_column
 from .sequences import embed, project
@@ -132,16 +133,22 @@ def _meta(kind: str, field: FieldSpec, d: int, params: CheckParams,
             "recipe": recipe.to_dict() if recipe is not None else None}
 
 
-def _injectivity_record(name: str, tag: str, ops, params: CheckParams,
-                        cache: Optional[dict] = None) -> CheckRecord:
+def _level_block(m: Mat, d: int, k: int) -> Mat:
+    """The level-k truncated matrix, read as the leading block of a higher level."""
+    rows, cols = d * (4 * k + 5), d * (4 * k + 1)
+    return Mat(m.field, rows, cols, tuple(r[:cols] for r in m.entries[:rows]))
+
+
+def _injectivity_record(name: str, m: Mat, d: int, params: CheckParams) -> CheckRecord:
+    """Full column rank at every level k <= max_trunc, read off ``m`` at a higher level."""
+    levels = range(params.max_trunc + 1)
+    widths = [d * (4 * k + 1) for k in levels]
     ranks = []
     counterexample = None
-    for k in range(params.max_trunc + 1):
-        m = cache[k] if cache is not None else truncated_matrix(tag, ops, k)
-        r = rank(m)
-        ranks.append({"trunc": k, "rows": m.rows, "cols": m.cols, "rank": r})
-        if r != m.cols and counterexample is None:
-            counterexample = {"trunc": k, "cols": m.cols, "rank": r}
+    for k, cols, r in zip(levels, widths, column_ranks(m, widths)):
+        ranks.append({"trunc": k, "rows": d * (4 * k + 5), "cols": cols, "rank": r})
+        if r != cols and counterexample is None:
+            counterexample = {"trunc": k, "cols": cols, "rank": r}
     return CheckRecord(name, {"max_trunc": params.max_trunc, "ranks": ranks},
                        counterexample is None, counterexample)
 
@@ -174,7 +181,8 @@ def check_sznagy(t: Mat, params: CheckParams = CheckParams(),
         {"max_power": n_max, "trials": params.trials, "seed": params.seed},
         counterexample is None, counterexample)
 
-    records = [dilation_rec, _injectivity_record("injectivity_u", "SzNagyU", ops, params)]
+    top = truncated_matrix("SzNagyU", ops, params.max_trunc)
+    records = [dilation_rec, _injectivity_record("injectivity_u", top, d, params)]
     return _make_report(_meta("sznagy", field, d, params, recipe), records)
 
 
@@ -209,42 +217,43 @@ def _bivariate_record(ops: AndoOperators, params: CheckParams) -> CheckRecord:
         counterexample is None, counterexample)
 
 
-def _first_mismatch(a: Mat, b: Mat):
-    for i in range(a.rows):
-        ra, rb = a.entries[i], b.entries[i]
-        if ra != rb:
-            for j in range(a.cols):
-                if ra[j] != rb[j]:
-                    return i, j
-    return None
+def _mismatches(a: Mat, b: Mat) -> list:
+    """Positions where a and b differ, in row-major order."""
+    return [(i, j) for i, (ra, rb) in enumerate(zip(a.entries, b.entries)) if ra != rb
+            for j, (x, y) in enumerate(zip(ra, rb)) if x != y]
 
 
 def _commutation_record(ops: AndoOperators, params: CheckParams,
-                        trunc_u: dict, trunc_v: dict) -> CheckRecord:
-    field = ops.field
+                        u: Mat, v: Mat) -> CheckRecord:
+    """U_{k+1} V_k = V_{k+1} U_k for every k <= max_trunc, from one product per side.
+
+    ``u`` and ``v`` are at level max_trunc + 1.  The level-k products are the
+    leading d(4k+1) columns of the top ones, with zeros below, so the first
+    failing level is the lowest one whose columns hold a mismatch.
+    """
+    field, d, top = ops.field, ops.d, params.max_trunc
+    uv = u @ _level_block(v, d, top)
+    vu = v @ _level_block(u, d, top)
+    mismatches = _mismatches(uv, vu)
     counterexample = None
-    for k in range(params.max_trunc + 1):
-        uv = trunc_u[k + 1] @ trunc_v[k]
-        vu = trunc_v[k + 1] @ trunc_u[k]
-        if uv != vu:
-            i, j = _first_mismatch(uv, vu)
-            counterexample = {"trunc": k, "row": i, "col": j,
-                              "uv": field.fmt(uv.entries[i][j]),
-                              "vu": field.fmt(vu.entries[i][j])}
-            break
+    if mismatches:
+        k = (min(j for _, j in mismatches) // d + 3) // 4
+        i, j = next((i, j) for i, j in mismatches if j < d * (4 * k + 1))
+        counterexample = {"trunc": k, "row": i, "col": j,
+                          "uv": field.fmt(uv.entries[i][j]),
+                          "vu": field.fmt(vu.entries[i][j])}
     return CheckRecord("commutation", {"max_trunc": params.max_trunc},
                        counterexample is None, counterexample)
 
 
-def _coherence_record(ops: AndoOperators) -> CheckRecord:
-    gens = build_generators(ops.T, ops.S)
+def _coherence_record(ops: AndoOperators, gens: Generators) -> CheckRecord:
     field = ops.field
     counterexample = None
     for label, got, want in (("v*G", ops.v @ gens.G, gens.H),
                              ("v_inv*H", ops.v_inv @ gens.H, gens.G)):
-        mism = _first_mismatch(got, want)
-        if mism is not None:
-            i, j = mism
+        mism = _mismatches(got, want)
+        if mism:
+            i, j = mism[0]
             counterexample = {"which": label, "row": i, "col": j,
                               "expected": field.fmt(want.entries[i][j]),
                               "actual": field.fmt(got.entries[i][j])}
@@ -252,9 +261,8 @@ def _coherence_record(ops: AndoOperators) -> CheckRecord:
     return CheckRecord("v_coherence", {}, counterexample is None, counterexample)
 
 
-def _well_definedness_record(ops: AndoOperators) -> CheckRecord:
-    gens = build_generators(ops.T, ops.S)
-    field = ops.field
+def _well_definedness_record(gens: Generators) -> CheckRecord:
+    field = gens.G.field
     kg, kh = kernel_basis(gens.G), kernel_basis(gens.H)
     params = {"kernel_dim_g": kg.cols, "kernel_dim_h": kh.cols}
     zero = tuple(field.zero() for _ in range(gens.G.rows))
@@ -262,17 +270,12 @@ def _well_definedness_record(ops: AndoOperators) -> CheckRecord:
     if kg.cols != kh.cols:
         counterexample = {"reason": "kernel dimensions differ"}
     else:
+        # with equal dimensions, ker G inside ker H already makes them equal
         for j in range(kg.cols):
             if matvec(gens.H, kg.col(j)) != zero:
                 counterexample = {"direction": "ker(G) not in ker(H)",
                                   "coefficients": _fmt_col(field, kg.col(j))}
                 break
-        else:
-            for j in range(kh.cols):
-                if matvec(gens.G, kh.col(j)) != zero:
-                    counterexample = {"direction": "ker(H) not in ker(G)",
-                                      "coefficients": _fmt_col(field, kh.col(j))}
-                    break
     return CheckRecord("well_definedness", params, counterexample is None, counterexample)
 
 
@@ -287,15 +290,16 @@ def check_ando(t: Mat, s: Mat, params: CheckParams = CheckParams(),
     """
     if ops is None:
         ops = ando(t, s, completion=completion)
-    trunc_u = {k: truncated_matrix("U", ops, k) for k in range(params.max_trunc + 2)}
-    trunc_v = {k: truncated_matrix("V", ops, k) for k in range(params.max_trunc + 2)}
+    u = truncated_matrix("U", ops, params.max_trunc + 1)
+    v = truncated_matrix("V", ops, params.max_trunc + 1)
+    gens = build_generators(ops.T, ops.S)
     records = [
         _bivariate_record(ops, params),
-        _commutation_record(ops, params, trunc_u, trunc_v),
-        _injectivity_record("injectivity_u", "U", ops, params, trunc_u),
-        _injectivity_record("injectivity_v", "V", ops, params, trunc_v),
-        _coherence_record(ops),
-        _well_definedness_record(ops),
+        _commutation_record(ops, params, u, v),
+        _injectivity_record("injectivity_u", u, ops.d, params),
+        _injectivity_record("injectivity_v", v, ops.d, params),
+        _coherence_record(ops, gens),
+        _well_definedness_record(gens),
     ]
     return _make_report(_meta("ando", ops.field, ops.d, params, recipe), records)
 

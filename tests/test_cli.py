@@ -8,6 +8,8 @@ import pytest
 
 import exactdilation
 import exactdilation.cli as cli_mod
+import exactdilation.dilation as dilation_mod
+import exactdilation.linalg as linalg_mod
 from exactdilation.cli import main
 from exactdilation.dilation import ando, truncated_matrix
 from exactdilation.fields import gf
@@ -231,11 +233,78 @@ def test_ando_dump_operators_needs_out(tmp_path):
     assert main(["ando", "--input", path, "--dump-operators", "1"]) == 2
 
 
+def _count_calls(monkeypatch, **owners):
+    """Count calls of each named function, wherever a package module binds it."""
+    counts = {}
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "exactdilation"]
+    for name, owner in owners.items():
+        real = getattr(owner, name)
+        counts[name] = 0
+
+        def wrapper(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, wrapper)
+    return counts
+
+
+def test_each_fact_is_computed_once_per_run(tmp_path, monkeypatch):
+    counts = _count_calls(monkeypatch, ando=dilation_mod, build_generators=dilation_mod,
+                          truncated_matrix=dilation_mod, kernel_basis=linalg_mod)
+    path = write_problem(tmp_path / "p.json", RECIPE_GF7)
+    out = tmp_path / "report.json"
+    assert main(["ando", "--input", path, "--out", str(out), "--trunc", "5",
+                 "--dump-operators", "1"]) == 0
+    # one build each for the audit and the dump; the audit reads every level
+    # off one truncation per operator
+    assert counts == {"ando": 1, "build_generators": 2, "truncated_matrix": 4,
+                      "kernel_basis": 2}
+    counts.update(dict.fromkeys(counts, 0))
+    assert main(["sznagy", "--input", path, "--out", str(out), "--trunc", "5"]) == 0
+    assert counts["truncated_matrix"] == 1
+
+
+def test_ando_dump_operators_rejects_negative_level(tmp_path, capsys):
+    path = write_problem(tmp_path / "p.json", IDENTITY2)
+    out = tmp_path / "report.json"
+    assert main(["ando", "--input", path, "--out", str(out), "--dump-operators", "-1"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+ONE_DIM = {"field": {"kind": "rational"}, "dim": 1, "T": [["1"]], "S": [["1"]]}
+DIAGONAL = {"field": {"kind": "rational"}, "recipe": {"kind": "diagonal", "dim": 1, "seed": 0}}
+
+
+@pytest.mark.parametrize("problem", [
+    dict(ONE_DIM, dim=True),
+    dict(ONE_DIM, dim=1.0),
+    dict(DIAGONAL, dim=True),
+    dict(DIAGONAL, recipe=dict(DIAGONAL["recipe"], dim=True)),
+    dict(DIAGONAL, recipe=dict(DIAGONAL["recipe"], seed=False)),
+    dict(DIAGONAL, recipe=dict(DIAGONAL["recipe"], seed=0.5)),
+    dict(DIAGONAL, recipe=dict(DIAGONAL["recipe"], degree=True)),
+    dict(DIAGONAL, recipe=dict(DIAGONAL["recipe"], degree="3")),
+    dict(DIAGONAL, recipe=dict(DIAGONAL["recipe"], height=2.5)),
+    dict(DIAGONAL, recipe=dict(DIAGONAL["recipe"], degree=-1)),
+    dict(DIAGONAL, recipe=dict(DIAGONAL["recipe"], height=0)),
+])
+@pytest.mark.parametrize("command", ["ando", "sznagy"])
+def test_bad_numbers_exit_2(tmp_path, capsys, problem, command):
+    path = write_problem(tmp_path / "p.json", problem)
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_failing_report_exits_1(tmp_path, monkeypatch):
     # no honest input can fail the suite, so stub the checker
     from exactdilation.verify import CheckRecord, Report
 
-    def fake_check(t, s, params, recipe=None):
+    def fake_check(t, s, params, recipe=None, ops=None):
         rec = CheckRecord("commutation", {}, False, {"trunc": 0})
         return Report({"kind": "ando"}, (rec,), False)
 

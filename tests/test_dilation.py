@@ -1,13 +1,18 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import exactdilation.dilation as dilation_mod
 from exactdilation.dilation import (
     ExtensionFailure,
     Generators,
     NotCommuting,
     OPERATOR_TAGS,
-    _same_kernel,
+    SupportOverflow,
     ando,
     apply_u,
     apply_v,
@@ -25,7 +30,10 @@ from exactdilation.fields import RATIONAL, gf, mpq
 from exactdilation.linalg import (
     DimensionMismatch,
     from_cols,
+    hstack,
     identity,
+    inverse,
+    kernel_basis,
     mat,
     matvec,
     rank,
@@ -180,20 +188,50 @@ def test_generators_match_defining_formula():
         assert col_to_plain(RATIONAL, gens.H.col(i)) == h_top + [0] * d + h_mid + [0] * d
 
 
+def _same_span(a, b):
+    return rank(a) == rank(b) == rank(hstack(a, b))
+
+
+def _pairs_with_common_fixed_vectors(field, rng, d):
+    """Random pairs, mostly not commuting, that share a fixed space of dim >= 1:
+    Q diag(1, A) Q^-1 and Q diag(1, B) Q^-1 with A, B, Q random."""
+    one, zero = field.one(), field.zero()
+
+    def bordered(a):
+        rows = [(one,) + (zero,) * (d - 1)]
+        rows += [(zero,) + row for row in a.entries]
+        return mat(field, rows)
+
+    q = rand_matrix(rng, field, d)
+    while rank(q) < d:
+        q = rand_matrix(rng, field, d)
+    q_inv = inverse(q)
+    a, b = rand_matrix(rng, field, d - 1), rand_matrix(rng, field, d - 1)
+    return q @ bordered(a) @ q_inv, q @ bordered(b) @ q_inv
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_generator_kernels_agree_on_random_pairs(field):
-    for seed in range(4):
-        t, s = gen_pair(PairRecipe("polynomial", 3, field, seed=seed))
+    # ker G = ker H = ker(I-T) ∩ ker(I-S) for every square pair, commuting or
+    # not, which is why build_generators needs no kernel tripwire
+    rng = SplitMix64(31)
+    pairs = [gen_pair(PairRecipe(kind, d, field, seed=seed))
+             for kind in ("polynomial", "idempotent", "diagonal")
+             for d in (1, 3) for seed in range(3)]
+    pairs += [(rand_matrix(rng, field, 3), rand_matrix(rng, field, 3)) for _ in range(4)]
+    pairs += [_pairs_with_common_fixed_vectors(field, rng, d) for d in (1, 2, 3) for _ in range(3)]
+    pairs += [(identity(field, 2), identity(field, 2)),
+              (mat(field, [[1, 1], [0, 1]]), identity(field, 2))]
+    nontrivial = noncommuting = 0
+    for t, s in pairs:
+        ident = identity(field, t.rows)
+        fixed = kernel_basis(vstack(ident - t, ident - s))
         gens = build_generators(t, s)
-        assert _same_kernel(gens.G, gens.H)
-
-
-def test_same_kernel_detector():
-    # detector itself must see through genuinely different kernels
-    g = mat(RATIONAL, [[1, 0], [0, 0]])
-    h = mat(RATIONAL, [[1, 0], [0, 1]])
-    assert not _same_kernel(g, h)
-    assert _same_kernel(g, g)
+        assert _same_span(kernel_basis(gens.G), fixed)
+        assert _same_span(kernel_basis(gens.H), fixed)
+        nontrivial += fixed.cols > 0
+        noncommuting += t @ s != s @ t
+    assert nontrivial >= 10 and noncommuting >= 5
 
 
 def test_generators_shape_validation():
@@ -412,6 +450,63 @@ def test_truncated_commutation_and_injectivity(field):
         for k in range(4):
             assert rank(tu[k]) == tu[k].cols
             assert rank(tv[k]) == tv[k].cols
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("completion", ["forward", "reverse"])
+def test_truncations_nest(field, completion):
+    # the level-k matrix is the leading block of level k+1, zeros below: the
+    # windowed records read every level off one build
+    t, s = gen_pair(PairRecipe("polynomial", 2, field, seed=4))
+    ando_ops, sznagy_ops = ando(t, s, completion=completion), sznagy(t)
+    for tag in OPERATOR_TAGS:
+        ops = sznagy_ops if tag == "SzNagyU" else ando_ops
+        mats = [truncated_matrix(tag, ops, k) for k in range(5)]
+        for low, high in zip(mats, mats[1:]):
+            assert tuple(r[:low.cols] for r in high.entries[:low.rows]) == low.entries
+            assert all(x == 0 for r in high.entries[low.rows:] for x in r[:low.cols])
+
+
+def test_support_overflow_checks_each_column_at_its_own_level(monkeypatch):
+    # a fake W that pushes coordinate 1 to 9: still inside the level-2 output
+    # range (0..12), but past level 1 (0..8), the lowest level holding it
+    def far_shift(ops, w):
+        return fsvec(ops.field, ops.d, [(n + 8 if n else 0, col) for n, col in w.blocks])
+
+    monkeypatch.setitem(dilation_mod._ANDO_ACTIONS, "W", far_shift)
+    ops = _ando_identity(RATIONAL, 1)
+    truncated_matrix("W", ops, 0)
+    for k in (1, 2, 5):
+        with pytest.raises(SupportOverflow, match="coordinate 1 to 9, past level 2"):
+            truncated_matrix("W", ops, k)
+
+
+def test_inverse_check_survives_python_O(tmp_path):
+    # v v_inv = I is checked nowhere but in ando(), so it must not be an assert
+    script = tmp_path / "wrong_inverse.py"
+    script.write_text(
+        "import exactdilation.dilation as dil\n"
+        "from exactdilation.fields import RATIONAL\n"
+        "from exactdilation.linalg import mat, zeros\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "real_build_v = dil.build_v\n"
+        "def wrong_inverse(gens, completion='forward'):\n"
+        "    v, _ = real_build_v(gens, completion)\n"
+        "    return v, zeros(v.field, v.rows, v.cols)\n"
+        "dil.build_v = wrong_inverse\n"
+        "t = mat(RATIONAL, [[1, 1], [0, 1]])\n"
+        "try:\n"
+        "    dil.ando(t, t @ t)\n"
+        "except dil.ExtensionFailure:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('ando accepted a wrong inverse')\n",
+        encoding="utf-8")
+    src_dir = Path(dilation_mod.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_truncated_matrix_argument_validation():

@@ -9,6 +9,7 @@ from exactdilation.linalg import (
     NotIndependent,
     NotSquare,
     Singular,
+    column_ranks,
     complete_basis,
     from_cols,
     hstack,
@@ -17,11 +18,9 @@ from exactdilation.linalg import (
     is_invertible,
     kernel_basis,
     mat,
-    mat_pow,
     matvec,
     rank,
     rref,
-    solve,
     vstack,
     zeros,
 )
@@ -110,14 +109,6 @@ def test_matvec_matches_oracle(field):
         matvec(identity(field, 2), (field.zero(),))
 
 
-def test_mat_pow():
-    t = mat(RATIONAL, [[1, 1], [0, 1]])
-    assert mat_pow(t, 0) == identity(RATIONAL, 2)
-    assert mat_pow(t, 3) == mat(RATIONAL, [[1, 3], [0, 1]])
-    with pytest.raises(NotSquare):
-        mat_pow(zeros(RATIONAL, 2, 3), 2)
-
-
 # -- rref -----------------------------------------------------------------------------
 
 
@@ -173,6 +164,19 @@ def test_rank_matches_independent_elimination(field):
         assert rank(m) == gauss_rank(to_plain(m), field.modulus)
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_column_ranks_match_prefix_ranks(field):
+    for m in random_mats(field, seed=203, count=60):
+        plain = to_plain(m)
+        widths = list(range(m.cols + 1))
+        assert column_ranks(m, widths) == [
+            gauss_rank([row[:w] for row in plain], field.modulus) for w in widths]
+    with pytest.raises(ValueError):
+        column_ranks(identity(field, 3), [2, 1])
+    with pytest.raises(ValueError):
+        column_ranks(identity(field, 3), [4])
+
+
 # -- kernel ------------------------------------------------------------------------------
 
 
@@ -195,36 +199,6 @@ def test_kernel_and_rank_nullity(field):
         for j in range(k.cols):
             assert matvec(m, k.col(j)) == zero
         assert rank(k) == k.cols  # columns independent
-
-
-# -- solve -------------------------------------------------------------------------------
-
-
-def test_solve_trivial_cases():
-    assert solve(identity(RATIONAL, 3), (mpq(1), mpq(2), mpq(3))) == (mpq(1), mpq(2), mpq(3))
-    assert solve(zeros(RATIONAL, 2, 2), (mpq(1), mpq(0))) is None
-    assert solve(mat(RATIONAL, [[1, 1], [0, 1]]), (mpq(3), mpq(2))) == (mpq(1), mpq(2))
-    with pytest.raises(DimensionMismatch):
-        solve(identity(RATIONAL, 2), (mpq(1),))
-
-
-@pytest.mark.parametrize("field", FIELDS)
-def test_solve_round_trips_consistent_systems(field):
-    rng = SplitMix64(404)
-    for m in random_mats(field, seed=505, count=40):
-        x = tuple(field.from_int(rng.randint(-5, 5)) for _ in range(m.cols))
-        b = matvec(m, x)
-        got = solve(m, b)
-        assert got is not None
-        assert matvec(m, got) == b
-
-
-@pytest.mark.parametrize("field", FIELDS)
-def test_solve_detects_inconsistency(field):
-    # rank-deficient by construction: duplicate rows, then perturb the copy's rhs
-    m = mat(field, [[1, 2, 3], [1, 2, 3]])
-    b = (field.one(), field.zero())
-    assert solve(m, b) is None
 
 
 # -- complete_basis -----------------------------------------------------------------------

@@ -3,18 +3,22 @@ import json
 import pytest
 
 import exactdilation.dilation as dilation_mod
-from exactdilation.dilation import AndoOperators, NotCommuting
+from exactdilation.dilation import AndoOperators, Generators, NotCommuting, ando, truncated_matrix
 from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import identity, mat, zeros
 from exactdilation.pairs import PairRecipe, gen_pair
+from exactdilation.rng import SplitMix64, rand_matrix
 from exactdilation.verify import (
     CheckParams,
     CheckRecord,
+    _well_definedness_record,
     check_ando,
     check_negative,
     check_sznagy,
     report_from_json,
 )
+
+from oracles import gauss_rank, to_plain
 
 GF7 = gf(7)
 JORDAN = mat(RATIONAL, [[1, 1], [0, 1]])
@@ -135,6 +139,94 @@ def test_singular_exchange_map_breaks_injectivity():
     assert not inj.passed
     assert set(inj.counterexample) == {"trunc", "cols", "rank"}
     assert inj.counterexample["rank"] < inj.counterexample["cols"]
+
+
+def _windowed_records_per_level(ops, max_trunc):
+    """Reference for the commutation and injectivity records: every level is
+    built on its own, ranked on its own, and multiplied level by level."""
+    field = ops.field
+    tu = [truncated_matrix("U", ops, k) for k in range(max_trunc + 2)]
+    tv = [truncated_matrix("V", ops, k) for k in range(max_trunc + 2)]
+    commutation = {"name": "commutation", "params": {"max_trunc": max_trunc}, "pass": True}
+    for k in range(max_trunc + 1):
+        uv, vu = tu[k + 1] @ tv[k], tv[k + 1] @ tu[k]
+        diff = [(i, j) for i in range(uv.rows) for j in range(uv.cols)
+                if uv.entries[i][j] != vu.entries[i][j]]
+        if diff:
+            i, j = diff[0]
+            commutation["pass"] = False
+            commutation["counterexample"] = {
+                "trunc": k, "row": i, "col": j,
+                "uv": field.fmt(uv.entries[i][j]), "vu": field.fmt(vu.entries[i][j])}
+            break
+    out = {"commutation": commutation}
+    for name, mats in (("injectivity_u", tu), ("injectivity_v", tv)):
+        ranks = [{"trunc": k, "rows": m.rows, "cols": m.cols,
+                  "rank": gauss_rank(to_plain(m), field.modulus)}
+                 for k, m in enumerate(mats[:max_trunc + 1])]
+        rec = {"name": name, "params": {"max_trunc": max_trunc, "ranks": ranks}, "pass": True}
+        for r in ranks:
+            if r["rank"] != r["cols"]:
+                rec["pass"] = False
+                rec["counterexample"] = {"trunc": r["trunc"], "cols": r["cols"], "rank": r["rank"]}
+                break
+        out[name] = rec
+    return out
+
+
+def _tamperings(ops, rng):
+    f, d, t, s = ops.field, ops.d, ops.T, ops.S
+    eye, zero = identity(f, 4 * d), zeros(f, 4 * d, 4 * d)
+    return {
+        "honest": ops,
+        "identity v": AndoOperators(d, f, t, s, eye, eye),
+        "zero v": AndoOperators(d, f, t, s, zero, zero),
+        "v and v_inv swapped": AndoOperators(d, f, t, s, ops.v_inv, ops.v),
+        "random v": AndoOperators(d, f, t, s, rand_matrix(rng, f, 4 * d), ops.v_inv),
+        "random v_inv": AndoOperators(d, f, t, s, ops.v, rand_matrix(rng, f, 4 * d)),
+        "T and S swapped": AndoOperators(d, f, s, t, ops.v, ops.v_inv),
+    }
+
+
+@pytest.mark.parametrize("field", (RATIONAL, GF7))
+def test_windowed_records_match_per_level_reference(field):
+    rng = SplitMix64(71)
+    failing_levels = set()
+    for d in (1, 2, 3):
+        pairs = [gen_pair(PairRecipe(kind, d, field, seed=d))
+                 for kind in ("polynomial", "idempotent")]
+        # G = H = 0 for T = S = I, so level 0 commutes whatever v and v_inv are
+        for t, s in pairs + [(identity(field, d), identity(field, d))]:
+            for label, ops in _tamperings(ando(t, s), rng).items():
+                for max_trunc in (0, 1, 3):
+                    params = CheckParams(max_power=1, max_trunc=max_trunc, trials=1)
+                    got = {r.name: r.to_dict() for r in check_ando(t, s, params, ops=ops).checks}
+                    want = _windowed_records_per_level(ops, max_trunc)
+                    for name, rec in want.items():
+                        assert got[name] == rec, (d, t, label, max_trunc, name)
+                        if not rec["pass"]:
+                            failing_levels.add((name, rec["counterexample"]["trunc"]))
+    # the tampered operators reach failures past level 0, not only at it
+    assert {("commutation", 0), ("injectivity_u", 0)} <= failing_levels
+    assert any(k > 0 for name, k in failing_levels if name == "commutation")
+    assert any(k > 0 for name, k in failing_levels if name != "commutation")
+
+
+def test_well_definedness_record_counterexamples():
+    # unreachable from build_generators (ker G = ker H always), so handcrafted
+    same_dim = Generators(mat(RATIONAL, [[1, 0]]), mat(RATIONAL, [[0, 1]]))
+    rec = _well_definedness_record(same_dim)
+    assert not rec.passed
+    assert rec.params == {"kernel_dim_g": 1, "kernel_dim_h": 1}
+    assert rec.counterexample == {"direction": "ker(G) not in ker(H)",
+                                  "coefficients": ["0", "1"]}
+
+    g, h = mat(RATIONAL, [[1, 0], [0, 0]]), mat(RATIONAL, [[1, 0], [0, 1]])
+    rec = _well_definedness_record(Generators(g, h))
+    assert not rec.passed
+    assert rec.params == {"kernel_dim_g": 1, "kernel_dim_h": 0}
+    assert rec.counterexample == {"reason": "kernel dimensions differ"}
+    assert _well_definedness_record(Generators(g, g)).passed
 
 
 def test_extension_strategy_flag():
