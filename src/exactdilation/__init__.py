@@ -26,7 +26,7 @@ from .dilation import (
     sznagy_apply_u,
     truncated_matrix,
 )
-from .fields import RATIONAL, FieldSpec, gf, mpq
+from .fields import RATIONAL, FieldSpec, gf
 from .linalg import (
     DimensionMismatch,
     Mat,

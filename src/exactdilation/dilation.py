@@ -40,7 +40,7 @@ from .linalg import (
     zeros,
 )
 from .pairs import check_commute
-from .sequences import FsVec, to_coords
+from .sequences import FsVec, project, to_coords
 
 __all__ = [
     "NotCommuting",
@@ -192,46 +192,30 @@ def _require_dim(ops, w: FsVec):
         )
 
 
-def _head_blocks(field: FieldSpec, t: Mat, x0: tuple) -> list:
-    """[(0, T x0), (1, (I-T) x0)] with zero blocks dropped."""
-    tx = matvec(t, x0)
-    cx = tuple(field.sub(a, b) for a, b in zip(x0, tx))
-    out = []
-    if any(v != 0 for v in tx):
-        out.append((0, tx))
-    if any(v != 0 for v in cx):
-        out.append((1, cx))
-    return out
-
-
-def _coord0(w: FsVec) -> tuple:
-    if w.blocks and w.blocks[0][0] == 0:
-        return w.blocks[0][1]
-    return tuple(w.field.zero() for _ in range(w.dim))
+def _head_surgery(ops, m: Mat, w: FsVec, shift: int) -> FsVec:
+    """(x_n) -> (M x0, (I-M) x0, then x1, x2, ... moved up by ``shift``)."""
+    _require_dim(ops, w)
+    x0 = project(w)
+    mx = matvec(m, x0)
+    cx = tuple(ops.field.sub(a, b) for a, b in zip(x0, mx))
+    blocks = [(n, col) for n, col in ((0, mx), (1, cx)) if any(col)]
+    blocks.extend((n + shift, col) for n, col in w.blocks if n >= 1)
+    return FsVec(ops.field, ops.d, tuple(blocks))
 
 
 def sznagy_apply_u(ops: SzNagyOperators, w: FsVec) -> FsVec:
     """(x_n) -> (T x0, (I-T) x0, x1, x2, ...)."""
-    _require_dim(ops, w)
-    blocks = _head_blocks(ops.field, ops.T, _coord0(w))
-    blocks.extend((n + 1, col) for n, col in w.blocks if n >= 1)
-    return FsVec(ops.field, ops.d, tuple(blocks))
-
-
-def _half_shift(ops: AndoOperators, m: Mat, w: FsVec) -> FsVec:
-    """(x_n) -> (M x0, (I-M) x0, 0, x1, x2, ...)."""
-    _require_dim(ops, w)
-    blocks = _head_blocks(ops.field, m, _coord0(w))
-    blocks.extend((n + 2, col) for n, col in w.blocks if n >= 1)
-    return FsVec(ops.field, ops.d, tuple(blocks))
+    return _head_surgery(ops, ops.T, w, 1)
 
 
 def apply_w1(ops: AndoOperators, w: FsVec) -> FsVec:
-    return _half_shift(ops, ops.T, w)
+    """(x_n) -> (T x0, (I-T) x0, 0, x1, x2, ...)."""
+    return _head_surgery(ops, ops.T, w, 2)
 
 
 def apply_w2(ops: AndoOperators, w: FsVec) -> FsVec:
-    return _half_shift(ops, ops.S, w)
+    """(x_n) -> (S x0, (I-S) x0, 0, x1, x2, ...)."""
+    return _head_surgery(ops, ops.S, w, 2)
 
 
 def _block_exchange(ops: AndoOperators, vmat: Mat, w: FsVec) -> FsVec:
@@ -240,31 +224,21 @@ def _block_exchange(ops: AndoOperators, vmat: Mat, w: FsVec) -> FsVec:
     d = ops.d
     if d == 0:
         return w
-    p = ops.field.modulus
-    ve = vmat.entries
-    dim4 = 4 * d
+    zero = ops.field.zero()
     out = [(0, w.blocks[0][1])] if (w.blocks and w.blocks[0][0] == 0) else []
     groups: dict[int, list] = {}
     for n, col in w.blocks:
         if n >= 1:
             groups.setdefault((n - 1) // 4, []).append((n, col))
-    for b in sorted(groups):
-        y = [0] * dim4
-        for n, col in groups[b]:
+    for b, members in groups.items():  # blocks are sorted, so b increases
+        x = [zero] * (4 * d)
+        for n, col in members:
             off = (n - 1) % 4 * d
-            for i, val in enumerate(col):
-                if val == 0:
-                    continue
-                j = off + i
-                for r in range(dim4):
-                    a = ve[r][j]
-                    if a != 0:
-                        y[r] += a * val
-        if p is not None:
-            y = [x % p for x in y]
+            x[off:off + d] = col
+        y = matvec(vmat, x)
         for k in range(4):
-            sub = tuple(y[k * d:(k + 1) * d])
-            if any(x != 0 for x in sub):
+            sub = y[k * d:(k + 1) * d]
+            if any(sub):
                 out.append((4 * b + 1 + k, sub))
     return FsVec(ops.field, d, tuple(out))
 

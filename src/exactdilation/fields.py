@@ -1,10 +1,14 @@
-"""Exact scalar arithmetic over the rationals and over prime fields GF(p).
+"""Exact scalars over the rationals and prime fields GF(p), and the edge where
+the integer kernels meet them.
 
-Scalars are plain values rather than wrapper objects: ``gmpy2.mpq`` for the
-rationals (arbitrary precision, always stored reduced with positive
-denominator) and ``int`` residues in ``[0, p)`` for GF(p).  A ``FieldSpec``
-pins down which interpretation applies and supplies the few operations that
-depend on it (normalization, inversion, parsing, formatting).
+Scalars are plain values: ``fractions.Fraction`` for the rationals and ``int``
+residues in ``[0, p)`` for GF(p).  A ``FieldSpec`` says which applies and
+supplies what depends on it: parsing, formatting, and the integer form of the
+kernels.  ``to_ints`` turns a grid of scalars into integer numerators over one
+positive common denominator (over GF(p), the residues themselves over 1);
+``from_ints`` turns an integer grid over a denominator back into reduced
+scalars; ``reduce_row`` keeps an elimination row small (content gcd over Q,
+mod p over GF(p)).
 
 Scalar text grammar: integer ``-?[0-9]+``, rational ``-?[0-9]+/[1-9][0-9]*``,
 prime-field residue ``[0-9]+``.
@@ -14,31 +18,45 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
-try:
-    from gmpy2 import mpq
-except ImportError:  # pragma: no cover - gmpy2 is the declared dependency
-    from fractions import Fraction as mpq
-
-__all__ = ["FieldSpec", "RATIONAL", "gf", "mpq"]
+__all__ = ["FieldSpec", "RATIONAL", "gf", "MAX_MODULUS"]
 
 _INTEGER_RE = re.compile(r"-?[0-9]+\Z")
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)\Z")
 _RESIDUE_RE = re.compile(r"[0-9]+\Z")
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+# Miller-Rabin with the first 13 prime bases is exact below the smallest
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86,
+# 2017); larger moduli are refused rather than tested probabilistically.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981 - 1
+
 
 def _is_prime(n: int) -> bool:
-    # trial division; moduli are desk scale
-    if n < 2:
-        return False
-    if n % 2 == 0:
+    """Deterministic for n <= MAX_MODULUS."""
+    if n < 2 or n % 2 == 0:
         return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n in _MR_BASES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -54,7 +72,12 @@ class FieldSpec:
             if self.modulus is not None:
                 raise ValueError("rational field carries no modulus")
         elif self.kind == "gf":
-            if not isinstance(self.modulus, int) or not _is_prime(self.modulus):
+            if not isinstance(self.modulus, int) or isinstance(self.modulus, bool):
+                raise ValueError(f"modulus must be a prime integer, got {self.modulus!r}")
+            if self.modulus > MAX_MODULUS:
+                raise ValueError(
+                    f"modulus {self.modulus} is too large; the limit is {MAX_MODULUS}")
+            if not _is_prime(self.modulus):
                 raise ValueError(f"modulus must be a prime integer, got {self.modulus!r}")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
@@ -69,13 +92,13 @@ class FieldSpec:
     # -- scalar construction ------------------------------------------------
 
     def zero(self):
-        return mpq(0) if self.is_rational else 0
+        return _ZERO if self.is_rational else 0
 
     def one(self):
-        return mpq(1) if self.is_rational else 1
+        return _ONE if self.is_rational else 1
 
     def from_int(self, n: int):
-        return mpq(n) if self.is_rational else n % self.modulus
+        return Fraction(n) if self.is_rational else n % self.modulus
 
     def coerce(self, x):
         """Accept an int, a scalar string, or an already-exact scalar; never a float."""
@@ -86,17 +109,10 @@ class FieldSpec:
         if isinstance(x, int):
             return self.from_int(x)
         if self.is_rational:
-            return mpq(x)
+            return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into {self.label()}")
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def normalize(self, x):
-        """Canonical representative: reduce mod p; rationals are already reduced."""
-        return x if self.is_rational else x % self.modulus
-
-    def add(self, a, b):
-        return a + b if self.is_rational else (a + b) % self.modulus
+    # -- scalar arithmetic the lazy operators and kernels need ------------------
 
     def sub(self, a, b):
         return a - b if self.is_rational else (a - b) % self.modulus
@@ -104,16 +120,39 @@ class FieldSpec:
     def neg(self, a):
         return -a if self.is_rational else (-a) % self.modulus
 
-    def mul(self, a, b):
-        return a * b if self.is_rational else (a * b) % self.modulus
+    # -- integer form: the edge of the kernels --------------------------------
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("scalar has no inverse")
-        return 1 / a if self.is_rational else pow(a, -1, self.modulus)
+    def to_ints(self, rows) -> tuple:
+        """``(ints, den)`` with ``rows == ints / den``: over Q ``den`` is the least
+        common denominator; over GF(p) ``rows`` itself comes back, uncopied, over 1."""
+        if self.modulus is not None:
+            return rows, 1
+        den = lcm(*{x.denominator for row in rows for x in row})
+        return tuple([tuple([x.numerator * (den // x.denominator) for x in row])
+                      for row in rows]), den
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+    def from_ints(self, ints, den: int = 1) -> tuple:
+        """The grid of reduced scalars ``ints / den``; ``den`` is a nonzero integer."""
+        p = self.modulus
+        if p is None:
+            return tuple([tuple([Fraction(x, den) if x else _ZERO for x in row])
+                          for row in ints])
+        mod = p.__rmod__  # x -> x % p
+        if den != 1:
+            scale = pow(den, -1, p).__mul__
+            return tuple([tuple(map(mod, map(scale, row))) for row in ints])
+        return tuple([tuple(map(mod, row)) for row in ints])
+
+    def reduce_row(self, row: dict) -> dict:
+        """A sparse integer row (col -> nonzero int) scaled to a small multiple:
+        divided by its content gcd over Q, reduced mod p over GF(p), zeros dropped."""
+        p = self.modulus
+        if p is None:
+            g = gcd(*row.values())
+            if g > 1:
+                return {j: x // g for j, x in row.items()}
+            return row
+        return {j: r for j, x in row.items() if (r := x % p)}
 
     # -- text form ------------------------------------------------------------
 
@@ -124,9 +163,9 @@ class FieldSpec:
         if self.is_rational:
             m = _RATIONAL_RE.match(s)
             if m:
-                return mpq(int(m.group(1)), int(m.group(2)))
+                return Fraction(int(m.group(1)), int(m.group(2)))
             if _INTEGER_RE.match(s):
-                return mpq(int(s))
+                return Fraction(int(s))
             raise ValueError(f"not a rational scalar: {s!r}")
         if _RESIDUE_RE.match(s):
             return int(s) % self.modulus

@@ -1,13 +1,19 @@
 """Dense exact matrices and the elimination kernel.
 
-Everything here is a pure function on immutable ``Mat`` values; all
-arithmetic is exact in the matrix's field.  Degenerate shapes (0 x n, n x 0)
-are legal with the obvious conventions.
+Everything here is a pure function on immutable ``Mat`` values.  Kernels
+compute on Python ints: a matrix enters as integer numerators over one
+common denominator (``Mat.ints``) and a result leaves through
+``FieldSpec.from_ints`` once per call.  One fraction-free elimination kernel,
+``_echelon_insert``, serves rank, column ranks, basis completion, reduced row
+echelon form, kernels and inverses.  Degenerate shapes (0 x n, n x 0) are
+legal with the obvious conventions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .fields import FieldSpec
@@ -74,36 +80,39 @@ class Mat:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
+    @cached_property
+    def ints(self) -> tuple:
+        """``(int rows, den)`` with ``entries == int rows / den``; see ``FieldSpec.to_ints``."""
+        return self.field.to_ints(self.entries)
+
+    @cached_property
+    def _col_terms(self) -> list:
+        """For each column, the ``(row, int)`` pairs of its nonzero entries in ``ints``."""
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.ints[0]):
+            for k, x in enumerate(row):
+                if x:
+                    cols[k].append((i, x))
+        return cols
 
     # -- arithmetic -------------------------------------------------------------
 
-    def _require_same_shape(self, other: "Mat"):
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "Mat") -> "Mat":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Mat", sign: int) -> "Mat":
+        """``self + sign * other``, computed on the integer forms."""
         if self.field != other.field:
             raise DimensionMismatch("matrices over different fields")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self._require_same_shape(other)
-        norm = self.field.normalize
-        rows = tuple(
-            tuple(norm(a + b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
-        return Mat(self.field, self.rows, self.cols, rows)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._require_same_shape(other)
-        norm = self.field.normalize
-        rows = tuple(
-            tuple(norm(a - b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
-        return Mat(self.field, self.rows, self.cols, rows)
+                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        (a, aden), (b, bden) = self.ints, other.ints
+        sums = [[x * bden + sign * y * aden for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        return Mat(self.field, self.rows, self.cols, self.field.from_ints(sums, aden * bden))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.field != other.field:
@@ -112,29 +121,20 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        p = self.field.modulus
-        # accumulate C[i][j] += A[i][k] * B[k][j], skipping zero A-columns /
+        b, bden = other.ints
+        # accumulate C[i][j] += A[i][k] * B[k][j], skipping zero A-entries /
         # B-entries; pays off on the near-permutation truncated operators
         acc = [[0] * other.cols for _ in range(self.rows)]
-        a_cols_nz = [[] for _ in range(self.cols)]
-        for i, arow in enumerate(self.entries):
-            for k, a in enumerate(arow):
-                if a != 0:
-                    a_cols_nz[k].append((i, a))
-        for k, brow in enumerate(other.entries):
-            colk = a_cols_nz[k]
+        for colk, brow in zip(self._col_terms, b):
             if not colk:
                 continue
-            for j, b in enumerate(brow):
-                if b == 0:
+            for j, y in enumerate(brow):
+                if not y:
                     continue
-                for i, a in colk:
-                    acc[i][j] += a * b
-        if p is None:
-            rows = tuple(tuple(r) for r in acc)
-        else:
-            rows = tuple(tuple(x % p for x in r) for r in acc)
-        return Mat(self.field, self.rows, other.cols, rows)
+                for i, x in colk:
+                    acc[i][j] += x * y
+        return Mat(self.field, self.rows, other.cols,
+                   self.field.from_ints(acc, self.ints[1] * bden))
 
 
 # -- construction ---------------------------------------------------------------
@@ -190,108 +190,92 @@ def vstack(*mats: Mat) -> Mat:
 def matvec(m: Mat, x: Sequence) -> tuple:
     if len(x) != m.cols:
         raise DimensionMismatch(f"matvec: {m.rows}x{m.cols} applied to length {len(x)}")
-    p = m.field.modulus
-    nz = [(j, xj) for j, xj in enumerate(x) if xj != 0]
-    out = []
-    for row in m.entries:
-        s = 0
-        for j, xj in nz:
-            a = row[j]
-            if a != 0:
-                s += a * xj
-        out.append(s if p is None else s % p)
-    return tuple(out)
+    (xi,), xden = m.field.to_ints((x,))
+    # accumulate by column, skipping zero entries of x and of m
+    y = [0] * m.rows
+    for terms, xj in zip(m._col_terms, xi):
+        if xj:
+            for r, arj in terms:
+                y[r] += arj * xj
+    (out,) = m.field.from_ints((y,), m.ints[1] * xden)
+    return out
 
 
 # -- elimination kernel ---------------------------------------------------------------
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns (strictly increasing)."""
-    p = m.field.modulus
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        if pv != 1:
-            inv = m.field.inv(pv)
-            if p is None:
-                for j in range(c, ncols):
-                    prow[j] = prow[j] * inv
-            else:
-                for j in range(c, ncols):
-                    prow[j] = (prow[j] * inv) % p
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f == 0:
-                continue
-            rowi = rows[i]
-            if p is None:
-                for j in range(c, ncols):
-                    rowi[j] = rowi[j] - f * prow[j]
-            else:
-                for j in range(c, ncols):
-                    rowi[j] = (rowi[j] - f * prow[j]) % p
-        pivots.append(c)
-        r += 1
-    return Mat(m.field, nrows, ncols, tuple(tuple(row) for row in rows)), tuple(pivots)
+def _cancel(row: dict, piv: dict, c: int, field: FieldSpec) -> dict:
+    """``a*row - f*piv``, reduced by the field, with ``a = piv[c]`` and ``f = row[c]``
+    over their gcd, so column ``c`` cancels.  ``row`` may be consumed."""
+    a, f = piv[c], row[c]
+    if f % a:
+        g = gcd(a, f)
+        a, f = a // g, f // g
+        row = {j: a * x for j, x in row.items()}
+    else:
+        f //= a
+    for j, x in piv.items():
+        nx = row.get(j, 0) - f * x
+        if nx:
+            row[j] = nx
+        else:
+            del row[j]
+    return field.reduce_row(row)
 
 
 def _echelon_insert(pivot_rows: dict, row: dict, field: FieldSpec) -> Optional[int]:
-    """Reduce a sparse row against an echelon set; insert and return its lead, or None.
+    """Reduce a sparse integer row against an echelon set; insert and return its lead, or None.
 
-    ``pivot_rows`` maps leading column -> sparse row (dict col -> scalar) whose
-    leading coefficient is one.
+    Rows are dicts col -> nonzero int; ``pivot_rows`` maps each leading column
+    to its row.  Only the line through a row matters, so the rows of a matrix
+    may come over any common denominator.  ``row`` is consumed.
     """
-    p = field.modulus
     while row:
         lead = min(row)
         piv = pivot_rows.get(lead)
         if piv is None:
-            inv = field.inv(row[lead])
-            if p is None:
-                row = {j: v * inv for j, v in row.items()}
-            else:
-                row = {j: (v * inv) % p for j, v in row.items()}
             pivot_rows[lead] = row
             return lead
-        f = row[lead]
-        if p is None:
-            for j, v in piv.items():
-                nv = row.get(j, 0) - f * v
-                if nv == 0:
-                    row.pop(j, None)
-                else:
-                    row[j] = nv
-        else:
-            for j, v in piv.items():
-                nv = (row.get(j, 0) - f * v) % p
-                if nv == 0:
-                    row.pop(j, None)
-                else:
-                    row[j] = nv
+        row = _cancel(row, piv, lead, field)
     return None
+
+
+def _row_echelon(m: Mat) -> dict:
+    """Echelon set of the rows of ``m``: leading column -> sparse integer row."""
+    pivot_rows: dict = {}
+    for raw in m.ints[0]:
+        _echelon_insert(pivot_rows, {j: x for j, x in enumerate(raw) if x}, m.field)
+    return pivot_rows
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and its pivot columns (strictly increasing).
+
+    The echelon set of the rows is back-substituted bottom up with the same
+    cancellation step, then each row is divided by its lead, once.
+    """
+    field = m.field
+    pivot_rows = _row_echelon(m)
+    pivots = sorted(pivot_rows)
+    for i in range(len(pivots) - 2, -1, -1):
+        row = pivot_rows[pivots[i]]
+        for c in pivots[i + 1:]:
+            if c in row:
+                row = _cancel(row, pivot_rows[c], c, field)
+        pivot_rows[pivots[i]] = row
+    rows = []
+    for c in pivots:
+        dense = [0] * m.cols
+        for j, x in pivot_rows[c].items():
+            dense[j] = x
+        rows.extend(field.from_ints((dense,), dense[c]))
+    rows.extend([(field.zero(),) * m.cols] * (m.rows - len(pivots)))
+    return Mat(field, m.rows, m.cols, tuple(rows)), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
     """Rank of ``m`` (the pivot count of its reduced row echelon form)."""
-    pivot_rows: dict = {}
-    for raw in m.entries:
-        row = {j: v for j, v in enumerate(raw) if v != 0}
-        if row:
-            _echelon_insert(pivot_rows, row, m.field)
-    return len(pivot_rows)
+    return len(_row_echelon(m))
 
 
 def column_ranks(m: Mat, widths: Iterable[int]) -> list:
@@ -300,20 +284,14 @@ def column_ranks(m: Mat, widths: Iterable[int]) -> list:
     ``widths`` must be nondecreasing; one elimination inserts the columns in
     order and reads the rank off at each width.
     """
-    cols = [{} for _ in range(m.cols)]
-    for i, raw in enumerate(m.entries):
-        for j, v in enumerate(raw):
-            if v != 0:
-                cols[j][i] = v
     pivot_rows: dict = {}
     done = 0
     out = []
     for w in widths:
         if not done <= w <= m.cols:
             raise ValueError(f"widths must be nondecreasing and at most {m.cols}")
-        for col in cols[done:w]:
-            if col:
-                _echelon_insert(pivot_rows, col, m.field)
+        for terms in m._col_terms[done:w]:
+            _echelon_insert(pivot_rows, dict(terms), m.field)
         done = w
         out.append(len(pivot_rows))
     return out
@@ -352,25 +330,18 @@ def complete_basis(basis_cols: Mat, ambient_dim: int, scan: str = "forward") -> 
         )
     field = basis_cols.field
     pivot_rows: dict = {}
-    for j in range(basis_cols.cols):
-        row = {i: v for i, v in enumerate(basis_cols.col(j)) if v != 0}
-        if not row or _echelon_insert(pivot_rows, row, field) is None:
+    for j, terms in enumerate(basis_cols._col_terms):
+        if _echelon_insert(pivot_rows, dict(terms), field) is None:
             raise NotIndependent(f"input column {j} depends on the previous ones")
     order = range(ambient_dim) if scan == "forward" else range(ambient_dim - 1, -1, -1)
-    one = field.one()
     kept = []
     for i in order:
         if len(pivot_rows) == ambient_dim:
             break
-        if _echelon_insert(pivot_rows, {i: one}, field) is not None:
+        if _echelon_insert(pivot_rows, {i: 1}, field) is not None:
             kept.append(i)
-    zero = field.zero()
-    cols = []
-    for i in kept:
-        col = [zero] * ambient_dim
-        col[i] = one
-        cols.append(tuple(col))
-    return from_cols(field, ambient_dim, cols)
+    ident = identity(field, ambient_dim)
+    return from_cols(field, ambient_dim, [ident.col(i) for i in kept])
 
 
 def is_invertible(m: Mat) -> bool:

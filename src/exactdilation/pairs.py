@@ -1,7 +1,7 @@
 """Deterministic generation of commuting matrix pairs, and the commutation test.
 
 All recipe kinds except ``explicit`` produce pairs that commute by
-construction; the generator asserts this before returning.  Same recipe and
+construction; the generator checks this before returning.  Same recipe and
 seed give bit-identical output.
 """
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .fields import FieldSpec
-from .linalg import DimensionMismatch, Mat, identity, is_invertible, inverse, zeros
+from .linalg import DimensionMismatch, Mat, is_invertible, inverse, zeros
 from .rng import SplitMix64, rand_matrix, rand_scalar
 
 __all__ = ["PairRecipe", "InvalidRecipe", "RECIPE_KINDS", "gen_pair", "check_commute",
@@ -64,16 +64,14 @@ class PairRecipe:
 
 def matrix_polynomial(a: Mat, coeffs: Sequence) -> Mat:
     """Evaluate sum(coeffs[k] * a^k) by Horner's rule; coeffs[0] is constant."""
-    field = a.field
-    acc = zeros(field, a.rows, a.rows)
-    ident = identity(field, a.rows)
+    field, n = a.field, a.rows
+    zero = field.zero()
+    acc = zeros(field, n, n)
     for c in reversed([field.coerce(c) for c in coeffs]):
         acc = acc @ a
         if c != 0:
-            norm = field.normalize
-            acc = Mat(field, a.rows, a.rows,
-                      tuple(tuple(norm(x + c) if i == j else x for j, x in enumerate(row))
-                            for i, row in enumerate(acc.entries)))
+            acc = acc + Mat(field, n, n, tuple(tuple(c if i == j else zero for j in range(n))
+                                                for i in range(n)))
     return acc
 
 
@@ -139,7 +137,8 @@ def gen_pair(recipe: PairRecipe) -> tuple[Mat, Mat]:
         m_inv = inverse(m)
         t = m @ _rand_01_diagonal(rng, field, d) @ m_inv
         s = m @ _rand_01_diagonal(rng, field, d) @ m_inv
-    assert check_commute(t, s), "generated pair fails to commute"
+    if not check_commute(t, s):  # a raise, not an assert, so that it survives python -O
+        raise AssertionError("generated pair fails to commute")
     return t, s
 
 

@@ -9,7 +9,9 @@ languages.  Statistical quality beyond that is irrelevant.
 
 from __future__ import annotations
 
-from .fields import FieldSpec, mpq
+from fractions import Fraction
+
+from .fields import FieldSpec
 
 __all__ = ["SplitMix64", "rand_scalar", "rand_column", "rand_matrix"]
 
@@ -43,7 +45,7 @@ class SplitMix64:
 def rand_scalar(rng: SplitMix64, field: FieldSpec, height: int = 5):
     """Random scalar; rationals have numerator and denominator of bounded height."""
     if field.is_rational:
-        return mpq(rng.randint(-height, height), rng.randint(1, height))
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
     return rng.below(field.modulus)
 
 

@@ -82,3 +82,29 @@ def gauss_rank(rows, p=None):
         if rank == len(rows):
             break
     return rank
+
+
+def plain_rref(rows, p=None):
+    """Reduced row echelon form by Gauss-Jordan elimination on a copy, and its pivots."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        if p is None:
+            inv = 1 / Fraction(rows[r][c])
+            rows[r] = [x * inv for x in rows[r]]
+        else:
+            inv = pow(rows[r][c], -1, p)
+            rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f != 0:
+                rows[i] = [x - f * y if p is None else (x - f * y) % p
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots

@@ -300,6 +300,25 @@ def test_bad_numbers_exit_2(tmp_path, capsys, problem, command):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_large_moduli_at_the_cli(tmp_path, capsys):
+    # 2**61 - 1 is a prime the suite runs on; 2**89 - 1 is prime but above
+    # the ceiling of the deterministic prime test, so it is refused with exit 2
+    ok = write_problem(tmp_path / "ok.json", {"field": {"kind": "gf", "modulus": 2**61 - 1},
+                                              "recipe": {"kind": "polynomial", "dim": 2,
+                                                         "seed": 1}})
+    assert main(["ando", "--input", ok, "--max-power", "2", "--trunc", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    big = write_problem(tmp_path / "big.json", {"field": {"kind": "gf", "modulus": 2**89 - 1},
+                                                "recipe": {"kind": "diagonal", "dim": 2,
+                                                           "seed": 1}})
+    for argv in (["ando", "--input", big], ["sznagy", "--input", big],
+                 ["gen", "--kind", "diagonal", "--dim", "1", "--field", f"gf{2**89 - 1}"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err and captured.err.count("\n") == 1
+
+
 def test_failing_report_exits_1(tmp_path, monkeypatch):
     # no honest input can fail the suite, so stub the checker
     from exactdilation.verify import CheckRecord, Report

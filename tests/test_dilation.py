@@ -26,7 +26,7 @@ from exactdilation.dilation import (
     sznagy_apply_u,
     truncated_matrix,
 )
-from exactdilation.fields import RATIONAL, gf, mpq
+from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import (
     DimensionMismatch,
     from_cols,
@@ -276,8 +276,8 @@ def test_build_v_coherent_and_invertible(field, completion):
 def test_build_v_rank_mismatch_rejected():
     # handcrafted generator matrices with different ranks (unreachable via
     # build_generators, which forces equal kernels)
-    zero4 = tuple(mpq(0) for _ in range(4))
-    e0 = (mpq(1), mpq(0), mpq(0), mpq(0))
+    zero4 = tuple(Fraction(0) for _ in range(4))
+    e0 = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     gens = Generators(from_cols(RATIONAL, 4, [e0]), from_cols(RATIONAL, 4, [zero4]))
     with pytest.raises(ExtensionFailure):
         build_v(gens)
@@ -306,10 +306,10 @@ def test_apply_w_identity_exchange_is_identity():
 def test_apply_w_acts_blockwise():
     t = JORDAN
     ops = ando(t, t @ t)
-    x = [mpq(v) for v in (1, 2, 3, 4, 5, 6, 7, 8)]
+    x = [Fraction(v) for v in (1, 2, 3, 4, 5, 6, 7, 8)]
     w = fsvec(RATIONAL, 2, {1: x[0:2], 2: x[2:4], 3: x[4:6], 4: x[6:8]})
     got = apply_w(ops, w)
-    assert project(got) == (mpq(0), mpq(0))  # head untouched (and absent)
+    assert project(got) == (Fraction(0), Fraction(0))  # head untouched (and absent)
     y = matvec(ops.v, tuple(x))
     assert to_coords(got, 5)[2:] == y
 
@@ -339,10 +339,10 @@ def test_zero_pair_compresses_to_zero():
     zero = zeros(RATIONAL, 2, 2)
     ops = ando(zero, zero)
     w = embed(RATIONAL, (3, 5))
-    assert project(w) == (mpq(3), mpq(5))            # n = m = 0
-    assert project(apply_u(ops, w)) == (mpq(0), mpq(0))
-    assert project(apply_v(ops, w)) == (mpq(0), mpq(0))
-    assert project(apply_u(ops, apply_v(ops, w))) == (mpq(0), mpq(0))
+    assert project(w) == (Fraction(3), Fraction(5))            # n = m = 0
+    assert project(apply_u(ops, w)) == (Fraction(0), Fraction(0))
+    assert project(apply_v(ops, w)) == (Fraction(0), Fraction(0))
+    assert project(apply_u(ops, apply_v(ops, w))) == (Fraction(0), Fraction(0))
 
 
 @pytest.mark.parametrize("field", FIELDS)

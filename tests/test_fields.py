@@ -1,12 +1,17 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactdilation.fields import RATIONAL, FieldSpec, gf, mpq
+from exactdilation.fields import MAX_MODULUS, RATIONAL, FieldSpec, gf
+from exactdilation.linalg import Mat, inverse
 
 GF7 = gf(7)
+MERSENNE_61 = 2**61 - 1
+# a strong pseudoprime to the first 12 prime bases 2..37; only base 41 exposes it
+PSI_12 = 318665857834031151167461
 
 
 # -- construction and validation -------------------------------------------------
@@ -17,16 +22,40 @@ def test_rational_spec():
     assert RATIONAL.label() == "rational"
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 101, 7919])
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 7919, 2**31 - 1, MERSENNE_61])
 def test_prime_moduli_accepted(p):
     assert gf(p).modulus == p
     assert not gf(p).is_rational
 
 
-@pytest.mark.parametrize("p", [-7, 0, 1, 4, 6, 9, 91])
+@pytest.mark.parametrize("p", [-7, 0, 1, 4, 6, 9, 91,
+                               561,  # Carmichael number
+                               3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+                               PSI_12, (2**31 - 1) * (2**19 - 1), MERSENNE_61 + 2])
 def test_non_prime_moduli_rejected(p):
     with pytest.raises(ValueError):
         gf(p)
+
+
+def test_large_moduli_are_decided_fast():
+    # trial division needs about 10**9 steps for 2**61 - 1
+    start = time.perf_counter()
+    for p in (2**31 - 1, MERSENNE_61, PSI_12):
+        try:
+            gf(p)
+        except ValueError:
+            pass
+    assert time.perf_counter() - start < 1.0
+
+
+def test_moduli_above_the_ceiling_rejected():
+    # MAX_MODULUS + 1 is a strong pseudoprime to all 13 bases of the prime
+    # test, so above the ceiling a deterministic answer would be wrong
+    for p in (MAX_MODULUS + 1, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            gf(p)
+    with pytest.raises(ValueError):
+        FieldSpec("gf", True)
 
 
 def test_bad_kinds_rejected():
@@ -47,7 +76,7 @@ def test_bad_kinds_rejected():
 ])
 def test_rational_parse(text, num, den):
     x = RATIONAL.parse(text)
-    assert x == mpq(num, den)
+    assert x == Fraction(num, den)
     assert x.numerator == num and x.denominator == den  # stored reduced
 
 
@@ -70,18 +99,18 @@ def test_residue_parse_rejects(text):
 
 
 def test_fmt_is_canonical_and_round_trips():
-    assert RATIONAL.fmt(mpq(3, 2)) == "3/2"
-    assert RATIONAL.fmt(mpq(-10, 4)) == "-5/2"
-    assert RATIONAL.fmt(mpq(4)) == "4"
+    assert RATIONAL.fmt(Fraction(3, 2)) == "3/2"
+    assert RATIONAL.fmt(Fraction(-10, 4)) == "-5/2"
+    assert RATIONAL.fmt(Fraction(4)) == "4"
     assert GF7.fmt(5) == "5"
     for text in ["-5/2", "4", "0"]:
         assert RATIONAL.fmt(RATIONAL.parse(text)) == text
 
 
 def test_coerce():
-    assert RATIONAL.coerce(-3) == mpq(-3)
-    assert RATIONAL.coerce("1/2") == mpq(1, 2)
-    assert RATIONAL.coerce(Fraction(1, 3)) == mpq(1, 3)
+    assert RATIONAL.coerce(-3) == Fraction(-3)
+    assert RATIONAL.coerce("1/2") == Fraction(1, 2)
+    assert RATIONAL.coerce(Fraction(1, 3)) == Fraction(1, 3)
     assert GF7.coerce(-1) == 6
     assert GF7.coerce("12") == 5
     # bools and floats are refused: 0.1 would become 3602879701896397/36028797018963968
@@ -89,6 +118,27 @@ def test_coerce():
         for bad in (True, False, 0.1, 0.5, 2.0):
             with pytest.raises(TypeError):
                 field.coerce(bad)
+
+
+def test_integer_form():
+    rows = ((Fraction(1, 6), Fraction(-3, 4)), (Fraction(0), Fraction(5, 2**64)))
+    ints, den = RATIONAL.to_ints(rows)
+    assert den == 3 * 2**64
+    assert ints == ((2**63, -9 * 2**62), (0, 15))
+    assert RATIONAL.from_ints(ints, den) == rows
+    assert RATIONAL.from_ints(((4, -6),), -8) == ((Fraction(-1, 2), Fraction(3, 4)),)
+    residues = ((3, 0), (6, 1))
+    ints, den = GF7.to_ints(residues)
+    assert ints is residues and den == 1  # no copy over GF(p)
+    assert GF7.from_ints(((10, -1),)) == ((3, 6),)
+    assert GF7.from_ints(((3, 1),), 2) == ((5, 4),)  # 2 * 4 = 1 mod 7
+
+
+def test_reduce_row():
+    assert RATIONAL.reduce_row({0: 6, 3: -4}) == {0: 3, 3: -2}
+    assert RATIONAL.reduce_row({2: -5, 4: 7}) == {2: -5, 4: 7}
+    assert GF7.reduce_row({0: 14, 2: 9, 5: -1}) == {2: 2, 5: 6}
+    assert GF7.reduce_row({1: 7}) == {}
 
 
 def test_json_round_trip():
@@ -102,34 +152,38 @@ def test_json_round_trip():
         FieldSpec.from_dict(["rational"])
 
 
-# -- field axioms (spot checks) -------------------------------------------------------
+# -- field axioms (spot checks), on the arithmetic the kernels do -------------------
 
-rationals = st.builds(lambda n, d: mpq(n, d), st.integers(-50, 50), st.integers(1, 50))
+rationals = st.builds(lambda n, d: Fraction(n, d), st.integers(-50, 50), st.integers(1, 50))
 residues = st.integers(0, 6)
+
+
+def _scalar(field, x):
+    """x as a 1 x 1 matrix: scalar arithmetic runs through the matrix kernels."""
+    return Mat(field, 1, 1, ((x,),))
+
+
+def _check_axioms(field, a, b, c):
+    A, B, C = (_scalar(field, x) for x in (a, b, c))
+    assert A + (B + C) == (A + B) + C
+    assert A @ (B @ C) == (A @ B) @ C
+    assert A @ (B + C) == A @ B + A @ C
+    assert A - A == _scalar(field, field.zero())
+    assert A + _scalar(field, field.neg(a)) == _scalar(field, field.zero())
+    if a != 0:
+        assert A @ inverse(A) == _scalar(field, field.one())
 
 
 @settings(deadline=None, max_examples=60)
 @given(rationals, rationals, rationals)
 def test_rational_axioms(a, b, c):
-    F = RATIONAL
-    assert F.add(a, F.add(b, c)) == F.add(F.add(a, b), c)
-    assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
-    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-    assert F.add(a, F.neg(a)) == F.zero()
-    if a != 0:
-        assert F.mul(a, F.inv(a)) == F.one()
+    _check_axioms(RATIONAL, a, b, c)
 
 
 @settings(deadline=None, max_examples=60)
 @given(residues, residues, residues)
 def test_gf7_axioms(a, b, c):
-    F = GF7
-    assert F.add(a, F.add(b, c)) == F.add(F.add(a, b), c)
-    assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
-    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-    assert F.add(a, F.neg(a)) == 0
-    if a != 0:
-        assert F.mul(a, F.inv(a)) == 1
+    _check_axioms(GF7, a, b, c)
 
 
 # -- GF(p) agrees with rational arithmetic reduced mod p ------------------------------------
@@ -147,10 +201,10 @@ def test_gf_matches_reduced_rational_arithmetic(an, ad, bn, bd):
     if ad % p == 0 or bd % p == 0:
         return
     F = gf(p)
-    a, b = mpq(an, ad), mpq(bn, bd)
-    ha, hb = _hom(a, p), _hom(b, p)
-    assert _hom(a + b, p) == F.add(ha, hb)
-    assert _hom(a - b, p) == F.sub(ha, hb)
-    assert _hom(a * b, p) == F.mul(ha, hb)
-    if b != 0 and hb != 0:
-        assert _hom(a / b, p) == F.div(ha, hb)
+    a, b = Fraction(an, ad), Fraction(bn, bd)
+    qa, qb = _scalar(RATIONAL, a), _scalar(RATIONAL, b)
+    ha, hb = _scalar(F, _hom(a, p)), _scalar(F, _hom(b, p))
+    for q, h in ((qa + qb, ha + hb), (qa - qb, ha - hb), (qa @ qb, ha @ hb)):
+        assert _hom(q.entries[0][0], p) == h.entries[0][0]
+    if b != 0 and _hom(b, p) != 0:
+        assert _hom(a / b, p) == (ha @ inverse(hb)).entries[0][0]

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactdilation.fields import RATIONAL, gf, mpq
+from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import (
     DimensionMismatch,
     Mat,
@@ -26,14 +28,29 @@ from exactdilation.linalg import (
 )
 from exactdilation.rng import SplitMix64, rand_matrix
 
-from oracles import col_to_plain, gauss_rank, plain_matvec, plain_mult, to_plain
+from oracles import col_to_plain, gauss_rank, plain_matvec, plain_mult, plain_rref, to_plain
 
 GF7 = gf(7)
-FIELDS = (RATIONAL, GF7)
+GF_M61 = gf(2**61 - 1)
+FIELDS = (RATIONAL, GF7, GF_M61)
+BIG = 2**64
 
 
 def _zero_col(field, n):
     return tuple(field.zero() for _ in range(n))
+
+
+def rand_entry(rng, field):
+    """Over Q, n/d with d in 1..9 and now and then d >= 2**64; over GF(p), a
+    small integer or now and then any residue."""
+    n = rng.randint(-9, 9)
+    if not field.is_rational:
+        return field.from_int(n if rng.below(4) else rng.below(field.modulus))
+    return Fraction(n, rng.randint(1, 9) if rng.below(8) else BIG + rng.below(BIG))
+
+
+def rand_grid(rng, field, r, c):
+    return tuple(tuple(rand_entry(rng, field) for _ in range(c)) for _ in range(r))
 
 
 def random_mats(field, seed, count, max_rows=5, max_cols=6):
@@ -41,8 +58,7 @@ def random_mats(field, seed, count, max_rows=5, max_cols=6):
     out = []
     for _ in range(count):
         r, c = rng.below(max_rows + 1), rng.below(max_cols + 1)
-        out.append(Mat(field, r, c, tuple(
-            tuple(field.from_int(rng.randint(-9, 9)) for _ in range(c)) for _ in range(r))))
+        out.append(Mat(field, r, c, rand_grid(rng, field, r, c)))
     return out
 
 
@@ -51,7 +67,7 @@ def random_mats(field, seed, count, max_rows=5, max_cols=6):
 
 def test_mat_coerces_entries():
     m = mat(RATIONAL, [[1, "1/2"], [0, -3]])
-    assert m.entries[0][1] == mpq(1, 2)
+    assert m.entries[0][1] == Fraction(1, 2)
     m = mat(GF7, [[-1, "9"]])
     assert m.entries[0] == (6, 2)
 
@@ -60,12 +76,12 @@ def test_mat_shape_validation():
     with pytest.raises(ValueError):
         mat(RATIONAL, [[1, 2], [3]])
     with pytest.raises(ValueError):
-        Mat(RATIONAL, 2, 2, ((mpq(1),),))
+        Mat(RATIONAL, 2, 2, ((Fraction(1),),))
 
 
 def test_stack_and_access():
     a = mat(RATIONAL, [[1, 2], [3, 4]])
-    assert a.col(1) == (mpq(2), mpq(4))
+    assert a.col(1) == (Fraction(2), Fraction(4))
     assert hstack(a, identity(RATIONAL, 2)).cols == 4
     assert vstack(a, a).rows == 4
     with pytest.raises(DimensionMismatch):
@@ -85,10 +101,8 @@ def test_matmul_matches_oracle(field):
     p = field.modulus
     for _ in range(40):
         n, k, m2 = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
-        a = Mat(field, n, k, tuple(
-            tuple(field.from_int(rng.randint(-6, 6)) for _ in range(k)) for _ in range(n)))
-        b = Mat(field, k, m2, tuple(
-            tuple(field.from_int(rng.randint(-6, 6)) for _ in range(m2)) for _ in range(k)))
+        a = Mat(field, n, k, rand_grid(rng, field, n, k))
+        b = Mat(field, k, m2, rand_grid(rng, field, k, m2))
         got = to_plain(a @ b)
         want = plain_mult(to_plain(a), to_plain(b), p, out_cols=m2)
         assert got == want
@@ -99,9 +113,8 @@ def test_matvec_matches_oracle(field):
     rng = SplitMix64(72)
     for _ in range(40):
         n, k = rng.randint(0, 4), rng.randint(0, 4)
-        a = Mat(field, n, k, tuple(
-            tuple(field.from_int(rng.randint(-6, 6)) for _ in range(k)) for _ in range(n)))
-        x = tuple(field.from_int(rng.randint(-6, 6)) for _ in range(k))
+        a = Mat(field, n, k, rand_grid(rng, field, n, k))
+        (x,) = rand_grid(rng, field, 1, k)
         got = list(matvec(a, x))
         want = plain_matvec(to_plain(a), col_to_plain(field, x), field.modulus)
         assert got == want
@@ -140,6 +153,7 @@ def test_rref_hand_example():
 def test_rref_idempotent_and_preserves_row_space(field):
     for m in random_mats(field, seed=101, count=40):
         r, pivots = rref(m)
+        assert (to_plain(r), list(pivots)) == plain_rref(to_plain(m), field.modulus)
         r2, pivots2 = rref(r)
         assert r2 == r and pivots2 == pivots
         assert list(pivots) == sorted(set(pivots))
@@ -207,12 +221,13 @@ def test_kernel_and_rank_nullity(field):
 def test_complete_basis_trivial_cases():
     assert complete_basis(zeros(RATIONAL, 3, 0), 3) == identity(RATIONAL, 3)
     assert complete_basis(identity(GF7, 4), 4).cols == 0
-    got = complete_basis(from_cols(RATIONAL, 2, [(mpq(1), mpq(1))]), 2)
+    got = complete_basis(from_cols(RATIONAL, 2, [(Fraction(1), Fraction(1))]), 2)
     assert got == mat(RATIONAL, [[1], [0]])  # greedy scan keeps e0 and stops
 
 
 def test_complete_basis_reverse_scan():
-    got = complete_basis(from_cols(RATIONAL, 2, [(mpq(1), mpq(1))]), 2, scan="reverse")
+    ones = from_cols(RATIONAL, 2, [(Fraction(1), Fraction(1))])
+    got = complete_basis(ones, 2, scan="reverse")
     assert got == mat(RATIONAL, [[0], [1]])  # e1 tried first
     full = complete_basis(zeros(RATIONAL, 3, 0), 3, scan="reverse")
     assert full == mat(RATIONAL, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
@@ -221,7 +236,7 @@ def test_complete_basis_reverse_scan():
 
 
 def test_complete_basis_rejects_dependent_input():
-    cols = from_cols(RATIONAL, 2, [(mpq(1), mpq(1)), (mpq(2), mpq(2))])
+    cols = from_cols(RATIONAL, 2, [(Fraction(1), Fraction(1)), (Fraction(2), Fraction(2))])
     with pytest.raises(NotIndependent):
         complete_basis(cols, 2)
     with pytest.raises(DimensionMismatch):
@@ -285,16 +300,21 @@ def test_degenerate_shapes():
 
 # -- hypothesis property sweeps -----------------------------------------------------------
 
-small_entries = st.integers(-9, 9)
+
+def small_entries(field):
+    if field.is_rational:
+        return st.builds(Fraction, st.integers(-9, 9),
+                         st.one_of(st.integers(1, 9), st.integers(BIG, 2 * BIG)))
+    return st.integers(-9, 9).map(field.from_int)
 
 
 @st.composite
 def small_mats(draw, field):
     r = draw(st.integers(0, 4))
     c = draw(st.integers(0, 4))
-    grid = draw(st.lists(st.lists(small_entries, min_size=c, max_size=c),
+    grid = draw(st.lists(st.lists(small_entries(field), min_size=c, max_size=c),
                          min_size=r, max_size=r))
-    return Mat(field, r, c, tuple(tuple(field.from_int(x) for x in row) for row in grid))
+    return Mat(field, r, c, tuple(tuple(row) for row in grid))
 
 
 @settings(deadline=None, max_examples=40)

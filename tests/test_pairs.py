@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import exactdilation.pairs as pairs_mod
 from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import DimensionMismatch, identity, mat, zeros
 from exactdilation.pairs import (
@@ -124,6 +130,31 @@ def test_explicit_recipe_passthrough():
     got_t, got_s = gen_pair(recipe)
     assert got_t == t and got_s == s
     assert not check_commute(got_t, got_s)  # explicit pairs may violate commutation
+
+
+def test_commutation_check_survives_python_O(tmp_path):
+    # gen_pair's own check that the pair commutes must not be an assert,
+    # which python -O strips
+    script = tmp_path / "noncommuting_generator.py"
+    script.write_text(
+        "import exactdilation.pairs as pairs\n"
+        "from exactdilation.fields import RATIONAL\n"
+        "from exactdilation.linalg import mat\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "draws = iter([mat(RATIONAL, [[0, 1], [0, 0]]), mat(RATIONAL, [[0, 0], [1, 0]])])\n"
+        "pairs.matrix_polynomial = lambda a, coeffs: next(draws)\n"
+        "try:\n"
+        "    pairs.gen_pair(pairs.PairRecipe('polynomial', 2, RATIONAL, seed=1))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('gen_pair returned a non-commuting pair')\n",
+        encoding="utf-8")
+    src_dir = Path(pairs_mod.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_invalid_recipes():

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from exactdilation.fields import RATIONAL, gf, mpq
+from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import DimensionMismatch
 from exactdilation.sequences import (
     FsVec,
@@ -24,21 +26,21 @@ def test_embed_zero_gives_empty():
 
 def test_embed_places_at_coordinate_zero():
     w = embed(RATIONAL, (1, 0))
-    assert w.blocks == ((0, (mpq(1), mpq(0))),)
+    assert w.blocks == ((0, (Fraction(1), Fraction(0))),)
     w = embed(RATIONAL, (3, "-1/2"))
-    assert w.blocks == ((0, (mpq(3), mpq(-1, 2))),)
+    assert w.blocks == ((0, (Fraction(3), Fraction(-1, 2))),)
 
 
 def test_project_round_trip():
-    for x in [(mpq(0), mpq(0)), (mpq(3), mpq(-1, 2))]:
+    for x in [(Fraction(0), Fraction(0)), (Fraction(3), Fraction(-1, 2))]:
         assert project(embed(RATIONAL, x)) == x
 
 
 def test_project_reads_coordinate_zero_only():
     w = fsvec(RATIONAL, 1, {0: (5,), 3: (7,)})
-    assert project(w) == (mpq(5),)
-    assert project(fsvec(RATIONAL, 2, {2: (1, 1)})) == (mpq(0), mpq(0))
-    assert project(zero_fsvec(RATIONAL, 2)) == (mpq(0), mpq(0))
+    assert project(w) == (Fraction(5),)
+    assert project(fsvec(RATIONAL, 2, {2: (1, 1)})) == (Fraction(0), Fraction(0))
+    assert project(zero_fsvec(RATIONAL, 2)) == (Fraction(0), Fraction(0))
 
 
 def test_fsvec_canonicalizes():
@@ -48,23 +50,23 @@ def test_fsvec_canonicalizes():
 
 def test_block_lookup():
     w = fsvec(RATIONAL, 1, {1: (2,), 4: (3,)})
-    assert block(w, 1) == (mpq(2),)
-    assert block(w, 2) == (mpq(0),)
-    assert block(w, 4) == (mpq(3),)
+    assert block(w, 1) == (Fraction(2),)
+    assert block(w, 2) == (Fraction(0),)
+    assert block(w, 4) == (Fraction(3),)
     assert w.max_support() == 4
 
 
 def test_fsvec_validation():
     with pytest.raises(ValueError):
-        FsVec(RATIONAL, 1, ((0, (mpq(1),)), (0, (mpq(2),))))  # duplicate index
+        FsVec(RATIONAL, 1, ((0, (Fraction(1),)), (0, (Fraction(2),))))  # duplicate index
     with pytest.raises(ValueError):
-        FsVec(RATIONAL, 1, ((1, (mpq(1),)), (0, (mpq(2),))))  # out of order
+        FsVec(RATIONAL, 1, ((1, (Fraction(1),)), (0, (Fraction(2),))))  # out of order
     with pytest.raises(ValueError):
-        FsVec(RATIONAL, 1, ((-1, (mpq(1),)),))
+        FsVec(RATIONAL, 1, ((-1, (Fraction(1),)),))
     with pytest.raises(ValueError):
-        FsVec(RATIONAL, 1, ((0, (mpq(0),)),))  # stored zero block
+        FsVec(RATIONAL, 1, ((0, (Fraction(0),)),))  # stored zero block
     with pytest.raises(ValueError):
-        FsVec(RATIONAL, 2, ((0, (mpq(1),)),))  # wrong height
+        FsVec(RATIONAL, 2, ((0, (Fraction(1),)),))  # wrong height
     with pytest.raises(DimensionMismatch):
         fsvec(RATIONAL, 2, {0: (1, 2, 3)})
 
@@ -73,13 +75,13 @@ def test_coords_round_trip():
     w = fsvec(RATIONAL, 2, {0: (1, 2), 3: (0, 5)})
     flat = to_coords(w, 5)
     assert len(flat) == 10
-    assert flat[0:2] == (mpq(1), mpq(2))
-    assert flat[6:8] == (mpq(0), mpq(5))
+    assert flat[0:2] == (Fraction(1), Fraction(2))
+    assert flat[6:8] == (Fraction(0), Fraction(5))
     assert from_coords(RATIONAL, 2, flat) == w
     with pytest.raises(ValueError):
         to_coords(w, 3)  # support reaches coordinate 3
     with pytest.raises(DimensionMismatch):
-        from_coords(RATIONAL, 2, (mpq(1),) * 5)
+        from_coords(RATIONAL, 2, (Fraction(1),) * 5)
 
 
 def test_dim_zero():
