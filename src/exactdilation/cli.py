@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from .dilation import NotCommuting, ando, truncated_matrix
+from .dilation import NotCommuting, ando, level_block, truncated_matrix
 from .fields import RATIONAL, FieldSpec, gf
 from .pairs import InvalidRecipe, PairRecipe, gen_pair
 from .problems import ProblemError, load_problem, mat_to_grid, problem_to_dict, resolve_pair
@@ -135,14 +135,17 @@ def _cmd_ando(args) -> int:
         raise ProblemError("--dump-operators level must be >= 0")
     params = _params(args)
     ops = ando(t, s)
-    report = check_ando(t, s, params, recipe=problem.recipe, ops=ops)
+    k = args.dump_operators
+    truncations = None
+    if k is not None:
+        # one build of U and V serves the audit and the dump: truncations nest
+        top = max(params.max_trunc + 1, k)
+        truncations = (truncated_matrix("U", ops, top), truncated_matrix("V", ops, top))
+    report = check_ando(t, s, params, recipe=problem.recipe, ops=ops, truncations=truncations)
     status = _emit_report(report, args)
-    if args.dump_operators is not None:
-        k = args.dump_operators
-        dump = {"trunc": k,
-                "U": mat_to_grid(truncated_matrix("U", ops, k)),
-                "V": mat_to_grid(truncated_matrix("V", ops, k)),
-                "v": mat_to_grid(ops.v)}
+    if k is not None:
+        u, v = (mat_to_grid(level_block(m, ops.d, k)) for m in truncations)
+        dump = {"trunc": k, "U": u, "V": v, "v": mat_to_grid(ops.v)}
         _write(json.dumps(dump, sort_keys=True, indent=2) + "\n",
                str(args.out) + ".operators.json")
     return status

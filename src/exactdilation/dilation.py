@@ -14,15 +14,18 @@ of the generator columns ((I-T)S e_i, 0, (I-S) e_i, 0) -- it must send them to
 ((I-S)T e_i, 0, (I-T) e_i, 0) -- and is extended to all of F^(4d) by
 completing both column families to bases (greedy scan, direction selectable).
 
-Operators act lazily on ``FsVec`` values, which is exact and total; matrices
-exist only as restrictions to truncations.  The truncation at level K is the
-subspace supported on coordinates 0..4K, and every operator here maps it into
-the truncation at level K+1.
+Operators act lazily on finite-support sequences, which is exact and total.
+They act on a ``Batch`` of columns in integer form, of which one ``FsVec`` is
+the width-1 case.  Matrices exist only as restrictions to truncations.  The
+truncation at level K is the subspace supported on coordinates 0..4K, and
+every operator here maps it into the truncation at level K+1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from math import lcm
 
 from .fields import FieldSpec
 from .linalg import (
@@ -32,15 +35,15 @@ from .linalg import (
     from_cols,
     hstack,
     identity,
+    int_product,
     inverse,
-    matvec,
     rank,
     rref,
     vstack,
     zeros,
 )
 from .pairs import check_commute
-from .sequences import FsVec, project, to_coords
+from .sequences import Batch, FsVec
 
 __all__ = [
     "NotCommuting",
@@ -60,8 +63,10 @@ __all__ = [
     "apply_w_inv",
     "apply_u",
     "apply_v",
+    "apply_batch",
     "OPERATOR_TAGS",
     "truncated_matrix",
+    "level_block",
 ]
 
 
@@ -184,7 +189,7 @@ def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:
 # -- lazy actions on finite-support sequences -----------------------------------
 
 
-def _require_dim(ops, w: FsVec):
+def _require_dim(ops, w):  # w is an FsVec or a Batch
     if w.dim != ops.d or w.field != ops.field:
         raise DimensionMismatch(
             f"sequence over {w.field.label()}^{w.dim} fed to operators on "
@@ -192,87 +197,108 @@ def _require_dim(ops, w: FsVec):
         )
 
 
-def _head_surgery(ops, m: Mat, w: FsVec, shift: int) -> FsVec:
-    """(x_n) -> (M x0, (I-M) x0, then x1, x2, ... moved up by ``shift``)."""
+def _head_surgery(m: Mat, b: Batch, shift: int) -> Batch:
+    """(x_n) -> (M x0, (I-M) x0, then x1, x2, ... moved up by ``shift``), per column."""
+    mden = m.ints[1]
+    blocks = {n + shift: rows if mden == 1 else [[mden * x for x in row] for row in rows]
+              for n, rows in b.blocks.items() if n}
+    x0 = b.blocks.get(0)
+    if x0 is not None:
+        mx = int_product(m, x0, b.width)
+        blocks[0] = mx
+        blocks[1] = [[mden * x - y for x, y in zip(xr, yr)] for xr, yr in zip(x0, mx)]
+    return Batch.reduced(b.field, b.dim, b.width, blocks, b.den * mden)
+
+
+def _block_exchange(vmat: Mat, b: Batch) -> Batch:
+    """Apply vmat to each 4-block of coordinates (4g+1 .. 4g+4) of every column, head untouched."""
+    d, width = b.dim, b.width
+    vden = vmat.ints[1]
+    blocks = {}
+    if 0 in b.blocks:
+        head = b.blocks[0]
+        blocks[0] = head if vden == 1 else [[vden * x for x in row] for row in head]
+    zero = [[0] * width] * d
+    for g in sorted({(n - 1) // 4 for n in b.blocks if n}):
+        x = [row for n in range(4 * g + 1, 4 * g + 5) for row in b.blocks.get(n, zero)]
+        y = int_product(vmat, x, width)
+        for k in range(4):
+            blocks[4 * g + 1 + k] = y[k * d:(k + 1) * d]
+    return Batch.reduced(b.field, d, width, blocks, b.den * vden)
+
+
+# each operator as an action on a batch: U = W after W1, V = W2 after W^-1
+_ACTIONS = {
+    "U": lambda ops, b: _block_exchange(ops.v, _head_surgery(ops.T, b, 2)),
+    "V": lambda ops, b: _head_surgery(ops.S, _block_exchange(ops.v_inv, b), 2),
+    "W1": lambda ops, b: _head_surgery(ops.T, b, 2),
+    "W2": lambda ops, b: _head_surgery(ops.S, b, 2),
+    "W": lambda ops, b: _block_exchange(ops.v, b),
+    "Winv": lambda ops, b: _block_exchange(ops.v_inv, b),
+    "SzNagyU": lambda ops, b: _head_surgery(ops.T, b, 1),
+}
+
+OPERATOR_TAGS = tuple(_ACTIONS)
+
+
+def _action(tag: str, ops):
+    if tag not in _ACTIONS:
+        raise ValueError(f"unknown operator tag {tag!r}")
+    kind = SzNagyOperators if tag == "SzNagyU" else AndoOperators
+    if not isinstance(ops, kind):
+        raise TypeError(f"tag {tag!r} needs {kind.__name__}")
+    return _ACTIONS[tag]
+
+
+def apply_batch(tag: str, ops, b: Batch) -> Batch:
+    """The operator named ``tag`` (one of ``OPERATOR_TAGS``) applied to every column of ``b``."""
+    action = _action(tag, ops)
+    _require_dim(ops, b)
+    return action(ops, b)
+
+
+def _apply(tag: str, ops, w: FsVec) -> FsVec:
     _require_dim(ops, w)
-    x0 = project(w)
-    mx = matvec(m, x0)
-    cx = tuple(ops.field.sub(a, b) for a, b in zip(x0, mx))
-    blocks = [(n, col) for n, col in ((0, mx), (1, cx)) if any(col)]
-    blocks.extend((n + shift, col) for n, col in w.blocks if n >= 1)
-    return FsVec(ops.field, ops.d, tuple(blocks))
+    (out,) = _ACTIONS[tag](ops, Batch.of(ops.field, ops.d, (w,))).columns()
+    return out
 
 
 def sznagy_apply_u(ops: SzNagyOperators, w: FsVec) -> FsVec:
     """(x_n) -> (T x0, (I-T) x0, x1, x2, ...)."""
-    return _head_surgery(ops, ops.T, w, 1)
+    return _apply("SzNagyU", ops, w)
 
 
 def apply_w1(ops: AndoOperators, w: FsVec) -> FsVec:
     """(x_n) -> (T x0, (I-T) x0, 0, x1, x2, ...)."""
-    return _head_surgery(ops, ops.T, w, 2)
+    return _apply("W1", ops, w)
 
 
 def apply_w2(ops: AndoOperators, w: FsVec) -> FsVec:
     """(x_n) -> (S x0, (I-S) x0, 0, x1, x2, ...)."""
-    return _head_surgery(ops, ops.S, w, 2)
-
-
-def _block_exchange(ops: AndoOperators, vmat: Mat, w: FsVec) -> FsVec:
-    """Apply vmat to each 4-block of coordinates (4b+1 .. 4b+4), head untouched."""
-    _require_dim(ops, w)
-    d = ops.d
-    if d == 0:
-        return w
-    zero = ops.field.zero()
-    out = [(0, w.blocks[0][1])] if (w.blocks and w.blocks[0][0] == 0) else []
-    groups: dict[int, list] = {}
-    for n, col in w.blocks:
-        if n >= 1:
-            groups.setdefault((n - 1) // 4, []).append((n, col))
-    for b, members in groups.items():  # blocks are sorted, so b increases
-        x = [zero] * (4 * d)
-        for n, col in members:
-            off = (n - 1) % 4 * d
-            x[off:off + d] = col
-        y = matvec(vmat, x)
-        for k in range(4):
-            sub = y[k * d:(k + 1) * d]
-            if any(sub):
-                out.append((4 * b + 1 + k, sub))
-    return FsVec(ops.field, d, tuple(out))
+    return _apply("W2", ops, w)
 
 
 def apply_w(ops: AndoOperators, w: FsVec) -> FsVec:
-    return _block_exchange(ops, ops.v, w)
+    """v on each 4-block of coordinates past the head."""
+    return _apply("W", ops, w)
 
 
 def apply_w_inv(ops: AndoOperators, w: FsVec) -> FsVec:
-    return _block_exchange(ops, ops.v_inv, w)
+    """v_inv on each 4-block of coordinates past the head."""
+    return _apply("Winv", ops, w)
 
 
 def apply_u(ops: AndoOperators, w: FsVec) -> FsVec:
     """U = W after W1."""
-    return apply_w(ops, apply_w1(ops, w))
+    return _apply("U", ops, w)
 
 
 def apply_v(ops: AndoOperators, w: FsVec) -> FsVec:
     """V = W2 after the inverse of W."""
-    return apply_w2(ops, apply_w_inv(ops, w))
+    return _apply("V", ops, w)
 
 
 # -- truncated matrix realizations ------------------------------------------------
-
-OPERATOR_TAGS = ("U", "V", "W1", "W2", "W", "Winv", "SzNagyU")
-
-_ANDO_ACTIONS = {
-    "U": apply_u,
-    "V": apply_v,
-    "W1": apply_w1,
-    "W2": apply_w2,
-    "W": apply_w,
-    "Winv": apply_w_inv,
-}
 
 
 def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
@@ -280,8 +306,9 @@ def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
 
     Input space: coordinates 0..4K (dimension d(4K+1)); output space:
     coordinates 0..4K+4.  Columns are the lazy images of the embedded standard
-    basis vectors, so the matrix realization can be checked against the lazy
-    one entry by entry.
+    basis vectors, one batch per level's new coordinates (coordinate 0, then
+    4k-3..4k), so the matrix realization can be checked against the lazy one
+    entry by entry.
 
     Truncations nest.  The image of coordinate n must lie below coordinate
     4k+5, where k = ceil(n/4) is the lowest level holding n; otherwise
@@ -291,28 +318,29 @@ def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
     """
     if trunc < 0:
         raise ValueError("truncation level must be >= 0")
-    if tag == "SzNagyU":
-        if not isinstance(ops, SzNagyOperators):
-            raise TypeError("tag 'SzNagyU' needs SzNagyOperators")
-        action = sznagy_apply_u
-    elif tag in _ANDO_ACTIONS:
-        if not isinstance(ops, AndoOperators):
-            raise TypeError(f"tag {tag!r} needs AndoOperators")
-        action = _ANDO_ACTIONS[tag]
-    else:
-        raise ValueError(f"unknown operator tag {tag!r}")
+    action = _action(tag, ops)
     d, field = ops.d, ops.field
     n_in, n_out = 4 * trunc + 1, 4 * trunc + 5
-    one = field.one()
-    cols = []
-    for n in range(n_in):
-        level = (n + 3) // 4
-        for i in range(d):
-            e = tuple(one if k == i else field.zero() for k in range(d))
-            img = action(ops, FsVec(field, d, ((n, e),)))
-            if img.max_support() >= 4 * level + 5:
+    images = []
+    for level in range(trunc + 1):
+        coords = range(4 * level - 3, 4 * level + 1) if level else range(1)
+        img = action(ops, Batch.basis(field, d, coords))
+        for c, top in enumerate(img.supports()):
+            if top >= 4 * level + 5:
                 raise SupportOverflow(
-                    f"{tag} pushed coordinate {n} to {img.max_support()}, past level {level + 1}"
-                )
-            cols.append(to_coords(img, n_out))
-    return from_cols(field, d * n_out, cols)
+                    f"{tag} pushed coordinate {coords[c // d]} to {top}, past level {level + 1}")
+        images.append((d * coords[0], img))
+    den = lcm(*(img.den for _, img in images))
+    grid = [[0] * (d * n_in) for _ in range(d * n_out)]
+    for first, img in images:
+        scale = den // img.den
+        for n, rows in img.blocks.items():
+            for out, row in zip(grid[n * d:(n + 1) * d], rows):
+                for c in compress(range(img.width), row):
+                    out[first + c] = scale * row[c]
+    return Mat.from_ints(field, d * n_out, d * n_in, grid, den)
+
+
+def level_block(m: Mat, d: int, k: int) -> Mat:
+    """The level-k truncated matrix, read as the leading block of a higher level."""
+    return m.leading(d * (4 * k + 5), d * (4 * k + 1))

@@ -7,8 +7,8 @@ supplies what depends on it: parsing, formatting, and the integer form of the
 kernels.  ``to_ints`` turns a grid of scalars into integer numerators over one
 positive common denominator (over GF(p), the residues themselves over 1);
 ``from_ints`` turns an integer grid over a denominator back into reduced
-scalars; ``reduce_row`` keeps an elimination row small (content gcd over Q,
-mod p over GF(p)).
+scalars; ``reduce_ints`` keeps a grid over a denominator small and
+``reduce_row`` an elimination row (content gcd over Q, mod p over GF(p)).
 
 Scalar text grammar: integer ``-?[0-9]+``, rational ``-?[0-9]+/[1-9][0-9]*``,
 prime-field residue ``[0-9]+``.
@@ -112,10 +112,7 @@ class FieldSpec:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into {self.label()}")
 
-    # -- scalar arithmetic the lazy operators and kernels need ------------------
-
-    def sub(self, a, b):
-        return a - b if self.is_rational else (a - b) % self.modulus
+    # -- scalar arithmetic the kernels need ------------------------------------
 
     def neg(self, a):
         return -a if self.is_rational else (-a) % self.modulus
@@ -127,9 +124,9 @@ class FieldSpec:
         common denominator; over GF(p) ``rows`` itself comes back, uncopied, over 1."""
         if self.modulus is not None:
             return rows, 1
-        den = lcm(*{x.denominator for row in rows for x in row})
-        return tuple([tuple([x.numerator * (den // x.denominator) for x in row])
-                      for row in rows]), den
+        ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+        den = lcm(*{q for row in ratios for _, q in row})
+        return tuple([tuple([n * (den // q) for n, q in row]) for row in ratios]), den
 
     def from_ints(self, ints, den: int = 1) -> tuple:
         """The grid of reduced scalars ``ints / den``; ``den`` is a nonzero integer."""
@@ -142,6 +139,23 @@ class FieldSpec:
             scale = pow(den, -1, p).__mul__
             return tuple([tuple(map(mod, map(scale, row))) for row in ints])
         return tuple([tuple(map(mod, row)) for row in ints])
+
+    def reduce_ints(self, rows, den: int) -> tuple:
+        """``(rows, den)`` rescaled to a small form of the same grid ``rows / den``:
+        over Q both divided by their common gcd; over GF(p) residues over 1.
+        ``den`` is positive."""
+        p = self.modulus
+        if p is None:
+            g = den
+            for row in rows:
+                if g == 1:
+                    return rows, den
+                g = gcd(g, *row)
+            if g > 1:
+                return [[x // g for x in row] for row in rows], den // g
+            return rows, den
+        scale = pow(den, -1, p) if den != 1 else 1
+        return [[x * scale % p for x in row] for row in rows], 1
 
     def reduce_row(self, row: dict) -> dict:
         """A sparse integer row (col -> nonzero int) scaled to a small multiple:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -31,6 +32,7 @@ __all__ = [
     "hstack",
     "vstack",
     "matvec",
+    "int_product",
     "rref",
     "rank",
     "column_ranks",
@@ -72,6 +74,13 @@ class Mat:
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValueError("entry grid does not match declared shape")
 
+    @classmethod
+    def from_ints(cls, field: FieldSpec, rows: int, cols: int, ints, den: int = 1) -> "Mat":
+        """The matrix ``ints / den``, with that integer form kept as its ``ints``."""
+        m = cls(field, rows, cols, field.from_ints(ints, den))
+        m.__dict__["ints"] = (ints, den)
+        return m
+
     # -- access ---------------------------------------------------------------
 
     def col(self, j: int) -> tuple:
@@ -79,6 +88,18 @@ class Mat:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
+
+    def leading(self, rows: int, cols: int) -> "Mat":
+        """The top-left ``rows x cols`` block; its integer form is sliced, not rebuilt."""
+        if (rows, cols) == (self.rows, self.cols):
+            return self
+        if rows > self.rows or cols > self.cols:
+            raise DimensionMismatch(
+                f"no {rows}x{cols} leading block in a {self.rows}x{self.cols} matrix")
+        m = Mat(self.field, rows, cols, tuple(r[:cols] for r in self.entries[:rows]))
+        ints, den = self.ints
+        m.__dict__["ints"] = (tuple(r[:cols] for r in ints[:rows]), den)
+        return m
 
     @cached_property
     def ints(self) -> tuple:
@@ -89,10 +110,10 @@ class Mat:
     def _col_terms(self) -> list:
         """For each column, the ``(row, int)`` pairs of its nonzero entries in ``ints``."""
         cols = [[] for _ in range(self.cols)]
+        index = range(self.cols)
         for i, row in enumerate(self.ints[0]):
-            for k, x in enumerate(row):
-                if x:
-                    cols[k].append((i, x))
+            for k in compress(index, row):
+                cols[k].append((i, row[k]))
         return cols
 
     # -- arithmetic -------------------------------------------------------------
@@ -122,19 +143,8 @@ class Mat:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         b, bden = other.ints
-        # accumulate C[i][j] += A[i][k] * B[k][j], skipping zero A-entries /
-        # B-entries; pays off on the near-permutation truncated operators
-        acc = [[0] * other.cols for _ in range(self.rows)]
-        for colk, brow in zip(self._col_terms, b):
-            if not colk:
-                continue
-            for j, y in enumerate(brow):
-                if not y:
-                    continue
-                for i, x in colk:
-                    acc[i][j] += x * y
         return Mat(self.field, self.rows, other.cols,
-                   self.field.from_ints(acc, self.ints[1] * bden))
+                   self.field.from_ints(int_product(self, b, other.cols), self.ints[1] * bden))
 
 
 # -- construction ---------------------------------------------------------------
@@ -187,17 +197,32 @@ def vstack(*mats: Mat) -> Mat:
 # -- vector ops --------------------------------------------------------------------
 
 
+def int_product(a: Mat, b: Sequence[Sequence[int]], width: int) -> list:
+    """The integer grid ``a.ints[0] @ b``, for ``b`` with ``a.cols`` rows of ``width`` ints.
+
+    The one product loop: ``@``, ``matvec`` and the lazy operators all run on
+    it.  It accumulates ``C[i][j] += A[i][k] * B[k][j]``
+    and skips zero entries of both sides, which pays off on the
+    near-permutation truncated operators.
+    """
+    acc = [[0] * width for _ in range(a.rows)]
+    index = range(width)
+    for colk, brow in zip(a._col_terms, b):
+        if not colk:
+            continue
+        for j in compress(index, brow):
+            y = brow[j]
+            for i, x in colk:
+                acc[i][j] += x * y
+    return acc
+
+
 def matvec(m: Mat, x: Sequence) -> tuple:
     if len(x) != m.cols:
         raise DimensionMismatch(f"matvec: {m.rows}x{m.cols} applied to length {len(x)}")
     (xi,), xden = m.field.to_ints((x,))
-    # accumulate by column, skipping zero entries of x and of m
-    y = [0] * m.rows
-    for terms, xj in zip(m._col_terms, xi):
-        if xj:
-            for r, arj in terms:
-                y[r] += arj * xj
-    (out,) = m.field.from_ints((y,), m.ints[1] * xden)
+    y = int_product(m, [[xj] for xj in xi], 1)
+    (out,) = m.field.from_ints(([yi for yi, in y],), m.ints[1] * xden)
     return out
 
 

@@ -4,17 +4,23 @@ many copies of F^d.
 An ``FsVec`` stores only its nonzero coordinate blocks, sorted by index, so
 structural equality is semantic equality.  Coordinate 0 is the distinguished
 copy of F^d used by ``embed`` and ``project``.
+
+A ``Batch`` holds ``width`` such sequences side by side in integer form, the
+shape the lazy operators act on: the field is met only when a batch is made
+from ``FsVec`` values or read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldSpec
 from .linalg import DimensionMismatch
 
-__all__ = ["FsVec", "fsvec", "zero_fsvec", "embed", "project", "block", "to_coords", "from_coords"]
+__all__ = ["FsVec", "Batch", "fsvec", "zero_fsvec", "embed", "project", "block", "to_coords",
+           "from_coords"]
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,100 @@ class FsVec:
 
     def is_zero(self) -> bool:
         return not self.blocks
+
+
+class Batch:
+    """``width`` finite-support sequences as columns, in integer form.
+
+    ``blocks`` maps each coordinate where some column is nonzero, in
+    increasing order, to ``dim`` rows of ``width`` ints; the sequences are
+    those ints over ``den`` (over GF(p), residues over 1).  A batch of width 1
+    is one ``FsVec``.  Batches are never modified once made.  (A plain class:
+    a dataclass would cost a millisecond of every import.)
+    """
+
+    __slots__ = ("field", "dim", "width", "blocks", "den")
+
+    def __init__(self, field: FieldSpec, dim: int, width: int, blocks: dict, den: int = 1):
+        self.field, self.dim, self.width, self.blocks, self.den = field, dim, width, blocks, den
+
+    @classmethod
+    def reduced(cls, field: FieldSpec, dim: int, width: int, blocks: dict, den: int) -> "Batch":
+        """The batch of ``blocks`` over ``den``, rescaled by the field, zero coordinates dropped."""
+        coords = sorted(blocks)
+        flat, den = field.reduce_ints([row for n in coords for row in blocks[n]], den)
+        out = {}
+        for k, n in enumerate(coords):
+            rows = flat[k * dim:(k + 1) * dim]
+            if any(map(any, rows)):
+                out[n] = rows
+        return cls(field, dim, width, out, den)
+
+    @classmethod
+    def of(cls, field: FieldSpec, dim: int, vecs) -> "Batch":
+        """The columns ``vecs``, each an ``FsVec`` over ``field`` with blocks of height ``dim``."""
+        vecs = list(vecs)
+        for w in vecs:
+            if w.field != field or w.dim != dim:
+                raise DimensionMismatch(
+                    f"sequence over {w.field.label()}^{w.dim} in a batch over "
+                    f"{field.label()}^{dim}")
+        coords = sorted({n for w in vecs for n, _ in w.blocks})
+        at = {n: k * dim for k, n in enumerate(coords)}
+        zero = field.zero()
+        grid = [[zero] * len(vecs) for _ in range(dim * len(coords))]
+        for c, w in enumerate(vecs):
+            for n, col in w.blocks:
+                for i, x in enumerate(col, at[n]):
+                    grid[i][c] = x
+        ints, den = field.to_ints(grid)
+        return cls(field, dim, len(vecs),
+                   {n: ints[k * dim:(k + 1) * dim] for k, n in enumerate(coords)}, den)
+
+    @classmethod
+    def basis(cls, field: FieldSpec, dim: int, coords: Sequence[int]) -> "Batch":
+        """The standard basis vectors at increasing ``coords``: column ``k*dim + i``
+        is e_i at ``coords[k]``."""
+        width = dim * len(coords)
+        blocks = {}
+        for k, n in enumerate(coords):
+            rows = [[0] * width for _ in range(dim)]
+            for i, row in enumerate(rows):
+                row[k * dim + i] = 1
+            if rows:
+                blocks[n] = rows
+        return cls(field, dim, width, blocks)
+
+    def head(self) -> tuple:
+        """Coordinate 0 of every column: ``dim`` rows of ``width`` scalars."""
+        rows = self.blocks.get(0, [[0] * self.width] * self.dim)
+        return self.field.from_ints(rows, self.den)
+
+    def supports(self) -> list:
+        """Largest coordinate carrying a nonzero entry, per column; -1 for a zero column."""
+        top = [-1] * self.width
+        index = range(self.width)
+        for n, rows in self.blocks.items():
+            for row in rows:
+                for c in compress(index, row):
+                    top[c] = n
+        return top
+
+    def columns(self) -> list:
+        """The columns as ``FsVec`` values."""
+        coords = list(self.blocks)
+        d = self.dim
+        vals = self.field.from_ints([row for rows in self.blocks.values() for row in rows],
+                                    self.den)
+        out = []
+        for c in range(self.width):
+            blocks = []
+            for k, n in enumerate(coords):
+                col = tuple(row[c] for row in vals[k * d:(k + 1) * d])
+                if any(col):
+                    blocks.append((n, col))
+            out.append(FsVec(self.field, d, tuple(blocks)))
+        return out
 
 
 def fsvec(field: FieldSpec, dim: int, items: Mapping[int, Iterable] | Iterable) -> FsVec:

@@ -17,18 +17,17 @@ from .dilation import (
     Generators,
     NotCommuting,
     ando,
-    apply_u,
-    apply_v,
+    apply_batch,
     build_generators,
+    level_block,
     sznagy,
-    sznagy_apply_u,
     truncated_matrix,
 )
 from .fields import FieldSpec
-from .linalg import Mat, column_ranks, kernel_basis, matvec
+from .linalg import Mat, column_ranks, int_product, kernel_basis, matvec
 from .pairs import PairRecipe, check_commute
 from .rng import SplitMix64, rand_column
-from .sequences import embed, project
+from .sequences import Batch, embed
 
 __all__ = ["CheckParams", "CheckRecord", "Report", "check_sznagy", "check_ando",
            "check_negative", "report_from_json"]
@@ -133,10 +132,32 @@ def _meta(kind: str, field: FieldSpec, d: int, params: CheckParams,
             "recipe": recipe.to_dict() if recipe is not None else None}
 
 
-def _level_block(m: Mat, d: int, k: int) -> Mat:
-    """The level-k truncated matrix, read as the leading block of a higher level."""
-    rows, cols = d * (4 * k + 5), d * (4 * k + 1)
-    return Mat(m.field, rows, cols, tuple(r[:cols] for r in m.entries[:rows]))
+def _times(m: Mat, x: Batch) -> Batch:
+    """``m`` applied to coordinate 0 of ``x``, its only coordinate."""
+    head = x.blocks.get(0)
+    blocks = {0: int_product(m, head, x.width)} if head else {}
+    return Batch.reduced(x.field, x.dim, x.width, blocks, x.den * m.ints[1])
+
+
+def _dilation_failures(failures: dict, w: Batch, tx: Batch, xs: list, **exps):
+    """Record each column, not failed before, whose coordinate 0 differs
+    between ``w`` and ``tx``; compared in integer form."""
+    field, zero = w.field, [[0] * w.width] * w.dim
+    got, want = w.blocks.get(0, zero), tx.blocks.get(0, zero)
+    for c, x in enumerate(xs):
+        if c not in failures and any(h[c] * tx.den != e[c] * w.den for h, e in zip(got, want)):
+            failures[c] = dict(exps, x=_fmt_col(field, x),
+                               expected=[field.fmt(e[c]) for e in tx.head()],
+                               actual=[field.fmt(h[c]) for h in w.head()])
+
+
+def _first_failure(failures: dict) -> Optional[dict]:
+    """The failure of the first trial vector that has one.
+
+    Each column's entry is from its first failing step in loop order, so this
+    is the first failure a vector-by-vector loop with early exit would meet.
+    """
+    return failures[min(failures)] if failures else None
 
 
 def _injectivity_record(name: str, m: Mat, d: int, params: CheckParams) -> CheckRecord:
@@ -163,19 +184,14 @@ def check_sznagy(t: Mat, params: CheckParams = CheckParams(),
     field, d = ops.field, ops.d
     n_max = params.max_power
 
-    counterexample = None
-    for x in _trial_vectors(field, d, params):
-        w, tx = embed(field, x), x
-        for n in range(n_max + 1):
-            if project(w) != tx:
-                counterexample = {"n": n, "x": _fmt_col(field, x),
-                                  "expected": _fmt_col(field, tx),
-                                  "actual": _fmt_col(field, project(w))}
-                break
-            if n < n_max:
-                w, tx = sznagy_apply_u(ops, w), matvec(t, tx)
-        if counterexample:
-            break
+    xs = _trial_vectors(field, d, params)
+    w = tx = Batch.of(field, d, [embed(field, x) for x in xs])
+    failures: dict = {}
+    for n in range(n_max + 1):
+        if n:
+            w, tx = apply_batch("SzNagyU", ops, w), _times(t, tx)
+        _dilation_failures(failures, w, tx, xs, n=n)
+    counterexample = _first_failure(failures)
     dilation_rec = CheckRecord(
         "dilation_equation",
         {"max_power": n_max, "trials": params.trials, "seed": params.seed},
@@ -190,27 +206,21 @@ def check_sznagy(t: Mat, params: CheckParams = CheckParams(),
 
 
 def _bivariate_record(ops: AndoOperators, params: CheckParams) -> CheckRecord:
+    """P U^n V^m = T^n S^m P for n, m <= max_power, all trial vectors as one batch."""
     field, t, s = ops.field, ops.T, ops.S
     n_max = params.max_power
-    counterexample = None
-    for x in _trial_vectors(field, ops.d, params):
-        wv, sx = embed(field, x), x
-        for m_exp in range(n_max + 1):
-            if m_exp > 0:
-                wv, sx = apply_v(ops, wv), matvec(s, sx)
-            w, tx = wv, sx
-            for n_exp in range(n_max + 1):
-                if n_exp > 0:
-                    w, tx = apply_u(ops, w), matvec(t, tx)
-                if project(w) != tx:
-                    counterexample = {"n": n_exp, "m": m_exp, "x": _fmt_col(field, x),
-                                      "expected": _fmt_col(field, tx),
-                                      "actual": _fmt_col(field, project(w))}
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
+    xs = _trial_vectors(field, ops.d, params)
+    wv = sx = Batch.of(field, ops.d, [embed(field, x) for x in xs])
+    failures: dict = {}
+    for m_exp in range(n_max + 1):
+        if m_exp:
+            wv, sx = apply_batch("V", ops, wv), _times(s, sx)
+        w, tx = wv, sx
+        for n_exp in range(n_max + 1):
+            if n_exp:
+                w, tx = apply_batch("U", ops, w), _times(t, tx)
+            _dilation_failures(failures, w, tx, xs, n=n_exp, m=m_exp)
+    counterexample = _first_failure(failures)
     return CheckRecord(
         "bivariate_dilation_equation",
         {"max_power": n_max, "trials": params.trials, "seed": params.seed},
@@ -232,8 +242,8 @@ def _commutation_record(ops: AndoOperators, params: CheckParams,
     failing level is the lowest one whose columns hold a mismatch.
     """
     field, d, top = ops.field, ops.d, params.max_trunc
-    uv = u @ _level_block(v, d, top)
-    vu = v @ _level_block(u, d, top)
+    uv = u @ level_block(v, d, top)
+    vu = v @ level_block(u, d, top)
     mismatches = _mismatches(uv, vu)
     counterexample = None
     if mismatches:
@@ -281,17 +291,22 @@ def _well_definedness_record(gens: Generators) -> CheckRecord:
 
 def check_ando(t: Mat, s: Mat, params: CheckParams = CheckParams(),
                recipe: Optional[PairRecipe] = None, completion: str = "forward",
-               ops: Optional[AndoOperators] = None) -> Report:
+               ops: Optional[AndoOperators] = None,
+               truncations: Optional[tuple] = None) -> Report:
     """All claims of the two-map construction on one commuting pair.
 
     Raises NotCommuting (from the builder) before any check runs when the
     input pair does not commute.  ``ops`` may be supplied to audit a
-    pre-built or deliberately tampered operator tuple.
+    pre-built or deliberately tampered operator tuple, and ``truncations``
+    the truncated matrices of its U and V at one level above ``max_trunc``
+    or higher, when the caller needs them too; every level is read off them.
     """
     if ops is None:
         ops = ando(t, s, completion=completion)
-    u = truncated_matrix("U", ops, params.max_trunc + 1)
-    v = truncated_matrix("V", ops, params.max_trunc + 1)
+    top = params.max_trunc + 1
+    if truncations is None:
+        truncations = (truncated_matrix("U", ops, top), truncated_matrix("V", ops, top))
+    u, v = (level_block(m, ops.d, top) for m in truncations)
     gens = build_generators(ops.T, ops.S)
     records = [
         _bivariate_record(ops, params),

@@ -108,3 +108,51 @@ def plain_rref(rows, p=None):
                            for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, pivots
+
+
+def _nonzero_blocks(seq):
+    return {n: col for n, col in sorted(seq.items()) if any(x != 0 for x in col)}
+
+
+def lazy_head_surgery(m, w, shift, p=None):
+    """(x_n) -> (M x0, (I-M) x0, then x1, x2, ... moved up by shift).
+
+    ``w`` maps coordinates to plain lists; so does the result, zero blocks dropped.
+    """
+    x0 = w.get(0, [0] * len(m))
+    mx = plain_matvec(m, x0, p)
+    out = {n + shift: list(col) for n, col in w.items() if n >= 1}
+    out[0] = mx
+    out[1] = [a - b if p is None else (a - b) % p for a, b in zip(x0, mx)]
+    return _nonzero_blocks(out)
+
+
+def lazy_block_exchange(v, w, p=None):
+    """v on each 4-block of coordinates 4b+1 .. 4b+4, coordinate 0 untouched."""
+    d = len(v) // 4
+    out = {0: list(w[0])} if 0 in w else {}
+    for b in {(n - 1) // 4 for n in w if n >= 1}:
+        x = [e for k in range(1, 5) for e in w.get(4 * b + k, [0] * d)]
+        y = plain_matvec(v, x, p)
+        for k in range(4):
+            out[4 * b + 1 + k] = y[k * d:(k + 1) * d]
+    return _nonzero_blocks(out)
+
+
+def lazy_action(tag, t, s, v, v_inv, w, p=None):
+    """The operator named ``tag`` on ``w``, from plain matrices T, S, v, v_inv."""
+    if tag == "SzNagyU":
+        return lazy_head_surgery(t, w, 1, p)
+    if tag == "W1":
+        return lazy_head_surgery(t, w, 2, p)
+    if tag == "W2":
+        return lazy_head_surgery(s, w, 2, p)
+    if tag == "W":
+        return lazy_block_exchange(v, w, p)
+    if tag == "Winv":
+        return lazy_block_exchange(v_inv, w, p)
+    if tag == "U":
+        return lazy_block_exchange(v, lazy_head_surgery(t, w, 2, p), p)
+    if tag == "V":
+        return lazy_head_surgery(s, lazy_block_exchange(v_inv, w, p), 2, p)
+    raise ValueError(f"unknown operator tag {tag!r}")

@@ -8,7 +8,15 @@ import json
 import time
 
 from exactdilation.cli import main
-from exactdilation.dilation import ando, truncated_matrix
+from exactdilation.dilation import (
+    ando,
+    apply_u,
+    apply_v,
+    apply_w,
+    apply_w1,
+    apply_w2,
+    truncated_matrix,
+)
 from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import (
     Mat,
@@ -93,16 +101,15 @@ def test_criterion_3_dual_path_oracle():
     for fi, field in enumerate(FIELDS):
         t, s = gen_pair(PairRecipe("polynomial", d, field, seed=40_000 + fi))
         ops = ando(t, s)
-        from exactdilation.dilation import _ANDO_ACTIONS
-
-        for tag in ("U", "V", "W1", "W2", "W"):
+        actions = {"U": apply_u, "V": apply_v, "W1": apply_w1, "W2": apply_w2, "W": apply_w}
+        for tag, action in actions.items():
             matrix = truncated_matrix(tag, ops, trunc)
             rng = SplitMix64(41_000 + 10 * fi + ord(tag[0]))
             for _ in range(50):  # 50 per field, 100 per operator
                 items = [(n, tuple(field.from_int(rng.randint(-5, 5)) for _ in range(d)))
                          for n in range(n_in)]
                 w = fsvec(field, d, items)
-                lazy = to_coords(_ANDO_ACTIONS[tag](ops, w), n_out)
+                lazy = to_coords(action(ops, w), n_out)
                 if lazy != matvec(matrix, to_coords(w, n_in)):
                     failures.append((field.label(), tag))
     _finish(3, "dual-path oracle", failures, time.monotonic() - t0, 5.0)

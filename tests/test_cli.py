@@ -228,6 +228,23 @@ def test_ando_dump_operators(tmp_path):
     assert dump["v"] == mat_to_grid(ops.v)
 
 
+@pytest.mark.parametrize("trunc, level", [(0, 3), (3, 3), (3, 0)])
+def test_dump_and_audit_share_one_build_at_any_level(tmp_path, monkeypatch, trunc, level):
+    # the build is at max(trunc + 1, level); the report must not depend on it
+    path = write_problem(tmp_path / "p.json", RECIPE_GF7)
+    plain, dumped = tmp_path / "plain.json", tmp_path / "dumped.json"
+    assert main(["ando", "--input", path, "--out", str(plain), "--trunc", str(trunc)]) == 0
+    counts = _count_calls(monkeypatch, truncated_matrix=dilation_mod)
+    assert main(["ando", "--input", path, "--out", str(dumped), "--trunc", str(trunc),
+                 "--dump-operators", str(level)]) == 0
+    assert counts == {"truncated_matrix": 2}
+    assert dumped.read_bytes() == plain.read_bytes()
+    dump = json.loads((tmp_path / "dumped.json.operators.json").read_text(encoding="utf-8"))
+    ops = ando(*resolve_pair(load_problem(path)))
+    assert dump["U"] == mat_to_grid(truncated_matrix("U", ops, level))
+    assert dump["V"] == mat_to_grid(truncated_matrix("V", ops, level))
+
+
 def test_ando_dump_operators_needs_out(tmp_path):
     path = write_problem(tmp_path / "p.json", IDENTITY2)
     assert main(["ando", "--input", path, "--dump-operators", "1"]) == 2
@@ -258,9 +275,8 @@ def test_each_fact_is_computed_once_per_run(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(["ando", "--input", path, "--out", str(out), "--trunc", "5",
                  "--dump-operators", "1"]) == 0
-    # one build each for the audit and the dump; the audit reads every level
-    # off one truncation per operator
-    assert counts == {"ando": 1, "build_generators": 2, "truncated_matrix": 4,
+    # one truncation per operator, read at every level by the audit and the dump
+    assert counts == {"ando": 1, "build_generators": 2, "truncated_matrix": 2,
                       "kernel_basis": 2}
     counts.update(dict.fromkeys(counts, 0))
     assert main(["sznagy", "--input", path, "--out", str(out), "--trunc", "5"]) == 0
@@ -323,7 +339,7 @@ def test_failing_report_exits_1(tmp_path, monkeypatch):
     # no honest input can fail the suite, so stub the checker
     from exactdilation.verify import CheckRecord, Report
 
-    def fake_check(t, s, params, recipe=None, ops=None):
+    def fake_check(t, s, params, recipe=None, ops=None, truncations=None):
         rec = CheckRecord("commutation", {}, False, {"trunc": 0})
         return Report({"kind": "ando"}, (rec,), False)
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exactdilation.dilation as dilation_mod
 from exactdilation.dilation import (
@@ -14,6 +16,7 @@ from exactdilation.dilation import (
     OPERATOR_TAGS,
     SupportOverflow,
     ando,
+    apply_batch,
     apply_u,
     apply_v,
     apply_w,
@@ -42,14 +45,17 @@ from exactdilation.linalg import (
 )
 from exactdilation.pairs import PairRecipe, gen_pair
 from exactdilation.rng import SplitMix64, rand_column, rand_matrix
-from exactdilation.sequences import embed, fsvec, project, to_coords, zero_fsvec
+from exactdilation.sequences import Batch, embed, fsvec, project, to_coords, zero_fsvec
 
-from oracles import col_to_plain, plain_matvec, plain_pow_vec, to_plain
+from oracles import col_to_plain, lazy_action, plain_matvec, plain_pow_vec, to_plain
 
 GF7 = gf(7)
 FIELDS = (RATIONAL, GF7)
 
 JORDAN = mat(RATIONAL, [[1, 1], [0, 1]])
+
+SINGLE_ACTIONS = {"U": apply_u, "V": apply_v, "W1": apply_w1, "W2": apply_w2, "W": apply_w,
+                  "Winv": apply_w_inv, "SzNagyU": sznagy_apply_u}
 
 
 def rand_fsvec(rng, field, d, max_coord, density=2):
@@ -150,6 +156,19 @@ def test_half_shift_dimension_mismatch():
     ops = _ando_identity(RATIONAL, 2)
     with pytest.raises(DimensionMismatch):
         apply_w1(ops, embed(RATIONAL, (1, 2, 3)))
+
+
+@pytest.mark.parametrize("tag", OPERATOR_TAGS)
+def test_every_action_rejects_wrong_dimension_or_field(tag):
+    ops = sznagy(identity(RATIONAL, 2)) if tag == "SzNagyU" else _ando_identity(RATIONAL, 2)
+    single = SINGLE_ACTIONS[tag]
+    for bad in (embed(RATIONAL, (1, 2, 3)), embed(GF7, (1, 1)), zero_fsvec(GF7, 2)):
+        with pytest.raises(DimensionMismatch):
+            single(ops, bad)
+        with pytest.raises(DimensionMismatch):
+            apply_batch(tag, ops, Batch.of(bad.field, bad.dim, [bad]))
+    with pytest.raises(DimensionMismatch):  # one batch holds one field and one dimension
+        Batch.of(RATIONAL, 2, [embed(RATIONAL, (1, 2)), embed(GF7, (1, 1))])
 
 
 # -- generators --------------------------------------------------------------------------
@@ -416,14 +435,14 @@ def test_truncated_sznagy_identity():
 def test_lazy_and_truncated_actions_agree(field, tag):
     t = mat(field, [[1, 1], [0, 1]])
     ops = ando(t, t @ t)
-    from exactdilation.dilation import _ANDO_ACTIONS
+    action = SINGLE_ACTIONS[tag]
 
     rng = SplitMix64(26)
     k = 2
     m = truncated_matrix(tag, ops, k)
     for _ in range(8):
         w = rand_fsvec(rng, field, 2, 4 * k)
-        lazy = to_coords(_ANDO_ACTIONS[tag](ops, w), 4 * k + 5)
+        lazy = to_coords(action(ops, w), 4 * k + 5)
         via_matrix = matvec(m, to_coords(w, 4 * k + 1))
         assert lazy == via_matrix
 
@@ -470,10 +489,11 @@ def test_truncations_nest(field, completion):
 def test_support_overflow_checks_each_column_at_its_own_level(monkeypatch):
     # a fake W that pushes coordinate 1 to 9: still inside the level-2 output
     # range (0..12), but past level 1 (0..8), the lowest level holding it
-    def far_shift(ops, w):
-        return fsvec(ops.field, ops.d, [(n + 8 if n else 0, col) for n, col in w.blocks])
+    def far_shift(ops, b):
+        return Batch(b.field, b.dim, b.width,
+                     {n + 8 if n else 0: rows for n, rows in b.blocks.items()}, b.den)
 
-    monkeypatch.setitem(dilation_mod._ANDO_ACTIONS, "W", far_shift)
+    monkeypatch.setitem(dilation_mod._ACTIONS, "W", far_shift)
     ops = _ando_identity(RATIONAL, 1)
     truncated_matrix("W", ops, 0)
     for k in (1, 2, 5):
@@ -562,3 +582,60 @@ def test_reverse_completion_still_dilates(field):
     tv = {k: truncated_matrix("V", ops, k) for k in range(3)}
     for k in range(2):
         assert tu[k + 1] @ tv[k] == tv[k + 1] @ tu[k]
+
+
+# -- lazy actions against the plain-list oracle -------------------------------------------------
+
+
+def _commuting_pair(kind, field, d, rng):
+    if kind == "recipe":
+        recipe_kind = ("polynomial", "upper_triangular", "diagonal", "idempotent")[rng.below(4)]
+        return gen_pair(PairRecipe(recipe_kind, d, field, seed=rng.below(1000)))
+    a = rand_matrix(rng, field, d)
+    if kind == "nilpotent":
+        t = mat(field, [[a.entries[i][j] if j > i else 0 for j in range(d)] for i in range(d)])
+        return t, t @ t + t
+    if kind == "singular":
+        t = mat(field, [[0, *row[1:]] for row in a.entries])
+        return t, t @ t - t
+    return a, a  # T = S
+
+
+def _plain_seq(field, w):
+    return {n: col_to_plain(field, col) for n, col in w.blocks}
+
+
+@settings(deadline=None, max_examples=30)
+@given(field=st.sampled_from(FIELDS), d=st.integers(0, 3),
+       completion=st.sampled_from(["forward", "reverse"]),
+       kind=st.sampled_from(["recipe", "nilpotent", "singular", "T = S"]),
+       seed=st.integers(0, 2**31))
+def test_lazy_actions_match_plain_oracle(field, d, completion, kind, seed):
+    # the lazy actions and the truncated matrices share one kernel, so both are
+    # checked against an oracle that shares no code with the package
+    rng = SplitMix64(seed)
+    t, s = _commuting_pair(kind, field, d, rng)
+    ops, sops = ando(t, s, completion=completion), sznagy(t)
+    p = field.modulus
+    plain = [to_plain(m) for m in (t, s, ops.v, ops.v_inv)]
+    k = 2
+    n_in, n_out = 4 * k + 1, 4 * k + 5
+    ws = [rand_fsvec(rng, field, d, n_in - 1) for _ in range(3)]
+    for tag in OPERATOR_TAGS:
+        tag_ops = sops if tag == "SzNagyU" else ops
+        single = SINGLE_ACTIONS[tag]
+        for w in ws:
+            got = _plain_seq(field, single(tag_ops, w))
+            assert got == lazy_action(tag, *plain, _plain_seq(field, w), p), (tag, w)
+        m = truncated_matrix(tag, tag_ops, k)
+        for n in range(n_in):
+            for i in range(d):
+                e = {n: [1 if j == i else 0 for j in range(d)]}
+                want = [0] * (d * n_out)
+                for idx, col in lazy_action(tag, *plain, e, p).items():
+                    want[idx * d:(idx + 1) * d] = col
+                assert list(m.col(n * d + i)) == want, (tag, n, i)
+        out = apply_batch(tag, tag_ops, Batch.of(field, d, ws))
+        assert out.columns() == [single(tag_ops, w) for w in ws], tag
+        # a batch stores exactly the coordinates where some column is nonzero
+        assert list(out.blocks) == sorted({n for w in out.columns() for n, _ in w.blocks})

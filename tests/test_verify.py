@@ -1,16 +1,29 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 import exactdilation.dilation as dilation_mod
-from exactdilation.dilation import AndoOperators, Generators, NotCommuting, ando, truncated_matrix
+from exactdilation.dilation import (
+    AndoOperators,
+    Generators,
+    NotCommuting,
+    ando,
+    apply_u,
+    apply_v,
+    sznagy,
+    sznagy_apply_u,
+    truncated_matrix,
+)
 from exactdilation.fields import RATIONAL, gf
-from exactdilation.linalg import identity, mat, zeros
+from exactdilation.linalg import DimensionMismatch, identity, mat, matvec, zeros
 from exactdilation.pairs import PairRecipe, gen_pair
 from exactdilation.rng import SplitMix64, rand_matrix
+from exactdilation.sequences import embed, project
 from exactdilation.verify import (
     CheckParams,
     CheckRecord,
+    _trial_vectors,
     _well_definedness_record,
     check_ando,
     check_negative,
@@ -210,6 +223,114 @@ def test_windowed_records_match_per_level_reference(field):
     assert {("commutation", 0), ("injectivity_u", 0)} <= failing_levels
     assert any(k > 0 for name, k in failing_levels if name == "commutation")
     assert any(k > 0 for name, k in failing_levels if name != "commutation")
+
+
+def test_check_ando_reads_supplied_truncations_at_any_higher_level():
+    t, s = gen_pair(PairRecipe("polynomial", 2, GF7, seed=5))
+    ops = ando(t, s)
+    want = check_ando(t, s, FAST, ops=ops).to_json()
+    for level in (FAST.max_trunc + 1, FAST.max_trunc + 3):
+        truncs = (truncated_matrix("U", ops, level), truncated_matrix("V", ops, level))
+        assert check_ando(t, s, FAST, ops=ops, truncations=truncs).to_json() == want
+    low = (truncated_matrix("U", ops, FAST.max_trunc), truncated_matrix("V", ops, FAST.max_trunc))
+    with pytest.raises(DimensionMismatch):
+        check_ando(t, s, FAST, ops=ops, truncations=low)
+
+
+def _per_vector_dilation_records(ops, sops, params):
+    """Reference for the two dilation-equation records: each trial vector on
+    its own, one lazy application per step, stopping at the first failure."""
+    field = ops.field
+    n_max = params.max_power
+    xs = _trial_vectors(field, ops.d, params)
+    bivariate = None
+    for x in xs:
+        wv, sx = embed(field, x), x
+        for m in range(n_max + 1):
+            if m:
+                wv, sx = apply_v(ops, wv), matvec(ops.S, sx)
+            w, tx = wv, sx
+            for n in range(n_max + 1):
+                if n:
+                    w, tx = apply_u(ops, w), matvec(ops.T, tx)
+                if project(w) != tx:
+                    bivariate = {"n": n, "m": m, "x": [field.fmt(a) for a in x],
+                                 "expected": [field.fmt(a) for a in tx],
+                                 "actual": [field.fmt(a) for a in project(w)]}
+                    break
+            if bivariate:
+                break
+        if bivariate:
+            break
+    single = None
+    for x in xs:
+        w, tx = embed(field, x), x
+        for n in range(n_max + 1):
+            if project(w) != tx:
+                single = {"n": n, "x": [field.fmt(a) for a in x],
+                          "expected": [field.fmt(a) for a in tx],
+                          "actual": [field.fmt(a) for a in project(w)]}
+                break
+            if n < n_max:
+                w, tx = sznagy_apply_u(sops, w), matvec(sops.T, tx)
+        if single:
+            break
+    return bivariate, single
+
+
+@pytest.mark.parametrize("field", (RATIONAL, GF7))
+def test_batched_dilation_records_match_per_vector_reference(field, monkeypatch):
+    # the tampered exchange maps leave coordinate 0 alone, so their records
+    # pass; bumping T or S inside the actions makes columns fail at different
+    # steps, and the batched records must still report the first failure of
+    # the first failing trial vector
+    rng = SplitMix64(83)
+    actions = dict(dilation_mod._ACTIONS)
+    failing = set()
+    for d in (1, 2, 3):
+        bump = mat(field, [[1 if (i, j) == (0, d - 1) else 0 for j in range(d)]
+                           for i in range(d)])
+        pairs = [gen_pair(PairRecipe(kind, d, field, seed=d))
+                 for kind in ("polynomial", "idempotent")]
+        jordan = mat(field, [[1 if j in (i, i + 1) else 0 for j in range(d)] for i in range(d)])
+        for t, s in pairs + [(jordan, jordan)]:
+            honest = ando(t, s)
+            f = honest.field
+            tampered = {
+                "honest": honest,
+                "identity v": replace(honest, v=identity(f, 4 * d), v_inv=identity(f, 4 * d)),
+                "v and v_inv swapped": replace(honest, v=honest.v_inv, v_inv=honest.v),
+                "random v": replace(honest, v=rand_matrix(rng, f, 4 * d)),
+            }
+            for bumped in ((), ("U",), ("V",), ("U", "V", "SzNagyU")):
+                for tag in actions:
+                    monkeypatch.setitem(dilation_mod._ACTIONS, tag, actions[tag])
+                for tag in bumped:
+                    which = "S" if tag == "V" else "T"
+                    monkeypatch.setitem(
+                        dilation_mod._ACTIONS, tag,
+                        lambda o, b, _a=actions[tag], _w=which:
+                            _a(replace(o, **{_w: getattr(o, _w) + bump}), b))
+                for label, ops in tampered.items():
+                    params = CheckParams(max_power=3, trials=3, seed=rng.below(100))
+                    bivariate, single = _per_vector_dilation_records(ops, sznagy(t), params)
+                    got = {r.name: r for r in check_ando(t, s, params, ops=ops).checks}
+                    rec = got["bivariate_dilation_equation"]
+                    assert (rec.passed, rec.counterexample) == (bivariate is None, bivariate), \
+                        (d, label, bumped)
+                    rec = check_sznagy(t, params).checks[0]
+                    assert rec.name == "dilation_equation"
+                    assert (rec.passed, rec.counterexample) == (single is None, single), \
+                        (d, label, bumped)
+                    for name, cex in (("bivariate", bivariate), ("single", single)):
+                        if cex is not None:
+                            failing.add((name, d, tuple(cex["x"]), cex.get("m", 0) + cex["n"]))
+    # e_{d-1} meets the bump at the first step, e_0 only later: a report of
+    # e_0 failing past step 1 shows the first vector chosen over the first step
+    assert {name for name, _, _, _ in failing} == {"bivariate", "single"}
+    for name in ("bivariate", "single"):
+        assert any(x == ("1",) + ("0",) * (d - 1) and steps > 1
+                   for n, d, x, steps in failing if n == name and d > 1), name
 
 
 def test_well_definedness_record_counterexamples():
