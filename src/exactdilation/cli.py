@@ -88,8 +88,7 @@ def _params(args) -> CheckParams:
 
 def _render_text(report: Report) -> str:
     meta = report.meta
-    field = meta["field"]
-    field_label = "rational" if field["kind"] == "rational" else f"gf({field['modulus']})"
+    field_label = FieldSpec.from_dict(meta["field"]).label()
     lines = [f"suite: {meta['kind']}  field: {field_label}  dim: {meta['dim']}"]
     params = meta["params"]
     lines.append("params: " + "  ".join(f"{k}={params[k]}" for k in sorted(params)))

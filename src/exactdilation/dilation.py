@@ -199,7 +199,7 @@ def _require_dim(ops, w):  # w is an FsVec or a Batch
 
 def _head_surgery(m: Mat, b: Batch, shift: int) -> Batch:
     """(x_n) -> (M x0, (I-M) x0, then x1, x2, ... moved up by ``shift``), per column."""
-    mden = m.ints[1]
+    mden = m.den
     blocks = {n + shift: rows if mden == 1 else [[mden * x for x in row] for row in rows]
               for n, rows in b.blocks.items() if n}
     x0 = b.blocks.get(0)
@@ -207,13 +207,13 @@ def _head_surgery(m: Mat, b: Batch, shift: int) -> Batch:
         mx = int_product(m, x0, b.width)
         blocks[0] = mx
         blocks[1] = [[mden * x - y for x, y in zip(xr, yr)] for xr, yr in zip(x0, mx)]
-    return Batch.reduced(b.field, b.dim, b.width, blocks, b.den * mden)
+    return Batch.reduced(b.field, b.dim, b.width, blocks, b.den * mden, (0, 1))
 
 
 def _block_exchange(vmat: Mat, b: Batch) -> Batch:
     """Apply vmat to each 4-block of coordinates (4g+1 .. 4g+4) of every column, head untouched."""
     d, width = b.dim, b.width
-    vden = vmat.ints[1]
+    vden = vmat.den
     blocks = {}
     if 0 in b.blocks:
         head = b.blocks[0]
@@ -224,7 +224,7 @@ def _block_exchange(vmat: Mat, b: Batch) -> Batch:
         y = int_product(vmat, x, width)
         for k in range(4):
             blocks[4 * g + 1 + k] = y[k * d:(k + 1) * d]
-    return Batch.reduced(b.field, d, width, blocks, b.den * vden)
+    return Batch.reduced(b.field, d, width, blocks, b.den * vden, blocks.keys() - {0})
 
 
 # each operator as an action on a batch: U = W after W1, V = W2 after W^-1
@@ -330,6 +330,8 @@ def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
                 raise SupportOverflow(
                     f"{tag} pushed coordinate {coords[c // d]} to {top}, past level {level + 1}")
         images.append((d * coords[0], img))
+    # each batch is in lowest terms, so over the lcm of their denominators the
+    # grid is in the canonical form of FieldSpec.reduce_ints already
     den = lcm(*(img.den for _, img in images))
     grid = [[0] * (d * n_in) for _ in range(d * n_out)]
     for first, img in images:
@@ -338,7 +340,9 @@ def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
             for out, row in zip(grid[n * d:(n + 1) * d], rows):
                 for c in compress(range(img.width), row):
                     out[first + c] = scale * row[c]
-    return Mat.from_ints(field, d * n_out, d * n_in, grid, den)
+    for i, row in enumerate(grid):  # one row at a time, so the grid is never held twice
+        grid[i] = tuple(row)
+    return Mat.from_ints(field, d * n_out, d * n_in, tuple(grid), den, canonical=True)
 
 
 def level_block(m: Mat, d: int, k: int) -> Mat:

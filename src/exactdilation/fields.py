@@ -3,12 +3,13 @@ the integer kernels meet them.
 
 Scalars are plain values: ``fractions.Fraction`` for the rationals and ``int``
 residues in ``[0, p)`` for GF(p).  A ``FieldSpec`` says which applies and
-supplies what depends on it: parsing, formatting, and the integer form of the
-kernels.  ``to_ints`` turns a grid of scalars into integer numerators over one
-positive common denominator (over GF(p), the residues themselves over 1);
-``from_ints`` turns an integer grid over a denominator back into reduced
-scalars; ``reduce_ints`` keeps a grid over a denominator small and
-``reduce_row`` an elimination row (content gcd over Q, mod p over GF(p)).
+supplies what depends on it: parsing, formatting, and the integer form every
+matrix and batch is held in.  ``reduce_ints`` brings integers over a
+denominator to the canonical form (over Q, a positive denominator with no
+factor common to every entry; over GF(p), residues over 1), and
+``reduce_row`` and ``pivot_row`` keep elimination rows small.  Scalars are
+met only at the edges: ``to_ints`` reads a grid of them into integer form,
+and ``from_ints`` builds them back for output.
 
 Scalar text grammar: integer ``-?[0-9]+``, rational ``-?[0-9]+/[1-9][0-9]*``,
 prime-field residue ``[0-9]+``.
@@ -112,11 +113,6 @@ class FieldSpec:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into {self.label()}")
 
-    # -- scalar arithmetic the kernels need ------------------------------------
-
-    def neg(self, a):
-        return -a if self.is_rational else (-a) % self.modulus
-
     # -- integer form: the edge of the kernels --------------------------------
 
     def to_ints(self, rows) -> tuple:
@@ -134,28 +130,27 @@ class FieldSpec:
         if p is None:
             return tuple([tuple([Fraction(x, den) if x else _ZERO for x in row])
                           for row in ints])
-        mod = p.__rmod__  # x -> x % p
-        if den != 1:
-            scale = pow(den, -1, p).__mul__
-            return tuple([tuple(map(mod, map(scale, row))) for row in ints])
-        return tuple([tuple(map(mod, row)) for row in ints])
+        s = pow(den, -1, p)
+        return tuple([tuple([x * s % p for x in row]) for row in ints])
 
     def reduce_ints(self, rows, den: int) -> tuple:
-        """``(rows, den)`` rescaled to a small form of the same grid ``rows / den``:
-        over Q both divided by their common gcd; over GF(p) residues over 1.
-        ``den`` is positive."""
+        """The canonical form ``(int row tuples, den)`` of the grid ``rows / den``,
+        for a positive ``den``: over Q, the gcd of ``den`` and every entry is 1,
+        so the form is unique; over GF(p), residues over 1."""
         p = self.modulus
         if p is None:
             g = den
             for row in rows:
                 if g == 1:
-                    return rows, den
+                    break
                 g = gcd(g, *row)
             if g > 1:
-                return [[x // g for x in row] for row in rows], den // g
-            return rows, den
-        scale = pow(den, -1, p) if den != 1 else 1
-        return [[x * scale % p for x in row] for row in rows], 1
+                return tuple([tuple([x // g for x in row]) for row in rows]), den // g
+            return tuple(map(tuple, rows)), den
+        if den != 1:
+            s = pow(den, -1, p)
+            return tuple([tuple([x * s % p for x in row]) for row in rows]), 1
+        return tuple([tuple([x % p for x in row]) for row in rows]), 1
 
     def reduce_row(self, row: dict) -> dict:
         """A sparse integer row (col -> nonzero int) scaled to a small multiple:
@@ -167,6 +162,15 @@ class FieldSpec:
                 return {j: x // g for j, x in row.items()}
             return row
         return {j: r for j, x in row.items() if (r := x % p)}
+
+    def pivot_row(self, row: dict, lead: int) -> dict:
+        """A reduced row about to serve as a pivot: over GF(p) scaled to ``row[lead] == 1``,
+        so that cancelling against it never scales the other row; over Q as it is."""
+        p = self.modulus
+        if p is None or row[lead] == 1:
+            return row
+        inv = pow(row[lead], -1, p)
+        return {j: x * inv % p for j, x in row.items()}
 
     # -- text form ------------------------------------------------------------
 

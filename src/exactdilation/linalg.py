@@ -1,20 +1,21 @@
 """Dense exact matrices and the elimination kernel.
 
-Everything here is a pure function on immutable ``Mat`` values.  Kernels
-compute on Python ints: a matrix enters as integer numerators over one
-common denominator (``Mat.ints``) and a result leaves through
-``FieldSpec.from_ints`` once per call.  One fraction-free elimination kernel,
-``_echelon_insert``, serves rank, column ranks, basis completion, reduced row
-echelon form, kernels and inverses.  Degenerate shapes (0 x n, n x 0) are
-legal with the obvious conventions.
+A ``Mat`` is held in one canonical integer form, ``ints / den`` (see
+``FieldSpec.reduce_ints``): over Q, ``den > 0`` with no factor common to
+every entry; over GF(p), residues over 1.  The form is unique, so equality
+and hashing read it directly.  Every kernel computes on it and returns it;
+the grid of field scalars, ``entries``, is built only when it is read, for
+output.  One fraction-free elimination kernel, ``_echelon_insert``, serves
+rank, column ranks, basis completion, reduced row echelon form, kernels and
+inverses.  Degenerate shapes (0 x n, n x 0) are legal with the obvious
+conventions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .fields import FieldSpec
@@ -59,59 +60,79 @@ class NotIndependent(ValueError):
     """Columns expected to be linearly independent are not."""
 
 
-@dataclass(frozen=True)
 class Mat:
-    """Dense row-major matrix over an exact field."""
+    """Dense row-major matrix over an exact field: the grid ``ints / den``.
 
-    field: FieldSpec
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
+    ``ints`` is a tuple of ``rows`` row tuples of ``cols`` ints and ``den`` an
+    int, in the field's canonical form; neither is ever modified.
+    ``Mat(field, rows, cols, entries)`` reads a grid of field scalars.
+    """
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, field: FieldSpec, rows: int, cols: int, entries):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
+        self.field, self.rows, self.cols = field, rows, cols
+        self.ints, self.den = field.reduce_ints(*field.to_ints(entries))
 
     @classmethod
-    def from_ints(cls, field: FieldSpec, rows: int, cols: int, ints, den: int = 1) -> "Mat":
-        """The matrix ``ints / den``, with that integer form kept as its ``ints``."""
-        m = cls(field, rows, cols, field.from_ints(ints, den))
-        m.__dict__["ints"] = (ints, den)
+    def from_ints(cls, field: FieldSpec, rows: int, cols: int, ints, den: int = 1,
+                  canonical: bool = False) -> "Mat":
+        """The matrix ``ints / den``, ``den`` a positive int; ``canonical`` says that
+        ``(ints, den)`` is already the canonical form, with row tuples."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols = field, rows, cols
+        m.ints, m.den = (ints, den) if canonical else field.reduce_ints(ints, den)
         return m
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The grid of field scalars, as a tuple of row tuples, built on first read."""
+        return self.field.from_ints(self.ints, self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return (self.field == other.field and self.rows == other.rows
+                and self.cols == other.cols and self.den == other.den
+                and self.ints == other.ints)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.rows, self.cols, self.den, self.ints))
+
+    def __repr__(self) -> str:
+        return f"Mat({self.field!r}, {self.rows}, {self.cols}, {self.entries!r})"
 
     # -- access ---------------------------------------------------------------
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
 
+    def at(self, i: int, j: int):
+        """Entry ``(i, j)`` as a field scalar, without building ``entries``."""
+        return self.field.from_ints(((self.ints[i][j],),), self.den)[0][0]
+
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def leading(self, rows: int, cols: int) -> "Mat":
-        """The top-left ``rows x cols`` block; its integer form is sliced, not rebuilt."""
+        """The top-left ``rows x cols`` block, sliced off the integer form; a block of
+        integers over 1 (every matrix over GF(p)) is in canonical form already."""
         if (rows, cols) == (self.rows, self.cols):
             return self
         if rows > self.rows or cols > self.cols:
             raise DimensionMismatch(
                 f"no {rows}x{cols} leading block in a {self.rows}x{self.cols} matrix")
-        m = Mat(self.field, rows, cols, tuple(r[:cols] for r in self.entries[:rows]))
-        ints, den = self.ints
-        m.__dict__["ints"] = (tuple(r[:cols] for r in ints[:rows]), den)
-        return m
-
-    @cached_property
-    def ints(self) -> tuple:
-        """``(int rows, den)`` with ``entries == int rows / den``; see ``FieldSpec.to_ints``."""
-        return self.field.to_ints(self.entries)
+        return Mat.from_ints(self.field, rows, cols, tuple(r[:cols] for r in self.ints[:rows]),
+                             self.den, canonical=self.den == 1)
 
     @cached_property
     def _col_terms(self) -> list:
         """For each column, the ``(row, int)`` pairs of its nonzero entries in ``ints``."""
         cols = [[] for _ in range(self.cols)]
         index = range(self.cols)
-        for i, row in enumerate(self.ints[0]):
+        for i, row in enumerate(self.ints):
             for k in compress(index, row):
                 cols[k].append((i, row[k]))
         return cols
@@ -125,15 +146,17 @@ class Mat:
         return self._plus(other, -1)
 
     def _plus(self, other: "Mat", sign: int) -> "Mat":
-        """``self + sign * other``, computed on the integer forms."""
+        """``self + sign * other``, over the lcm of the two denominators."""
         if self.field != other.field:
             raise DimensionMismatch("matrices over different fields")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        (a, aden), (b, bden) = self.ints, other.ints
-        sums = [[x * bden + sign * y * aden for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        return Mat(self.field, self.rows, self.cols, self.field.from_ints(sums, aden * bden))
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * den // other.den
+        sums = [[x * sa + y * sb for x, y in zip(ra, rb)]
+                for ra, rb in zip(self.ints, other.ints)]
+        return Mat.from_ints(self.field, self.rows, self.cols, sums, den)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.field != other.field:
@@ -142,9 +165,8 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        b, bden = other.ints
-        return Mat(self.field, self.rows, other.cols,
-                   self.field.from_ints(int_product(self, b, other.cols), self.ints[1] * bden))
+        return Mat.from_ints(self.field, self.rows, other.cols,
+                             int_product(self, other.ints, other.cols), self.den * other.den)
 
 
 # -- construction ---------------------------------------------------------------
@@ -160,15 +182,20 @@ def mat(field: FieldSpec, rows: Iterable[Iterable]) -> Mat:
     return Mat(field, nrows, ncols, grid)
 
 
+def _unit_cols(field: FieldSpec, n: int, cols: Sequence[int]) -> Mat:
+    """The n-row matrix whose columns are the standard basis vectors e_i, i in ``cols``."""
+    rows = [[0] * len(cols) for _ in range(n)]
+    for k, i in enumerate(cols):
+        rows[i][k] = 1
+    return Mat.from_ints(field, n, len(cols), tuple(map(tuple, rows)), 1, canonical=True)
+
+
 def identity(field: FieldSpec, n: int) -> Mat:
-    one, zero = field.one(), field.zero()
-    rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-    return Mat(field, n, n, rows)
+    return _unit_cols(field, n, range(n))
 
 
 def zeros(field: FieldSpec, nrows: int, ncols: int) -> Mat:
-    zero = field.zero()
-    return Mat(field, nrows, ncols, tuple(tuple(zero for _ in range(ncols)) for _ in range(nrows)))
+    return Mat.from_ints(field, nrows, ncols, ((0,) * ncols,) * nrows, 1, canonical=True)
 
 
 def from_cols(field: FieldSpec, height: int, cols: Sequence[Sequence]) -> Mat:
@@ -179,26 +206,36 @@ def from_cols(field: FieldSpec, height: int, cols: Sequence[Sequence]) -> Mat:
     return Mat(field, height, len(cols), rows)
 
 
+def _over(m: Mat, den: int) -> tuple:
+    """The int rows of ``m`` rescaled to the multiple ``den`` of its denominator."""
+    s = den // m.den
+    return m.ints if s == 1 else tuple([tuple([s * x for x in r]) for r in m.ints])
+
+
 def hstack(a: Mat, b: Mat) -> Mat:
     if a.field != b.field or a.rows != b.rows:
         raise DimensionMismatch("hstack needs equal row counts over one field")
-    return Mat(a.field, a.rows, a.cols + b.cols,
-               tuple(ra + rb for ra, rb in zip(a.entries, b.entries)))
+    # canonical forms over the lcm of their denominators combine into a canonical form
+    den = lcm(a.den, b.den)
+    return Mat.from_ints(a.field, a.rows, a.cols + b.cols,
+                         tuple(map(tuple.__add__, _over(a, den), _over(b, den))), den,
+                         canonical=True)
 
 
 def vstack(*mats: Mat) -> Mat:
     first = mats[0]
     if any(m.field != first.field or m.cols != first.cols for m in mats):
         raise DimensionMismatch("vstack needs equal column counts over one field")
-    rows = tuple(r for m in mats for r in m.entries)
-    return Mat(first.field, len(rows), first.cols, rows)
+    den = lcm(*(m.den for m in mats))
+    rows = tuple(r for m in mats for r in _over(m, den))
+    return Mat.from_ints(first.field, len(rows), first.cols, rows, den, canonical=True)
 
 
 # -- vector ops --------------------------------------------------------------------
 
 
 def int_product(a: Mat, b: Sequence[Sequence[int]], width: int) -> list:
-    """The integer grid ``a.ints[0] @ b``, for ``b`` with ``a.cols`` rows of ``width`` ints.
+    """The integer grid ``a.ints @ b``, for ``b`` with ``a.cols`` rows of ``width`` ints.
 
     The one product loop: ``@``, ``matvec`` and the lazy operators all run on
     it.  It accumulates ``C[i][j] += A[i][k] * B[k][j]``
@@ -220,10 +257,7 @@ def int_product(a: Mat, b: Sequence[Sequence[int]], width: int) -> list:
 def matvec(m: Mat, x: Sequence) -> tuple:
     if len(x) != m.cols:
         raise DimensionMismatch(f"matvec: {m.rows}x{m.cols} applied to length {len(x)}")
-    (xi,), xden = m.field.to_ints((x,))
-    y = int_product(m, [[xj] for xj in xi], 1)
-    (out,) = m.field.from_ints(([yi for yi, in y],), m.ints[1] * xden)
-    return out
+    return (m @ from_cols(m.field, m.cols, [x])).col(0)
 
 
 # -- elimination kernel ---------------------------------------------------------------
@@ -231,7 +265,8 @@ def matvec(m: Mat, x: Sequence) -> tuple:
 
 def _cancel(row: dict, piv: dict, c: int, field: FieldSpec) -> dict:
     """``a*row - f*piv``, reduced by the field, with ``a = piv[c]`` and ``f = row[c]``
-    over their gcd, so column ``c`` cancels.  ``row`` may be consumed."""
+    over their gcd, so column ``c`` cancels.  Over GF(p) pivots lead with 1, so
+    ``a = 1`` and this is one subtraction pass.  ``row`` may be consumed."""
     a, f = piv[c], row[c]
     if f % a:
         g = gcd(a, f)
@@ -252,14 +287,15 @@ def _echelon_insert(pivot_rows: dict, row: dict, field: FieldSpec) -> Optional[i
     """Reduce a sparse integer row against an echelon set; insert and return its lead, or None.
 
     Rows are dicts col -> nonzero int; ``pivot_rows`` maps each leading column
-    to its row.  Only the line through a row matters, so the rows of a matrix
-    may come over any common denominator.  ``row`` is consumed.
+    to its row, in the field's ``pivot_row`` form.  Only the line through a row
+    matters, so the rows of a matrix may come over any common denominator.
+    ``row`` is consumed.
     """
     while row:
         lead = min(row)
         piv = pivot_rows.get(lead)
         if piv is None:
-            pivot_rows[lead] = row
+            pivot_rows[lead] = field.pivot_row(row, lead)
             return lead
         row = _cancel(row, piv, lead, field)
     return None
@@ -268,7 +304,7 @@ def _echelon_insert(pivot_rows: dict, row: dict, field: FieldSpec) -> Optional[i
 def _row_echelon(m: Mat) -> dict:
     """Echelon set of the rows of ``m``: leading column -> sparse integer row."""
     pivot_rows: dict = {}
-    for raw in m.ints[0]:
+    for raw in m.ints:
         _echelon_insert(pivot_rows, {j: x for j, x in enumerate(raw) if x}, m.field)
     return pivot_rows
 
@@ -277,7 +313,8 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns (strictly increasing).
 
     The echelon set of the rows is back-substituted bottom up with the same
-    cancellation step, then each row is divided by its lead, once.
+    cancellation step; row i, divided by its lead, is then brought over the
+    lcm of the leads.
     """
     field = m.field
     pivot_rows = _row_echelon(m)
@@ -288,14 +325,14 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
             if c in row:
                 row = _cancel(row, pivot_rows[c], c, field)
         pivot_rows[pivots[i]] = row
-    rows = []
-    for c in pivots:
-        dense = [0] * m.cols
-        for j, x in pivot_rows[c].items():
-            dense[j] = x
-        rows.extend(field.from_ints((dense,), dense[c]))
-    rows.extend([(field.zero(),) * m.cols] * (m.rows - len(pivots)))
-    return Mat(field, m.rows, m.cols, tuple(rows)), tuple(pivots)
+    den = lcm(*(pivot_rows[c][c] for c in pivots))
+    rows = [[0] * m.cols for _ in range(m.rows)]
+    for dense, c in zip(rows, pivots):
+        row = pivot_rows[c]
+        s = den // row[c]
+        for j, x in row.items():
+            dense[j] = s * x
+    return Mat.from_ints(field, m.rows, m.cols, rows, den), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -323,21 +360,20 @@ def column_ranks(m: Mat, widths: Iterable[int]) -> list:
 
 
 def kernel_basis(m: Mat) -> Mat:
-    """Columns spanning ker(m); count is always cols(m) - rank(m)."""
+    """Columns spanning ker(m); count is always cols(m) - rank(m).
+
+    With R = rref(m) over its denominator r, the column for free column f is
+    r e_f minus R's column f placed at the pivot columns, over r.
+    """
     reduced, pivots = rref(m)
     pivot_set = set(pivots)
-    zero, one = m.field.zero(), m.field.one()
-    neg = m.field.neg
-    cols = []
-    for fc in range(m.cols):
-        if fc in pivot_set:
-            continue
-        vec = [zero] * m.cols
-        vec[fc] = one
+    free = [j for j in range(m.cols) if j not in pivot_set]
+    rows = [[0] * len(free) for _ in range(m.cols)]
+    for k, f in enumerate(free):
+        rows[f][k] = reduced.den
         for r_idx, pc in enumerate(pivots):
-            vec[pc] = neg(reduced.entries[r_idx][fc])
-        cols.append(tuple(vec))
-    return from_cols(m.field, m.cols, cols)
+            rows[pc][k] = -reduced.ints[r_idx][f]
+    return Mat.from_ints(m.field, m.cols, len(free), rows, reduced.den)
 
 
 def complete_basis(basis_cols: Mat, ambient_dim: int, scan: str = "forward") -> Mat:
@@ -365,8 +401,7 @@ def complete_basis(basis_cols: Mat, ambient_dim: int, scan: str = "forward") -> 
             break
         if _echelon_insert(pivot_rows, {i: 1}, field) is not None:
             kept.append(i)
-    ident = identity(field, ambient_dim)
-    return from_cols(field, ambient_dim, [ident.col(i) for i in kept])
+    return _unit_cols(field, ambient_dim, kept)
 
 
 def is_invertible(m: Mat) -> bool:
@@ -383,5 +418,4 @@ def inverse(m: Mat) -> Mat:
     reduced, pivots = rref(hstack(m, identity(m.field, n)))
     if tuple(c for c in pivots if c < n) != tuple(range(n)):
         raise Singular("matrix is not invertible")
-    rows = tuple(r[n:] for r in reduced.entries[:n])
-    return Mat(m.field, n, n, rows)
+    return Mat.from_ints(m.field, n, n, [r[n:] for r in reduced.ints[:n]], reduced.den)

@@ -65,14 +65,19 @@ class PairRecipe:
 def matrix_polynomial(a: Mat, coeffs: Sequence) -> Mat:
     """Evaluate sum(coeffs[k] * a^k) by Horner's rule; coeffs[0] is constant."""
     field, n = a.field, a.rows
-    zero = field.zero()
     acc = zeros(field, n, n)
     for c in reversed([field.coerce(c) for c in coeffs]):
         acc = acc @ a
         if c != 0:
-            acc = acc + Mat(field, n, n, tuple(tuple(c if i == j else zero for j in range(n))
-                                                for i in range(n)))
+            acc = acc + _diagonal(field, [c] * n)
     return acc
+
+
+def _diagonal(field: FieldSpec, diag: Sequence) -> Mat:
+    """The square matrix with the scalars ``diag`` on its diagonal."""
+    zero, n = field.zero(), len(diag)
+    return Mat(field, n, n, tuple(tuple(x if i == j else zero for j in range(n))
+                                  for i, x in enumerate(diag)))
 
 
 def _rand_poly(rng: SplitMix64, field: FieldSpec, degree: int, height: int) -> list:
@@ -96,15 +101,6 @@ def _rand_invertible(rng: SplitMix64, field: FieldSpec, d: int, height: int) -> 
     raise InvalidRecipe("could not draw an invertible matrix")  # pragma: no cover
 
 
-def _rand_01_diagonal(rng: SplitMix64, field: FieldSpec, d: int) -> Mat:
-    one, zero = field.one(), field.zero()
-    rows = tuple(
-        tuple((one if rng.below(2) else zero) if i == j else zero for j in range(d))
-        for i in range(d)
-    )
-    return Mat(field, d, d, rows)
-
-
 def gen_pair(recipe: PairRecipe) -> tuple[Mat, Mat]:
     """Produce (T, S) from the recipe; reproducible from the seed alone."""
     recipe.validate()
@@ -125,18 +121,15 @@ def gen_pair(recipe: PairRecipe) -> tuple[Mat, Mat]:
         t = matrix_polynomial(a, _rand_poly(rng, field, recipe.degree, recipe.height))
         s = matrix_polynomial(a, _rand_poly(rng, field, recipe.degree, recipe.height))
     elif recipe.kind == "diagonal":
-        zero = field.zero()
         def diag():
-            return Mat(field, d, d, tuple(
-                tuple(rand_scalar(rng, field, recipe.height) if i == j else zero
-                      for j in range(d))
-                for i in range(d)))
+            return _diagonal(field, [rand_scalar(rng, field, recipe.height) for _ in range(d)])
         t, s = diag(), diag()
     else:  # idempotent
         m = _rand_invertible(rng, field, d, recipe.height)
         m_inv = inverse(m)
-        t = m @ _rand_01_diagonal(rng, field, d) @ m_inv
-        s = m @ _rand_01_diagonal(rng, field, d) @ m_inv
+        def projection():  # conjugate of a random 0/1 diagonal
+            return m @ _diagonal(field, [field.from_int(rng.below(2)) for _ in range(d)]) @ m_inv
+        t, s = projection(), projection()
     if not check_commute(t, s):  # a raise, not an assert, so that it survives python -O
         raise AssertionError("generated pair fails to commute")
     return t, s

@@ -68,16 +68,20 @@ class Batch:
         self.field, self.dim, self.width, self.blocks, self.den = field, dim, width, blocks, den
 
     @classmethod
-    def reduced(cls, field: FieldSpec, dim: int, width: int, blocks: dict, den: int) -> "Batch":
-        """The batch of ``blocks`` over ``den``, rescaled by the field, zero coordinates dropped."""
-        coords = sorted(blocks)
-        flat, den = field.reduce_ints([row for n in coords for row in blocks[n]], den)
-        out = {}
-        for k, n in enumerate(coords):
-            rows = flat[k * dim:(k + 1) * dim]
-            if any(map(any, rows)):
-                out[n] = rows
-        return cls(field, dim, width, out, den)
+    def reduced(cls, field: FieldSpec, dim: int, width: int, blocks: dict, den: int,
+                written: Iterable[int]) -> "Batch":
+        """The batch of ``blocks`` (a new dict, taken over) over ``den`` in lowest terms,
+        zero coordinates dropped.
+
+        Only the coordinates in ``written`` may hold new values.  Over Q every
+        coordinate takes part in the common gcd; over GF(p), where every batch
+        and matrix is over 1, the others hold residues already and are kept.
+        """
+        redo = list(blocks) if field.is_rational else [n for n in written if n in blocks]
+        flat, den = field.reduce_ints([row for n in redo for row in blocks[n]], den)
+        blocks.update((n, flat[k * dim:(k + 1) * dim]) for k, n in enumerate(redo))
+        return cls(field, dim, width,
+                   {n: blocks[n] for n in sorted(blocks) if any(map(any, blocks[n]))}, den)
 
     @classmethod
     def of(cls, field: FieldSpec, dim: int, vecs) -> "Batch":

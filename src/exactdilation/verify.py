@@ -24,7 +24,7 @@ from .dilation import (
     truncated_matrix,
 )
 from .fields import FieldSpec
-from .linalg import Mat, column_ranks, int_product, kernel_basis, matvec
+from .linalg import Mat, column_ranks, int_product, kernel_basis
 from .pairs import PairRecipe, check_commute
 from .rng import SplitMix64, rand_column
 from .sequences import Batch, embed
@@ -113,10 +113,6 @@ def report_from_json(text: str) -> Report:
 # -- shared helpers ------------------------------------------------------------
 
 
-def _fmt_col(field: FieldSpec, col) -> list:
-    return [field.fmt(x) for x in col]
-
-
 def _trial_vectors(field: FieldSpec, d: int, params: CheckParams) -> list:
     one, zero = field.one(), field.zero()
     vectors = [tuple(one if k == i else zero for k in range(d)) for i in range(d)]
@@ -136,28 +132,36 @@ def _times(m: Mat, x: Batch) -> Batch:
     """``m`` applied to coordinate 0 of ``x``, its only coordinate."""
     head = x.blocks.get(0)
     blocks = {0: int_product(m, head, x.width)} if head else {}
-    return Batch.reduced(x.field, x.dim, x.width, blocks, x.den * m.ints[1])
+    return Batch.reduced(x.field, x.dim, x.width, blocks, x.den * m.den, (0,))
 
 
-def _dilation_failures(failures: dict, w: Batch, tx: Batch, xs: list, **exps):
-    """Record each column, not failed before, whose coordinate 0 differs
-    between ``w`` and ``tx``; compared in integer form."""
+def _powers(failures: dict, tag: str, ops, t: Mat, w: Batch, tx: Batch, xs: list,
+            n_max: int, **exps):
+    """Step ``w`` by the operator ``tag`` and ``tx`` by ``t``, ``n_max`` times.  At
+    each step record every column, not failed before, whose coordinate 0
+    differs between the two; compared in integer form."""
     field, zero = w.field, [[0] * w.width] * w.dim
-    got, want = w.blocks.get(0, zero), tx.blocks.get(0, zero)
-    for c, x in enumerate(xs):
-        if c not in failures and any(h[c] * tx.den != e[c] * w.den for h, e in zip(got, want)):
-            failures[c] = dict(exps, x=_fmt_col(field, x),
-                               expected=[field.fmt(e[c]) for e in tx.head()],
-                               actual=[field.fmt(h[c]) for h in w.head()])
+    for n in range(n_max + 1):
+        if n:
+            w, tx = apply_batch(tag, ops, w), _times(t, tx)
+        got, want = w.blocks.get(0, zero), tx.blocks.get(0, zero)
+        for c, x in enumerate(xs):
+            if c not in failures and any(h[c] * tx.den != e[c] * w.den
+                                         for h, e in zip(got, want)):
+                failures[c] = dict(exps, n=n, x=[field.fmt(a) for a in x],
+                                   expected=[field.fmt(e[c]) for e in tx.head()],
+                                   actual=[field.fmt(h[c]) for h in w.head()])
 
 
-def _first_failure(failures: dict) -> Optional[dict]:
-    """The failure of the first trial vector that has one.
+def _dilation_record(name: str, params: CheckParams, failures: dict) -> CheckRecord:
+    """The record with the failure of the first trial vector that has one.
 
     Each column's entry is from its first failing step in loop order, so this
     is the first failure a vector-by-vector loop with early exit would meet.
     """
-    return failures[min(failures)] if failures else None
+    counterexample = failures[min(failures)] if failures else None
+    return CheckRecord(name, {"max_power": params.max_power, "trials": params.trials,
+                              "seed": params.seed}, counterexample is None, counterexample)
 
 
 def _injectivity_record(name: str, m: Mat, d: int, params: CheckParams) -> CheckRecord:
@@ -182,23 +186,13 @@ def check_sznagy(t: Mat, params: CheckParams = CheckParams(),
     """Dilation equation T^n = P U^n on coordinate 0, plus injectivity of U."""
     ops = sznagy(t)
     field, d = ops.field, ops.d
-    n_max = params.max_power
-
     xs = _trial_vectors(field, d, params)
-    w = tx = Batch.of(field, d, [embed(field, x) for x in xs])
+    b = Batch.of(field, d, [embed(field, x) for x in xs])
     failures: dict = {}
-    for n in range(n_max + 1):
-        if n:
-            w, tx = apply_batch("SzNagyU", ops, w), _times(t, tx)
-        _dilation_failures(failures, w, tx, xs, n=n)
-    counterexample = _first_failure(failures)
-    dilation_rec = CheckRecord(
-        "dilation_equation",
-        {"max_power": n_max, "trials": params.trials, "seed": params.seed},
-        counterexample is None, counterexample)
-
+    _powers(failures, "SzNagyU", ops, t, b, b, xs, params.max_power)
     top = truncated_matrix("SzNagyU", ops, params.max_trunc)
-    records = [dilation_rec, _injectivity_record("injectivity_u", top, d, params)]
+    records = [_dilation_record("dilation_equation", params, failures),
+               _injectivity_record("injectivity_u", top, d, params)]
     return _make_report(_meta("sznagy", field, d, params, recipe), records)
 
 
@@ -207,30 +201,23 @@ def check_sznagy(t: Mat, params: CheckParams = CheckParams(),
 
 def _bivariate_record(ops: AndoOperators, params: CheckParams) -> CheckRecord:
     """P U^n V^m = T^n S^m P for n, m <= max_power, all trial vectors as one batch."""
-    field, t, s = ops.field, ops.T, ops.S
-    n_max = params.max_power
+    field, n_max = ops.field, params.max_power
     xs = _trial_vectors(field, ops.d, params)
     wv = sx = Batch.of(field, ops.d, [embed(field, x) for x in xs])
     failures: dict = {}
     for m_exp in range(n_max + 1):
         if m_exp:
-            wv, sx = apply_batch("V", ops, wv), _times(s, sx)
-        w, tx = wv, sx
-        for n_exp in range(n_max + 1):
-            if n_exp:
-                w, tx = apply_batch("U", ops, w), _times(t, tx)
-            _dilation_failures(failures, w, tx, xs, n=n_exp, m=m_exp)
-    counterexample = _first_failure(failures)
-    return CheckRecord(
-        "bivariate_dilation_equation",
-        {"max_power": n_max, "trials": params.trials, "seed": params.seed},
-        counterexample is None, counterexample)
+            wv, sx = apply_batch("V", ops, wv), _times(ops.S, sx)
+        _powers(failures, "U", ops, ops.T, wv, sx, xs, n_max, m=m_exp)
+    return _dilation_record("bivariate_dilation_equation", params, failures)
 
 
 def _mismatches(a: Mat, b: Mat) -> list:
-    """Positions where a and b differ, in row-major order."""
-    return [(i, j) for i, (ra, rb) in enumerate(zip(a.entries, b.entries)) if ra != rb
-            for j, (x, y) in enumerate(zip(ra, rb)) if x != y]
+    """Positions where a and b differ, in row-major order, read off the integer forms."""
+    if a == b:
+        return []
+    return [(i, j) for i, (ra, rb) in enumerate(zip(a.ints, b.ints))
+            for j, (x, y) in enumerate(zip(ra, rb)) if x * b.den != y * a.den]
 
 
 def _commutation_record(ops: AndoOperators, params: CheckParams,
@@ -250,8 +237,7 @@ def _commutation_record(ops: AndoOperators, params: CheckParams,
         k = (min(j for _, j in mismatches) // d + 3) // 4
         i, j = next((i, j) for i, j in mismatches if j < d * (4 * k + 1))
         counterexample = {"trunc": k, "row": i, "col": j,
-                          "uv": field.fmt(uv.entries[i][j]),
-                          "vu": field.fmt(vu.entries[i][j])}
+                          "uv": field.fmt(uv.at(i, j)), "vu": field.fmt(vu.at(i, j))}
     return CheckRecord("commutation", {"max_trunc": params.max_trunc},
                        counterexample is None, counterexample)
 
@@ -265,8 +251,8 @@ def _coherence_record(ops: AndoOperators, gens: Generators) -> CheckRecord:
         if mism:
             i, j = mism[0]
             counterexample = {"which": label, "row": i, "col": j,
-                              "expected": field.fmt(want.entries[i][j]),
-                              "actual": field.fmt(got.entries[i][j])}
+                              "expected": field.fmt(want.at(i, j)),
+                              "actual": field.fmt(got.at(i, j))}
             break
     return CheckRecord("v_coherence", {}, counterexample is None, counterexample)
 
@@ -275,17 +261,16 @@ def _well_definedness_record(gens: Generators) -> CheckRecord:
     field = gens.G.field
     kg, kh = kernel_basis(gens.G), kernel_basis(gens.H)
     params = {"kernel_dim_g": kg.cols, "kernel_dim_h": kh.cols}
-    zero = tuple(field.zero() for _ in range(gens.G.rows))
     counterexample = None
     if kg.cols != kh.cols:
         counterexample = {"reason": "kernel dimensions differ"}
     else:
         # with equal dimensions, ker G inside ker H already makes them equal
-        for j in range(kg.cols):
-            if matvec(gens.H, kg.col(j)) != zero:
-                counterexample = {"direction": "ker(G) not in ker(H)",
-                                  "coefficients": _fmt_col(field, kg.col(j))}
-                break
+        hk = gens.H @ kg
+        j = next((j for j in range(kg.cols) if any(r[j] for r in hk.ints)), None)
+        if j is not None:
+            counterexample = {"direction": "ker(G) not in ker(H)",
+                              "coefficients": [field.fmt(a) for a in kg.col(j)]}
     return CheckRecord("well_definedness", params, counterexample is None, counterexample)
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -639,3 +640,46 @@ def test_lazy_actions_match_plain_oracle(field, d, completion, kind, seed):
         assert out.columns() == [single(tag_ops, w) for w in ws], tag
         # a batch stores exactly the coordinates where some column is nonzero
         assert list(out.blocks) == sorted({n for w in out.columns() for n, _ in w.blocks})
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_deep_sznagy_truncation_matches_plain_oracle(field):
+    # the level the deep single-map windows reach (max_trunc 14), column by
+    # column in integer form, against the plain-list lazy oracle
+    d, k = 3, 14
+    t, _ = gen_pair(PairRecipe("polynomial", d, field, seed=8))
+    m = truncated_matrix("SzNagyU", sznagy(t), k)
+    n_in, n_out = 4 * k + 1, 4 * k + 5
+    assert (m.rows, m.cols) == (d * n_out, d * n_in)
+    plain_t = to_plain(t)
+    for n in range(n_in):
+        for i in range(d):
+            e = {n: [1 if j == i else 0 for j in range(d)]}
+            want = [0] * (d * n_out)
+            for idx, col in lazy_action("SzNagyU", plain_t, None, None, None, e,
+                                        field.modulus).items():
+                want[idx * d:(idx + 1) * d] = [m.den * x for x in col]
+            assert all(x == int(x) for x in want)
+            assert [row[n * d + i] for row in m.ints] == want, (n, i)
+
+
+@settings(deadline=None, max_examples=20)
+@given(field=st.sampled_from(FIELDS), d=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_every_action_keeps_its_batch_in_lowest_terms(field, d, seed):
+    # over GF(p) an action reduces only the coordinates a product wrote and keeps
+    # the rest as they are, so every block of every result is checked here
+    rng = SplitMix64(seed)
+    t, s = gen_pair(PairRecipe("polynomial", d, field, seed=seed))
+    ops, sops = ando(t, s), sznagy(t)
+    start = Batch.of(field, d, [rand_fsvec(rng, field, d, 8) for _ in range(3)])
+    for tag in OPERATOR_TAGS:
+        out = start
+        for _ in range(3):
+            out = apply_batch(tag, sops if tag == "SzNagyU" else ops, out)
+            cells = [x for rows in out.blocks.values() for row in rows for x in row]
+            if field.is_rational:
+                assert out.den > 0 and gcd(out.den, *cells) == 1, tag
+            else:
+                assert out.den == 1 and all(0 <= x < field.modulus for x in cells), tag
+            assert list(out.blocks) == sorted(out.blocks)
+            assert all(any(map(any, rows)) for rows in out.blocks.values()), tag

@@ -169,7 +169,7 @@ def _check_axioms(field, a, b, c):
     assert A @ (B @ C) == (A @ B) @ C
     assert A @ (B + C) == A @ B + A @ C
     assert A - A == _scalar(field, field.zero())
-    assert A + _scalar(field, field.neg(a)) == _scalar(field, field.zero())
+    assert A + _scalar(field, -a) == _scalar(field, field.zero())  # -a read mod p
     if a != 0:
         assert A @ inverse(A) == _scalar(field, field.one())
 

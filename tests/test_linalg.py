@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactdilation.dilation import OPERATOR_TAGS, ando, sznagy, truncated_matrix
 from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import (
     DimensionMismatch,
@@ -26,6 +28,7 @@ from exactdilation.linalg import (
     vstack,
     zeros,
 )
+from exactdilation.pairs import PairRecipe, gen_pair
 from exactdilation.rng import SplitMix64, rand_matrix
 
 from oracles import col_to_plain, gauss_rank, plain_matvec, plain_mult, plain_rref, to_plain
@@ -334,3 +337,78 @@ def test_rank_nullity_hypothesis_gf(m):
 def test_rref_idempotent_hypothesis(m):
     r, _ = rref(m)
     assert rref(r)[0] == r
+
+
+# -- the canonical integer form -----------------------------------------------------------
+
+
+def assert_canonical(m):
+    """``m`` holds the unique integer form of its field: ``rows`` tuples of ``cols`` ints
+    over a positive ``den`` sharing no factor with all of them (Q), or residues over 1."""
+    assert isinstance(m.ints, tuple) and len(m.ints) == m.rows
+    assert all(isinstance(r, tuple) and len(r) == m.cols for r in m.ints)
+    assert all(type(x) is int for r in m.ints for x in r) and type(m.den) is int
+    p = m.field.modulus
+    if p is None:
+        assert m.den > 0 and gcd(m.den, *(x for r in m.ints for x in r)) == 1
+        assert m.entries == tuple(tuple(Fraction(x, m.den) for x in r) for r in m.ints)
+    else:
+        assert m.den == 1 and all(0 <= x < p for r in m.ints for x in r)
+        assert m.entries == m.ints
+
+
+def shaped_mats(field, r, c, entries=None):
+    if entries is None:
+        entries = small_entries(field)
+    return st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r).map(
+        lambda grid: Mat(field, r, c, tuple(map(tuple, grid))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from((RATIONAL, GF7)), st.data())
+def test_every_constructor_and_operation_is_canonical(field, data):
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, a2 = data.draw(shaped_mats(field, r, k)), data.draw(shaped_mats(field, r, k))
+    b, sq = data.draw(shaped_mats(field, k, c)), data.draw(shaped_mats(field, k, k))
+    results = [a, mat(field, [[field.fmt(x) for x in row] for row in a.entries]),
+               identity(field, k), zeros(field, r, c),
+               from_cols(field, r, [a.col(j) for j in range(k)]),
+               hstack(a, a2), vstack(a, a2, a), a.leading(r // 2, k - k // 2),
+               a + a2, a - a2, a - a, a @ b, rref(a)[0], kernel_basis(a)]
+    if is_invertible(sq):
+        results.append(inverse(sq))
+    for m in results:
+        assert_canonical(m)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.sampled_from((RATIONAL, GF7)), st.integers(1, 3), st.integers(0, 2**32))
+def test_truncated_matrices_are_canonical(field, d, seed):
+    t, s = gen_pair(PairRecipe("polynomial", d, field, seed=seed))
+    ops = {"SzNagyU": sznagy(t)}
+    ando_ops = ando(t, s)
+    for tag in OPERATOR_TAGS:
+        m = truncated_matrix(tag, ops.get(tag, ando_ops), 2)
+        assert_canonical(m)
+        assert_canonical(m.leading(d * 9, d * 5))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from((RATIONAL, GF7)), st.data())
+def test_equality_and_hash_follow_the_entries(field, data):
+    # few distinct entries, so that equal matrices are drawn often
+    few = st.sampled_from([field.coerce(x) for x in ("0", "1", "3")]
+                          + ([Fraction(1, 2), Fraction(-3, 2**70)] if field.is_rational else []))
+    r, c = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    a, b = data.draw(shaped_mats(field, r, c, few)), data.draw(shaped_mats(field, r, c, few))
+    # a sliced back out of a larger matrix whose extra entries change its denominator
+    big = vstack(hstack(a, data.draw(shaped_mats(field, r, 1, few))),
+                 data.draw(shaped_mats(field, 1, c + 1, few)))
+    sliced = big.leading(r, c)
+    assert_canonical(sliced)
+    for x, y in ((a, b), (a, sliced), (b, sliced), (a, a + zeros(field, r, c)),
+                 (a, b @ identity(field, c))):
+        assert (x == y) == (x.entries == y.entries)
+        if x == y:
+            assert hash(x) == hash(y)
+    assert a == sliced

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 import exactdilation.dilation as dilation_mod
+import exactdilation.verify as verify_mod
 from exactdilation.dilation import (
     AndoOperators,
     Generators,
@@ -15,8 +16,8 @@ from exactdilation.dilation import (
     sznagy_apply_u,
     truncated_matrix,
 )
-from exactdilation.fields import RATIONAL, gf
-from exactdilation.linalg import DimensionMismatch, identity, mat, matvec, zeros
+from exactdilation.fields import RATIONAL, FieldSpec, gf
+from exactdilation.linalg import DimensionMismatch, Mat, identity, mat, matvec, zeros
 from exactdilation.pairs import PairRecipe, gen_pair
 from exactdilation.rng import SplitMix64, rand_matrix
 from exactdilation.sequences import embed, project
@@ -235,6 +236,52 @@ def test_check_ando_reads_supplied_truncations_at_any_higher_level():
     low = (truncated_matrix("U", ops, FAST.max_trunc), truncated_matrix("V", ops, FAST.max_trunc))
     with pytest.raises(DimensionMismatch):
         check_ando(t, s, FAST, ops=ops, truncations=low)
+
+
+def _scalar_view_log(monkeypatch):
+    """Record every matrix product, every truncation the audit builds and the
+    integer grid behind every scalar view built (``FieldSpec.from_ints``)."""
+    log = {"products": [], "truncations": [], "views": []}
+    from_ints, matmul = FieldSpec.from_ints, Mat.__matmul__
+
+    def viewed(self, ints, den=1):
+        log["views"].append(ints)
+        return from_ints(self, ints, den)
+
+    def product(a, b):
+        log["products"].append(matmul(a, b))
+        return log["products"][-1]
+
+    def truncation(*args):
+        log["truncations"].append(truncated_matrix(*args))
+        return log["truncations"][-1]
+
+    monkeypatch.setattr(FieldSpec, "from_ints", viewed)
+    monkeypatch.setattr(Mat, "__matmul__", product)
+    monkeypatch.setattr(verify_mod, "truncated_matrix", truncation)
+    return log
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF7])
+def test_passing_audits_read_truncations_only_in_integer_form(field, monkeypatch):
+    # scalars are built for output alone: a passing audit builds no scalar view
+    # of U, V or the commutation products, nor of anything as tall as they are
+    d = 3
+    t, s = gen_pair(PairRecipe("polynomial", d, field, seed=11))
+    for audit in (lambda: check_sznagy(t, CheckParams(max_power=16, max_trunc=14)),
+                  lambda: check_ando(t, s)):
+        log = _scalar_view_log(monkeypatch)
+        assert audit().passed
+        tall = log["truncations"] + [m for m in log["products"] if m.rows > 4 * d]
+        assert len(log["truncations"]) in (1, 2)  # U for sznagy; U and V for ando
+        viewed = {id(ints) for ints in log["views"]}
+        assert not any(id(m.ints) in viewed for m in tall)
+        assert all(len(ints) <= 4 * d for ints in log["views"])
+        monkeypatch.undo()
+    # the commutation products are among the tall products: U_{K+1} V_K and V_{K+1} U_K
+    top = CheckParams().max_trunc
+    shape = (d * (4 * top + 9), d * (4 * top + 1))
+    assert sum((m.rows, m.cols) == shape for m in log["products"]) == 2
 
 
 def _per_vector_dilation_records(ops, sops, params):
