@@ -2,8 +2,10 @@
 
 Commands: ``sznagy`` (single-map suite), ``ando`` (two-map suite), ``gen``
 (write a problem file from a recipe).  Exit codes: 0 all checks pass, 1 a
-check failed (report still written), 2 input error, 3 non-commuting input.
-Reports are byte-identical across runs on the same input and flags.
+check failed (report still written), 2 input error (among them an output
+scalar past Python's int-to-text digit limit; then nothing is written),
+3 non-commuting input.  Reports are byte-identical across runs on the same
+input and flags.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from .dilation import NotCommuting, ando, level_block, truncated_matrix
-from .fields import RATIONAL, FieldSpec, gf
+from .fields import RATIONAL, FieldSpec, ScalarTooLarge, gf
 from .pairs import InvalidRecipe, PairRecipe, gen_pair
 from .problems import ProblemError, load_problem, mat_to_grid, problem_to_dict, resolve_pair
 from .verify import CheckParams, Report, check_ando, check_sznagy
@@ -52,6 +55,7 @@ def _add_check_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
+@cache  # built on the first call, then shared: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactdilation",
@@ -108,8 +112,11 @@ def _write(text: str, out_path):
             fh.write(text)
 
 
-def _emit_report(report: Report, args) -> int:
-    _write(report.to_json() if args.format == "json" else _render_text(report), args.out)
+def _emit(report: Report, args, *dump) -> int:
+    """Write the report and, given ``(text, path)``, a dump; both are rendered first."""
+    text = report.to_json() if args.format == "json" else _render_text(report)
+    for content, path in ((text, args.out), *dump):
+        _write(content, path)
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 
@@ -120,7 +127,7 @@ def _cmd_sznagy(args) -> int:
         print("warning: 'S' present in input is ignored by the single-map suite",
               file=sys.stderr)
     report = check_sznagy(t, _params(args), recipe=problem.recipe)
-    return _emit_report(report, args)
+    return _emit(report, args)
 
 
 def _cmd_ando(args) -> int:
@@ -141,13 +148,12 @@ def _cmd_ando(args) -> int:
         top = max(params.max_trunc + 1, k)
         truncations = (truncated_matrix("U", ops, top), truncated_matrix("V", ops, top))
     report = check_ando(t, s, params, recipe=problem.recipe, ops=ops, truncations=truncations)
-    status = _emit_report(report, args)
-    if k is not None:
-        u, v = (mat_to_grid(level_block(m, ops.d, k)) for m in truncations)
-        dump = {"trunc": k, "U": u, "V": v, "v": mat_to_grid(ops.v)}
-        _write(json.dumps(dump, sort_keys=True, indent=2) + "\n",
-               str(args.out) + ".operators.json")
-    return status
+    if k is None:
+        return _emit(report, args)
+    u, v = (mat_to_grid(level_block(m, ops.d, k)) for m in truncations)
+    dump = {"trunc": k, "U": u, "V": v, "v": mat_to_grid(ops.v)}
+    return _emit(report, args, (json.dumps(dump, sort_keys=True, indent=2) + "\n",
+                                str(args.out) + ".operators.json"))
 
 
 def _cmd_gen(args) -> int:
@@ -164,15 +170,14 @@ def _cmd_gen(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "sznagy":
             return _cmd_sznagy(args)
         if args.command == "ando":
             return _cmd_ando(args)
         return _cmd_gen(args)
-    except ProblemError as exc:
+    except (ProblemError, ScalarTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NotCommuting as exc:

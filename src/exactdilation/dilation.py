@@ -15,10 +15,13 @@ of the generator columns ((I-T)S e_i, 0, (I-S) e_i, 0) -- it must send them to
 completing both column families to bases (greedy scan, direction selectable).
 
 Operators act lazily on finite-support sequences, which is exact and total.
-They act on a ``Batch`` of columns in integer form, of which one ``FsVec`` is
-the width-1 case.  Matrices exist only as restrictions to truncations.  The
-truncation at level K is the subspace supported on coordinates 0..4K, and
-every operator here maps it into the truncation at level K+1.
+They act on a ``Batch`` of columns, whose coordinate blocks are canonical
+``Mat``s; one sequence is the width-1 case.  The head surgery multiplies
+coordinate 0 alone and hands the tail blocks on unchanged, and the block
+exchange makes one integer product per 4-block.  Matrices exist only as
+restrictions to truncations.  The truncation at level K is the subspace
+supported on coordinates 0..4K, and every operator here maps it into the
+truncation at level K+1.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .linalg import (
     zeros,
 )
 from .pairs import check_commute
-from .sequences import Batch, FsVec
+from .sequences import Batch
 
 __all__ = [
     "NotCommuting",
@@ -189,42 +192,37 @@ def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:
 # -- lazy actions on finite-support sequences -----------------------------------
 
 
-def _require_dim(ops, w):  # w is an FsVec or a Batch
-    if w.dim != ops.d or w.field != ops.field:
-        raise DimensionMismatch(
-            f"sequence over {w.field.label()}^{w.dim} fed to operators on "
-            f"{ops.field.label()}^{ops.d}"
-        )
-
-
 def _head_surgery(m: Mat, b: Batch, shift: int) -> Batch:
-    """(x_n) -> (M x0, (I-M) x0, then x1, x2, ... moved up by ``shift``), per column."""
-    mden = m.den
-    blocks = {n + shift: rows if mden == 1 else [[mden * x for x in row] for row in rows]
-              for n, rows in b.blocks.items() if n}
+    """(x_n) -> (M x0, (I-M) x0, then x1, x2, ... moved up by ``shift``), per column.
+
+    The tail blocks are handed on as they are, only re-keyed."""
+    head = {}
     x0 = b.blocks.get(0)
     if x0 is not None:
-        mx = int_product(m, x0, b.width)
-        blocks[0] = mx
-        blocks[1] = [[mden * x - y for x, y in zip(xr, yr)] for xr, yr in zip(x0, mx)]
-    return Batch.reduced(b.field, b.dim, b.width, blocks, b.den * mden, (0, 1))
+        mx = m @ x0
+        head = {n: y for n, y in ((0, mx), (1, x0 - mx)) if not y.is_zero()}
+    return Batch(b.field, b.dim, b.width,
+                 head | {n + shift: x for n, x in b.blocks.items() if n})
 
 
 def _block_exchange(vmat: Mat, b: Batch) -> Batch:
-    """Apply vmat to each 4-block of coordinates (4g+1 .. 4g+4) of every column, head untouched."""
-    d, width = b.dim, b.width
-    vden = vmat.den
-    blocks = {}
-    if 0 in b.blocks:
-        head = b.blocks[0]
-        blocks[0] = head if vden == 1 else [[vden * x for x in row] for row in head]
+    """Apply vmat to each 4-block of coordinates (4g+1 .. 4g+4) of every column, head untouched.
+
+    A 4-block's rows are gathered over the lcm of its blocks' denominators into
+    one integer product, which is cut back into four blocks."""
+    field, d, width = b.field, b.dim, b.width
+    blocks = {0: b.blocks[0]} if 0 in b.blocks else {}
     zero = [[0] * width] * d
-    for g in sorted({(n - 1) // 4 for n in b.blocks if n}):
-        x = [row for n in range(4 * g + 1, 4 * g + 5) for row in b.blocks.get(n, zero)]
-        y = int_product(vmat, x, width)
+    for g in dict.fromkeys((n - 1) // 4 for n in b.blocks if n):
+        xs = [b.blocks.get(n) for n in range(4 * g + 1, 4 * g + 5)]
+        den = lcm(*(x.den for x in xs if x is not None))
+        y = int_product(vmat, [r for x in xs for r in (zero if x is None else x.ints_over(den))],
+                        width)
         for k in range(4):
-            blocks[4 * g + 1 + k] = y[k * d:(k + 1) * d]
-    return Batch.reduced(b.field, d, width, blocks, b.den * vden, blocks.keys() - {0})
+            blk = Mat.from_ints(field, d, width, y[k * d:(k + 1) * d], den * vmat.den)
+            if not blk.is_zero():
+                blocks[4 * g + 1 + k] = blk
+    return Batch(field, d, width, blocks)
 
 
 # each operator as an action on a batch: U = W after W1, V = W2 after W^-1
@@ -253,49 +251,45 @@ def _action(tag: str, ops):
 def apply_batch(tag: str, ops, b: Batch) -> Batch:
     """The operator named ``tag`` (one of ``OPERATOR_TAGS``) applied to every column of ``b``."""
     action = _action(tag, ops)
-    _require_dim(ops, b)
+    if b.dim != ops.d or b.field != ops.field:
+        raise DimensionMismatch(f"sequence over {b.field.label()}^{b.dim} fed to operators on "
+                                f"{ops.field.label()}^{ops.d}")
     return action(ops, b)
 
 
-def _apply(tag: str, ops, w: FsVec) -> FsVec:
-    _require_dim(ops, w)
-    (out,) = _ACTIONS[tag](ops, Batch.of(ops.field, ops.d, (w,))).columns()
-    return out
-
-
-def sznagy_apply_u(ops: SzNagyOperators, w: FsVec) -> FsVec:
+def sznagy_apply_u(ops: SzNagyOperators, w: Batch) -> Batch:
     """(x_n) -> (T x0, (I-T) x0, x1, x2, ...)."""
-    return _apply("SzNagyU", ops, w)
+    return apply_batch("SzNagyU", ops, w)
 
 
-def apply_w1(ops: AndoOperators, w: FsVec) -> FsVec:
+def apply_w1(ops: AndoOperators, w: Batch) -> Batch:
     """(x_n) -> (T x0, (I-T) x0, 0, x1, x2, ...)."""
-    return _apply("W1", ops, w)
+    return apply_batch("W1", ops, w)
 
 
-def apply_w2(ops: AndoOperators, w: FsVec) -> FsVec:
+def apply_w2(ops: AndoOperators, w: Batch) -> Batch:
     """(x_n) -> (S x0, (I-S) x0, 0, x1, x2, ...)."""
-    return _apply("W2", ops, w)
+    return apply_batch("W2", ops, w)
 
 
-def apply_w(ops: AndoOperators, w: FsVec) -> FsVec:
+def apply_w(ops: AndoOperators, w: Batch) -> Batch:
     """v on each 4-block of coordinates past the head."""
-    return _apply("W", ops, w)
+    return apply_batch("W", ops, w)
 
 
-def apply_w_inv(ops: AndoOperators, w: FsVec) -> FsVec:
+def apply_w_inv(ops: AndoOperators, w: Batch) -> Batch:
     """v_inv on each 4-block of coordinates past the head."""
-    return _apply("Winv", ops, w)
+    return apply_batch("Winv", ops, w)
 
 
-def apply_u(ops: AndoOperators, w: FsVec) -> FsVec:
+def apply_u(ops: AndoOperators, w: Batch) -> Batch:
     """U = W after W1."""
-    return _apply("U", ops, w)
+    return apply_batch("U", ops, w)
 
 
-def apply_v(ops: AndoOperators, w: FsVec) -> FsVec:
+def apply_v(ops: AndoOperators, w: Batch) -> Batch:
     """V = W2 after the inverse of W."""
-    return _apply("V", ops, w)
+    return apply_batch("V", ops, w)
 
 
 # -- truncated matrix realizations ------------------------------------------------
@@ -330,15 +324,16 @@ def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
                 raise SupportOverflow(
                     f"{tag} pushed coordinate {coords[c // d]} to {top}, past level {level + 1}")
         images.append((d * coords[0], img))
-    # each batch is in lowest terms, so over the lcm of their denominators the
+    # each block is in lowest terms, so over the lcm of their denominators the
     # grid is in the canonical form of FieldSpec.reduce_ints already
-    den = lcm(*(img.den for _, img in images))
+    den = lcm(*(x.den for _, img in images for x in img.blocks.values()))
     grid = [[0] * (d * n_in) for _ in range(d * n_out)]
     for first, img in images:
-        scale = den // img.den
-        for n, rows in img.blocks.items():
-            for out, row in zip(grid[n * d:(n + 1) * d], rows):
-                for c in compress(range(img.width), row):
+        index = range(img.width)
+        for n, x in img.blocks.items():
+            scale = den // x.den
+            for out, row in zip(grid[n * d:(n + 1) * d], x.ints):
+                for c in compress(index, row):
                     out[first + c] = scale * row[c]
     for i, row in enumerate(grid):  # one row at a time, so the grid is never held twice
         grid[i] = tuple(row)

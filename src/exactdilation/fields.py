@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-__all__ = ["FieldSpec", "RATIONAL", "gf", "MAX_MODULUS"]
+__all__ = ["FieldSpec", "RATIONAL", "gf", "MAX_MODULUS", "ScalarTooLarge"]
 
 _INTEGER_RE = re.compile(r"-?[0-9]+\Z")
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)\Z")
@@ -37,6 +37,10 @@ _ONE = Fraction(1)
 # 2017); larger moduli are refused rather than tested probabilistically.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_MODULUS = 3317044064679887385961981 - 1
+
+
+class ScalarTooLarge(ValueError):
+    """A scalar has more digits than Python turns into text (``sys.set_int_max_str_digits``)."""
 
 
 def _is_prime(n: int) -> bool:
@@ -190,7 +194,10 @@ class FieldSpec:
         raise ValueError(f"not a {self.label()} residue: {s!r}")
 
     def fmt(self, x) -> str:
-        return str(x)
+        try:
+            return str(x)
+        except ValueError as exc:  # past the int-to-text digit limit
+            raise ScalarTooLarge(f"an output scalar is too large to write: {exc}") from None
 
     # -- JSON form --------------------------------------------------------------
 

@@ -116,6 +116,14 @@ class Mat:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def is_zero(self) -> bool:
+        return not any(map(any, self.ints))
+
+    def ints_over(self, den: int) -> tuple:
+        """The int rows rescaled to the multiple ``den`` of the denominator."""
+        s = den // self.den
+        return self.ints if s == 1 else tuple([tuple([s * x for x in r]) for r in self.ints])
+
     def leading(self, rows: int, cols: int) -> "Mat":
         """The top-left ``rows x cols`` block, sliced off the integer form; a block of
         integers over 1 (every matrix over GF(p)) is in canonical form already."""
@@ -206,19 +214,13 @@ def from_cols(field: FieldSpec, height: int, cols: Sequence[Sequence]) -> Mat:
     return Mat(field, height, len(cols), rows)
 
 
-def _over(m: Mat, den: int) -> tuple:
-    """The int rows of ``m`` rescaled to the multiple ``den`` of its denominator."""
-    s = den // m.den
-    return m.ints if s == 1 else tuple([tuple([s * x for x in r]) for r in m.ints])
-
-
 def hstack(a: Mat, b: Mat) -> Mat:
     if a.field != b.field or a.rows != b.rows:
         raise DimensionMismatch("hstack needs equal row counts over one field")
     # canonical forms over the lcm of their denominators combine into a canonical form
     den = lcm(a.den, b.den)
     return Mat.from_ints(a.field, a.rows, a.cols + b.cols,
-                         tuple(map(tuple.__add__, _over(a, den), _over(b, den))), den,
+                         tuple(map(tuple.__add__, a.ints_over(den), b.ints_over(den))), den,
                          canonical=True)
 
 
@@ -227,7 +229,7 @@ def vstack(*mats: Mat) -> Mat:
     if any(m.field != first.field or m.cols != first.cols for m in mats):
         raise DimensionMismatch("vstack needs equal column counts over one field")
     den = lcm(*(m.den for m in mats))
-    rows = tuple(r for m in mats for r in _over(m, den))
+    rows = tuple(r for m in mats for r in m.ints_over(den))
     return Mat.from_ints(first.field, len(rows), first.cols, rows, den, canonical=True)
 
 

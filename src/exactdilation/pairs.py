@@ -112,12 +112,9 @@ def gen_pair(recipe: PairRecipe) -> tuple[Mat, Mat]:
                 and t.field == s.field == field):
             raise InvalidRecipe("explicit matrices do not match the declared shape or field")
         return t, s
-    if recipe.kind == "polynomial":
-        a = rand_matrix(rng, field, d, recipe.height)
-        t = matrix_polynomial(a, _rand_poly(rng, field, recipe.degree, recipe.height))
-        s = matrix_polynomial(a, _rand_poly(rng, field, recipe.degree, recipe.height))
-    elif recipe.kind == "upper_triangular":
-        a = _rand_upper_triangular(rng, field, d, recipe.height)
+    if recipe.kind in ("polynomial", "upper_triangular"):
+        draw = rand_matrix if recipe.kind == "polynomial" else _rand_upper_triangular
+        a = draw(rng, field, d, recipe.height)
         t = matrix_polynomial(a, _rand_poly(rng, field, recipe.degree, recipe.height))
         s = matrix_polynomial(a, _rand_poly(rng, field, recipe.degree, recipe.height))
     elif recipe.kind == "diagonal":

@@ -3,7 +3,10 @@
 Each check is recorded, never raised: a report collects one record per claim
 (dilation equations, commutation, injectivity, exchange-map coherence,
 well-definedness), with a minimal counterexample attached to any failure.
-All comparisons are exact; there is no tolerance anywhere.
+All comparisons are exact; there is no tolerance anywhere.  The
+dilation-equation records step every trial vector at once, as one
+``Batch``, and compare its coordinate 0 with the plain matrix products
+``T^n X`` and ``T^n S^m X`` of the matrix ``X`` of trial vectors.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from .dilation import (
     truncated_matrix,
 )
 from .fields import FieldSpec
-from .linalg import Mat, column_ranks, int_product, kernel_basis
+from .linalg import Mat, column_ranks, from_cols, kernel_basis, zeros
 from .pairs import PairRecipe, check_commute
 from .rng import SplitMix64, rand_column
-from .sequences import Batch, embed
+from .sequences import Batch
 
 __all__ = ["CheckParams", "CheckRecord", "Report", "check_sznagy", "check_ando",
            "check_negative", "report_from_json"]
@@ -128,29 +131,20 @@ def _meta(kind: str, field: FieldSpec, d: int, params: CheckParams,
             "recipe": recipe.to_dict() if recipe is not None else None}
 
 
-def _times(m: Mat, x: Batch) -> Batch:
-    """``m`` applied to coordinate 0 of ``x``, its only coordinate."""
-    head = x.blocks.get(0)
-    blocks = {0: int_product(m, head, x.width)} if head else {}
-    return Batch.reduced(x.field, x.dim, x.width, blocks, x.den * m.den, (0,))
-
-
-def _powers(failures: dict, tag: str, ops, t: Mat, w: Batch, tx: Batch, xs: list,
+def _powers(failures: dict, tag: str, ops, t: Mat, w: Batch, tx: Mat, xs: list,
             n_max: int, **exps):
-    """Step ``w`` by the operator ``tag`` and ``tx`` by ``t``, ``n_max`` times.  At
-    each step record every column, not failed before, whose coordinate 0
-    differs between the two; compared in integer form."""
-    field, zero = w.field, [[0] * w.width] * w.dim
+    """Step ``w`` by the operator ``tag`` and its expected coordinate 0, ``tx``, by
+    ``t``, ``n_max`` times.  At each step record every column, not failed before,
+    whose coordinate 0 differs from ``tx``; compared in integer form."""
+    field, zero = w.field, zeros(w.field, w.dim, w.width)
     for n in range(n_max + 1):
         if n:
-            w, tx = apply_batch(tag, ops, w), _times(t, tx)
-        got, want = w.blocks.get(0, zero), tx.blocks.get(0, zero)
-        for c, x in enumerate(xs):
-            if c not in failures and any(h[c] * tx.den != e[c] * w.den
-                                         for h, e in zip(got, want)):
-                failures[c] = dict(exps, n=n, x=[field.fmt(a) for a in x],
-                                   expected=[field.fmt(e[c]) for e in tx.head()],
-                                   actual=[field.fmt(h[c]) for h in w.head()])
+            w, tx = apply_batch(tag, ops, w), t @ tx
+        got = w.blocks.get(0, zero)
+        for c in sorted({j for _, j in _mismatches(got, tx)} - failures.keys()):
+            failures[c] = dict(exps, n=n, x=[field.fmt(a) for a in xs[c]],
+                               expected=[field.fmt(e) for e in tx.col(c)],
+                               actual=[field.fmt(h) for h in got.col(c)])
 
 
 def _dilation_record(name: str, params: CheckParams, failures: dict) -> CheckRecord:
@@ -187,9 +181,10 @@ def check_sznagy(t: Mat, params: CheckParams = CheckParams(),
     ops = sznagy(t)
     field, d = ops.field, ops.d
     xs = _trial_vectors(field, d, params)
-    b = Batch.of(field, d, [embed(field, x) for x in xs])
+    x = from_cols(field, d, xs)
+    b = Batch.of(field, d, len(xs), {0: x})
     failures: dict = {}
-    _powers(failures, "SzNagyU", ops, t, b, b, xs, params.max_power)
+    _powers(failures, "SzNagyU", ops, t, b, x, xs, params.max_power)
     top = truncated_matrix("SzNagyU", ops, params.max_trunc)
     records = [_dilation_record("dilation_equation", params, failures),
                _injectivity_record("injectivity_u", top, d, params)]
@@ -203,11 +198,12 @@ def _bivariate_record(ops: AndoOperators, params: CheckParams) -> CheckRecord:
     """P U^n V^m = T^n S^m P for n, m <= max_power, all trial vectors as one batch."""
     field, n_max = ops.field, params.max_power
     xs = _trial_vectors(field, ops.d, params)
-    wv = sx = Batch.of(field, ops.d, [embed(field, x) for x in xs])
+    sx = from_cols(field, ops.d, xs)
+    wv = Batch.of(field, ops.d, len(xs), {0: sx})
     failures: dict = {}
     for m_exp in range(n_max + 1):
         if m_exp:
-            wv, sx = apply_batch("V", ops, wv), _times(ops.S, sx)
+            wv, sx = apply_batch("V", ops, wv), ops.S @ sx
         _powers(failures, "U", ops, ops.T, wv, sx, xs, n_max, m=m_exp)
     return _dilation_record("bivariate_dilation_equation", params, failures)
 

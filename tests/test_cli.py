@@ -406,3 +406,48 @@ def test_module_invocation(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(out.read_text(encoding="utf-8"))["dim"] == 2
+
+
+def test_huge_output_scalar_exits_2_and_writes_nothing(tmp_path, capsys):
+    # 4200-digit entries parse (Python's int-to-text limit is 4300 digits), but
+    # the dumped operators hold longer ones: one error line, exit 2, and neither
+    # the report nor the dump is written
+    big = "1" + "0" * 4199
+    path = write_problem(tmp_path / "p.json", {"field": {"kind": "rational"}, "dim": 2,
+                                               "T": [[big, "1"], ["0", big]],
+                                               "S": [["2", "3"], ["0", "2"]]})
+    out = tmp_path / "report.json"
+    argv = ["ando", "--input", path, "--out", str(out), "--trunc", "0", "--max-power", "1",
+            "--trials", "1"]
+    assert main(argv + ["--dump-operators", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "too large to write" in captured.err
+    assert list(tmp_path.iterdir()) == [tmp_path / "p.json"]
+    assert main(argv) == 0  # the report alone has no such scalar
+    assert report_from_json(out.read_text(encoding="utf-8")).passed
+
+
+def test_parser_is_built_once_on_first_call():
+    # not at import, so the import time does not grow; then shared by every call
+    script = (
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "real_init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    real_init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import exactdilation.cli as cli\n"
+        "assert not built, 'parser built at import'\n"
+        "counts = []\n"
+        "for _ in range(3):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['gen', '--kind', 'diagonal', '--dim', '1']) == 0\n"
+        "    counts.append(len(built))\n"
+        "assert counts[0] > 0 and counts == counts[:1] * 3, counts\n")
+    src_dir = Path(cli_mod.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src_dir)), timeout=120)
+    assert proc.returncode == 0, proc.stderr

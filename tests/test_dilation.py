@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -49,6 +49,7 @@ from exactdilation.rng import SplitMix64, rand_column, rand_matrix
 from exactdilation.sequences import Batch, embed, fsvec, project, to_coords, zero_fsvec
 
 from oracles import col_to_plain, lazy_action, plain_matvec, plain_pow_vec, to_plain
+from test_linalg import assert_canonical
 
 GF7 = gf(7)
 FIELDS = (RATIONAL, GF7)
@@ -65,6 +66,21 @@ def rand_fsvec(rng, field, d, max_coord, density=2):
         if rng.below(density) == 0:
             items.append((n, rand_column(rng, field, d, height=4)))
     return fsvec(field, d, items)
+
+
+def side_by_side(field, d, ws):
+    """One batch whose columns are the single sequences ``ws``."""
+    zero = zeros(field, d, 1)
+    coords = sorted({n for w in ws for n in w.blocks})
+    return Batch.of(field, d, len(ws),
+                    {n: reduce(hstack, [w.blocks.get(n, zero) for w in ws]) for n in coords})
+
+
+def columns(b):
+    """The columns of a batch, each as one sequence."""
+    return [Batch.of(b.field, b.dim, 1, {n: from_cols(b.field, b.dim, [x.col(c)])
+                                         for n, x in b.blocks.items()})
+            for c in range(b.width)]
 
 
 # -- single-map action ------------------------------------------------------------
@@ -163,13 +179,15 @@ def test_half_shift_dimension_mismatch():
 def test_every_action_rejects_wrong_dimension_or_field(tag):
     ops = sznagy(identity(RATIONAL, 2)) if tag == "SzNagyU" else _ando_identity(RATIONAL, 2)
     single = SINGLE_ACTIONS[tag]
-    for bad in (embed(RATIONAL, (1, 2, 3)), embed(GF7, (1, 1)), zero_fsvec(GF7, 2)):
+    for bad in (embed(RATIONAL, (1, 2, 3)), embed(GF7, (1, 1)), zero_fsvec(GF7, 2),
+                side_by_side(GF7, 2, [embed(GF7, (1, 1)), embed(GF7, (0, 1))])):
         with pytest.raises(DimensionMismatch):
             single(ops, bad)
         with pytest.raises(DimensionMismatch):
-            apply_batch(tag, ops, Batch.of(bad.field, bad.dim, [bad]))
+            apply_batch(tag, ops, bad)
     with pytest.raises(DimensionMismatch):  # one batch holds one field and one dimension
-        Batch.of(RATIONAL, 2, [embed(RATIONAL, (1, 2)), embed(GF7, (1, 1))])
+        Batch.of(RATIONAL, 2, 1, {0: embed(RATIONAL, (1, 2)).blocks[0],
+                                  1: embed(GF7, (1, 1)).blocks[0]})
 
 
 # -- generators --------------------------------------------------------------------------
@@ -492,7 +510,7 @@ def test_support_overflow_checks_each_column_at_its_own_level(monkeypatch):
     # range (0..12), but past level 1 (0..8), the lowest level holding it
     def far_shift(ops, b):
         return Batch(b.field, b.dim, b.width,
-                     {n + 8 if n else 0: rows for n, rows in b.blocks.items()}, b.den)
+                     {n + 8 if n else 0: x for n, x in b.blocks.items()})
 
     monkeypatch.setitem(dilation_mod._ACTIONS, "W", far_shift)
     ops = _ando_identity(RATIONAL, 1)
@@ -603,7 +621,7 @@ def _commuting_pair(kind, field, d, rng):
 
 
 def _plain_seq(field, w):
-    return {n: col_to_plain(field, col) for n, col in w.blocks}
+    return {n: col_to_plain(field, x.col(0)) for n, x in w.blocks.items()}
 
 
 @settings(deadline=None, max_examples=30)
@@ -636,10 +654,10 @@ def test_lazy_actions_match_plain_oracle(field, d, completion, kind, seed):
                 for idx, col in lazy_action(tag, *plain, e, p).items():
                     want[idx * d:(idx + 1) * d] = col
                 assert list(m.col(n * d + i)) == want, (tag, n, i)
-        out = apply_batch(tag, tag_ops, Batch.of(field, d, ws))
-        assert out.columns() == [single(tag_ops, w) for w in ws], tag
+        out = apply_batch(tag, tag_ops, side_by_side(field, d, ws))
+        assert columns(out) == [single(tag_ops, w) for w in ws], tag
         # a batch stores exactly the coordinates where some column is nonzero
-        assert list(out.blocks) == sorted({n for w in out.columns() for n, _ in w.blocks})
+        assert list(out.blocks) == sorted({n for w in columns(out) for n in w.blocks})
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -666,20 +684,38 @@ def test_deep_sznagy_truncation_matches_plain_oracle(field):
 @settings(deadline=None, max_examples=20)
 @given(field=st.sampled_from(FIELDS), d=st.integers(1, 3), seed=st.integers(0, 2**32))
 def test_every_action_keeps_its_batch_in_lowest_terms(field, d, seed):
-    # over GF(p) an action reduces only the coordinates a product wrote and keeps
-    # the rest as they are, so every block of every result is checked here
+    # each block of a batch is a canonical Mat of its own, kept as it is when an
+    # action hands it on, so every block of every result is checked here
     rng = SplitMix64(seed)
     t, s = gen_pair(PairRecipe("polynomial", d, field, seed=seed))
     ops, sops = ando(t, s), sznagy(t)
-    start = Batch.of(field, d, [rand_fsvec(rng, field, d, 8) for _ in range(3)])
+    start = side_by_side(field, d, [rand_fsvec(rng, field, d, 8) for _ in range(3)])
     for tag in OPERATOR_TAGS:
         out = start
         for _ in range(3):
             out = apply_batch(tag, sops if tag == "SzNagyU" else ops, out)
-            cells = [x for rows in out.blocks.values() for row in rows for x in row]
-            if field.is_rational:
-                assert out.den > 0 and gcd(out.den, *cells) == 1, tag
-            else:
-                assert out.den == 1 and all(0 <= x < field.modulus for x in cells), tag
+            assert (out.field, out.dim, out.width) == (field, d, 3), tag
             assert list(out.blocks) == sorted(out.blocks)
-            assert all(any(map(any, rows)) for rows in out.blocks.values()), tag
+            for x in out.blocks.values():
+                assert_canonical(x)
+                assert x.field == field and (x.rows, x.cols) == (d, 3), tag
+                assert not x.is_zero(), tag
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("tag, shift", [("W1", 2), ("W2", 2), ("SzNagyU", 1)])
+def test_head_surgery_hands_the_tail_on_unchanged(field, tag, shift):
+    # only coordinate 0 is multiplied: every tail block comes back as the same
+    # object, re-keyed, whatever the denominators of T and of the head
+    q = field.is_rational
+    t = mat(field, [["1/3", 2], [0, "5/7"]] if q else [[3, 2], [0, 5]])
+    ops = sznagy(t) if tag == "SzNagyU" else ando(t, t @ t)
+    half, fifth, ninth = ("1/2", "1/5", "2/9") if q else (4, 3, 5)
+    w = side_by_side(field, 2, [fsvec(field, 2, {0: (half, 1), 1: (3, fifth), 6: (0, 2)}),
+                                fsvec(field, 2, {0: (4, 0), 3: (ninth, 0), 6: (1, 1)})])
+    out = apply_batch(tag, ops, w)
+    assert [n for n in out.blocks if n > 1] == [n + shift for n in w.blocks if n]
+    for n, x in w.blocks.items():
+        if n:
+            assert out.blocks[n + shift] is x, (tag, n)
+    assert out.blocks[0] == (ops.S if tag == "W2" else t) @ w.blocks[0]

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from exactdilation.fields import RATIONAL, gf
-from exactdilation.linalg import DimensionMismatch
+from exactdilation.linalg import DimensionMismatch, from_cols, mat, zeros
 from exactdilation.sequences import (
-    FsVec,
+    Batch,
     block,
     embed,
     from_coords,
@@ -15,20 +15,24 @@ from exactdilation.sequences import (
     zero_fsvec,
 )
 
+from test_linalg import assert_canonical
+
 GF7 = gf(7)
 
 
 def test_embed_zero_gives_empty():
     w = embed(RATIONAL, (0, 0))
-    assert w.blocks == () and w.is_zero()
+    assert w.blocks == {} and w == zero_fsvec(RATIONAL, 2)
+    assert (w.dim, w.width) == (2, 1)
     assert w.max_support() == -1
 
 
 def test_embed_places_at_coordinate_zero():
     w = embed(RATIONAL, (1, 0))
-    assert w.blocks == ((0, (Fraction(1), Fraction(0))),)
+    assert list(w.blocks) == [0] and w.blocks[0] == mat(RATIONAL, [[1], [0]])
     w = embed(RATIONAL, (3, "-1/2"))
-    assert w.blocks == ((0, (Fraction(3), Fraction(-1, 2))),)
+    assert w.blocks == {0: mat(RATIONAL, [[3], ["-1/2"]])}
+    assert w.blocks[0].ints == ((6,), (-1,)) and w.blocks[0].den == 2
 
 
 def test_project_round_trip():
@@ -45,7 +49,17 @@ def test_project_reads_coordinate_zero_only():
 
 def test_fsvec_canonicalizes():
     w = fsvec(GF7, 2, [(5, (0, 0)), (2, (1, 6)), (0, (7, 1))])
-    assert w.blocks == ((0, (0, 1)), (2, (1, 6)))
+    assert list(w.blocks) == [0, 2]  # sorted, the zero block at 5 dropped
+    assert w.blocks == {0: mat(GF7, [[0], [1]]), 2: mat(GF7, [[1], [6]])}
+    # equal sequences are equal however their entries are written
+    assert fsvec(RATIONAL, 1, {0: ("2/4",)}) == embed(RATIONAL, ("1/2",))
+    assert fsvec(RATIONAL, 1, {0: ("2/4",)}) != embed(RATIONAL, ("1/3",))
+    assert fsvec(RATIONAL, 2, {3: (2, 4), 1: ("1/3", 0)}) == from_coords(
+        RATIONAL, 2, (0, 0, "1/3", 0, 0, 0, 2, 4))
+    for w in (fsvec(RATIONAL, 2, {1: ("2/4", "3/9"), 4: (6, 0)}), fsvec(GF7, 2, {0: (9, 14)})):
+        for m in w.blocks.values():
+            assert_canonical(m)
+            assert (m.rows, m.cols) == (2, 1)
 
 
 def test_block_lookup():
@@ -58,17 +72,36 @@ def test_block_lookup():
 
 def test_fsvec_validation():
     with pytest.raises(ValueError):
-        FsVec(RATIONAL, 1, ((0, (Fraction(1),)), (0, (Fraction(2),))))  # duplicate index
+        fsvec(RATIONAL, 1, [(0, (1,)), (0, (2,))])  # duplicate index
     with pytest.raises(ValueError):
-        FsVec(RATIONAL, 1, ((1, (Fraction(1),)), (0, (Fraction(2),))))  # out of order
+        fsvec(RATIONAL, 1, {-1: (1,)})
     with pytest.raises(ValueError):
-        FsVec(RATIONAL, 1, ((-1, (Fraction(1),)),))
-    with pytest.raises(ValueError):
-        FsVec(RATIONAL, 1, ((0, (Fraction(0),)),))  # stored zero block
-    with pytest.raises(ValueError):
-        FsVec(RATIONAL, 2, ((0, (Fraction(1),)),))  # wrong height
+        fsvec(RATIONAL, 1, {-1: (0,)})  # negative even when zero
     with pytest.raises(DimensionMismatch):
-        fsvec(RATIONAL, 2, {0: (1, 2, 3)})
+        fsvec(RATIONAL, 2, {0: (1, 2, 3)})  # wrong height
+    with pytest.raises(DimensionMismatch):
+        fsvec(RATIONAL, 2, {0: (1,)})
+    # Batch.of checks every block against the batch's field and shape
+    with pytest.raises(DimensionMismatch):
+        Batch.of(RATIONAL, 2, 1, {0: from_cols(GF7, 2, [(1, 1)])})
+    with pytest.raises(DimensionMismatch):
+        Batch.of(RATIONAL, 2, 2, {0: from_cols(RATIONAL, 2, [(1, 1)])})
+    with pytest.raises(ValueError):
+        Batch.of(RATIONAL, 2, 1, {-3: from_cols(RATIONAL, 2, [(1, 1)])})
+    two = Batch.of(RATIONAL, 2, 2, {4: zeros(RATIONAL, 2, 2), 1: mat(RATIONAL, [[1, 0], [0, 2]])})
+    assert list(two.blocks) == [1] and two.supports() == [1, 1]
+
+
+def test_one_sequence_readers_reject_other_widths():
+    two = Batch.of(RATIONAL, 2, 2, {0: mat(RATIONAL, [[1, 0], [0, 2]])})
+    none = Batch(RATIONAL, 2, 0, {})
+    for w in (two, none):
+        with pytest.raises(DimensionMismatch):
+            project(w)
+        with pytest.raises(DimensionMismatch):
+            block(w, 3)
+        with pytest.raises(DimensionMismatch):
+            to_coords(w, 4)
 
 
 def test_coords_round_trip():
@@ -86,7 +119,7 @@ def test_coords_round_trip():
 
 def test_dim_zero():
     w = embed(RATIONAL, ())
-    assert w.dim == 0 and w.is_zero()
+    assert w.dim == 0 and w.blocks == {}
     assert project(w) == ()
     assert to_coords(w, 4) == ()
     assert from_coords(RATIONAL, 0, ()) == w
