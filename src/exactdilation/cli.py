@@ -120,6 +120,23 @@ def _emit(report: Report, args, *dump) -> int:
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 
+def _grid_json(dump: dict) -> str:
+    """``json.dumps(dump, sort_keys=True, indent=2) + "\\n"`` for a dict of ints and
+    grids of scalar text, written directly: with ``indent`` the json module
+    encodes in pure Python.  Scalar text holds nothing JSON escapes."""
+    items = []
+    for key in sorted(dump):
+        value = dump[key]
+        if isinstance(value, int):
+            text = str(value)
+        else:
+            rows = ('[\n      "' + '",\n      "'.join(row) + '"\n    ]' if row else "[]"
+                    for row in value)
+            text = "[\n    " + ",\n    ".join(rows) + "\n  ]" if value else "[]"
+        items.append(f'  "{key}": {text}')
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
 def _cmd_sznagy(args) -> int:
     problem = load_problem(args.input)
     t, s = resolve_pair(problem)
@@ -152,8 +169,7 @@ def _cmd_ando(args) -> int:
         return _emit(report, args)
     u, v = (mat_to_grid(level_block(m, ops.d, k)) for m in truncations)
     dump = {"trunc": k, "U": u, "V": v, "v": mat_to_grid(ops.v)}
-    return _emit(report, args, (json.dumps(dump, sort_keys=True, indent=2) + "\n",
-                                str(args.out) + ".operators.json"))
+    return _emit(report, args, (_grid_json(dump), str(args.out) + ".operators.json"))
 
 
 def _cmd_gen(args) -> int:

@@ -34,14 +34,13 @@ from .fields import FieldSpec
 from .linalg import (
     DimensionMismatch,
     Mat,
+    _row_echelon,
     complete_basis,
-    from_cols,
+    completion_inverse,
     hstack,
     identity,
     int_product,
-    inverse,
     rank,
-    rref,
     vstack,
     zeros,
 )
@@ -151,25 +150,34 @@ def build_generators(t: Mat, s: Mat) -> Generators:
     return Generators(g, h)
 
 
+def _columns(m: Mat, index) -> Mat:
+    """The columns ``index`` of ``m``, sliced off the integer form."""
+    return Mat.from_ints(m.field, m.rows, len(index),
+                         [[row[j] for j in index] for row in m.ints], m.den)
+
+
 def build_v(gens: Generators, completion: str = "forward") -> tuple[Mat, Mat]:
     """Extend the generator correspondence to an invertible map on F^(4d).
 
-    Pivot columns of G form a basis of the source span; the same columns of H
-    form a basis of the target span.  Both are completed to bases of F^(4d)
-    by greedy standard-vector scan, and v is the change of basis sending one
-    completed family to the other.  Returns (v, v_inv), both exact.
+    Pivot columns of G, from one forward elimination, form a basis of the
+    source span; the same columns of H form a basis of the target span.  Both
+    are completed to bases of F^(4d) by greedy standard-vector scan, and v is
+    the change of basis sending one completed family to the other:
+    ``v = target source^-1`` and ``v_inv = source target^-1``, each inverse
+    taken through one inverse of size rank G (``completion_inverse``), so
+    v_inv is computed independently of v.  Returns (v, v_inv), both exact.
     """
     g, h = gens.G, gens.H
     dim4 = g.rows
-    _, pivots = rref(g)
+    pivots = sorted(_row_echelon(g))
     if rank(h) != len(pivots):
         raise ExtensionFailure("generator ranks differ")
-    g_basis = from_cols(g.field, dim4, [g.col(j) for j in pivots])
-    h_basis = from_cols(h.field, dim4, [h.col(j) for j in pivots])
-    source = hstack(g_basis, complete_basis(g_basis, dim4, scan=completion))
-    target = hstack(h_basis, complete_basis(h_basis, dim4, scan=completion))
-    v = target @ inverse(source)
-    return v, inverse(v)
+    g_basis, h_basis = _columns(g, pivots), _columns(h, pivots)
+    g_fill = complete_basis(g_basis, dim4, scan=completion)
+    h_fill = complete_basis(h_basis, dim4, scan=completion)
+    v = hstack(h_basis, h_fill) @ completion_inverse(g_basis, g_fill)
+    v_inv = hstack(g_basis, g_fill) @ completion_inverse(h_basis, h_fill)
+    return v, v_inv
 
 
 def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:
@@ -177,7 +185,9 @@ def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:
 
     ``v G = H`` is left to the ``v_coherence`` record of every two-map report.
     ``v v_inv = I`` is checked nowhere else, so a failure raises
-    ExtensionFailure instead of tripping an assert that ``python -O`` strips.
+    ExtensionFailure instead of tripping an assert that ``python -O`` strips;
+    ``build_v`` computes the two factors independently, so the product
+    cross-checks them.
     """
     _require_square_pair(t, s)
     if not check_commute(t, s):

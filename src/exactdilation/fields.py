@@ -9,7 +9,8 @@ denominator to the canonical form (over Q, a positive denominator with no
 factor common to every entry; over GF(p), residues over 1), and
 ``reduce_row`` and ``pivot_row`` keep elimination rows small.  Scalars are
 met only at the edges: ``to_ints`` reads a grid of them into integer form,
-and ``from_ints`` builds them back for output.
+and ``from_ints`` builds them back for output; ``fmt_ints`` writes the text of
+a whole grid straight from its integer form.
 
 Scalar text grammar: integer ``-?[0-9]+``, rational ``-?[0-9]+/[1-9][0-9]*``,
 prime-field residue ``[0-9]+``.
@@ -198,6 +199,22 @@ class FieldSpec:
             return str(x)
         except ValueError as exc:  # past the int-to-text digit limit
             raise ScalarTooLarge(f"an output scalar is too large to write: {exc}") from None
+
+    def fmt_ints(self, ints, den: int = 1) -> list:
+        """The text of every scalar of the canonical grid ``ints / den``, row by row,
+        written from the integers without building scalars: over Q, ``x // g`` or
+        ``x // g`` and ``den // g`` joined by ``/``, with ``g = gcd(x, den)``.
+        Each distinct integer is written once."""
+        values = set().union(*ints)
+        try:
+            if self.modulus is not None or den == 1:
+                texts = {x: str(x) for x in values}
+            else:
+                texts = {x: str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
+                         for x in values}
+        except ValueError as exc:  # past the int-to-text digit limit
+            raise ScalarTooLarge(f"an output scalar is too large to write: {exc}") from None
+        return [list(map(texts.__getitem__, row)) for row in ints]
 
     # -- JSON form --------------------------------------------------------------
 

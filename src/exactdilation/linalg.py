@@ -39,6 +39,7 @@ __all__ = [
     "column_ranks",
     "kernel_basis",
     "complete_basis",
+    "completion_inverse",
     "is_invertible",
     "inverse",
 ]
@@ -384,6 +385,11 @@ def complete_basis(basis_cols: Mat, ambient_dim: int, scan: str = "forward") -> 
     Scans standard basis vectors in index order (``scan="forward"``) or in
     reversed index order (``scan="reverse"``) and keeps each one that enlarges
     the span.  Deterministic given the inputs and the scan direction.
+
+    The forward scan skips e_i exactly when some vector of the span of the
+    input ends at coordinate i (the reverse scan: starts at i), so the kept
+    vectors are the complement of the leads of one elimination of the input
+    columns, run on coordinates in reversed order for the forward scan.
     """
     if scan not in ("forward", "reverse"):
         raise ValueError(f"unknown scan order {scan!r}")
@@ -391,19 +397,48 @@ def complete_basis(basis_cols: Mat, ambient_dim: int, scan: str = "forward") -> 
         raise DimensionMismatch(
             f"columns of height {basis_cols.rows} cannot complete F^{ambient_dim}"
         )
-    field = basis_cols.field
+    field, top = basis_cols.field, ambient_dim - 1
+    forward = scan == "forward"
     pivot_rows: dict = {}
     for j, terms in enumerate(basis_cols._col_terms):
-        if _echelon_insert(pivot_rows, dict(terms), field) is None:
+        row = {top - i: x for i, x in terms} if forward else dict(terms)
+        if _echelon_insert(pivot_rows, row, field) is None:
             raise NotIndependent(f"input column {j} depends on the previous ones")
-    order = range(ambient_dim) if scan == "forward" else range(ambient_dim - 1, -1, -1)
-    kept = []
-    for i in order:
-        if len(pivot_rows) == ambient_dim:
-            break
-        if _echelon_insert(pivot_rows, {i: 1}, field) is not None:
-            kept.append(i)
-    return _unit_cols(field, ambient_dim, kept)
+    leads = {top - c for c in pivot_rows} if forward else pivot_rows
+    order = range(ambient_dim) if forward else range(top, -1, -1)
+    return _unit_cols(field, ambient_dim, [i for i in order if i not in leads])
+
+
+def completion_inverse(basis: Mat, fill: Mat) -> Mat:
+    """Inverse of ``hstack(basis, fill)`` for unit columns ``fill`` (as ``complete_basis``
+    returns them), by one inverse of size ``basis.cols``.
+
+    With K the rows of the fill's units, L the other rows and A = basis[L]
+    (invertible exactly when the stack is), the inverse is
+    [A^-1 P_L ; P_K - basis[K] A^-1 P_L], P_X the rows X of the identity.
+    """
+    field, n, r = basis.field, basis.rows, basis.cols
+    if fill.field != field or fill.rows != n or r + fill.cols != n:
+        raise DimensionMismatch(f"{n}x{r} and {fill.rows}x{fill.cols} do not stack square")
+    kept = [terms[0][0] for terms in fill._col_terms if terms]
+    if fill != _unit_cols(field, n, kept):
+        raise ValueError("fill columns must be standard basis vectors")
+    kept_set = set(kept)
+    lead = [i for i in range(n) if i not in kept_set]
+    if len(lead) != r:
+        raise Singular("matrix is not invertible")
+    a_inv = inverse(Mat.from_ints(field, r, r, [basis.ints[i] for i in lead], basis.den))
+    c = Mat.from_ints(field, n - r, r, [basis.ints[i] for i in kept], basis.den) @ a_inv
+    den = lcm(a_inv.den, c.den)
+    grid = [[0] * n for _ in range(n)]
+    for out, row in zip(grid, a_inv.ints_over(den)):
+        for i, x in zip(lead, row):
+            out[i] = x
+    for out, k, row in zip(grid[r:], kept, c.ints_over(den)):
+        out[k] = den
+        for i, x in zip(lead, row):
+            out[i] = -x
+    return Mat.from_ints(field, n, n, grid, den)
 
 
 def is_invertible(m: Mat) -> bool:

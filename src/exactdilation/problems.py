@@ -44,7 +44,7 @@ class Problem:
 
 
 def mat_to_grid(m: Mat) -> list:
-    return [[m.field.fmt(x) for x in row] for row in m.entries]
+    return m.field.fmt_ints(m.ints, m.den)
 
 
 def grid_to_mat(field: FieldSpec, dim: int, grid, name: str) -> Mat:

@@ -84,6 +84,19 @@ def gauss_rank(rows, p=None):
     return rank
 
 
+def plain_complete_basis(vectors, n, p=None, reverse=False):
+    """Greedy completion of ``vectors`` (plain lists of length n) to a basis of F^n:
+    the indices i, in scan order, whose e_i makes ``gauss_rank`` grow."""
+    rows = [list(v) for v in vectors]
+    kept = []
+    for i in (range(n - 1, -1, -1) if reverse else range(n)):
+        unit = [1 if j == i else 0 for j in range(n)]
+        if gauss_rank(rows + [unit], p) > gauss_rank(rows, p):
+            rows.append(unit)
+            kept.append(i)
+    return kept
+
+
 def plain_rref(rows, p=None):
     """Reduced row echelon form by Gauss-Jordan elimination on a copy, and its pivots."""
     rows = [list(r) for r in rows]

@@ -228,6 +228,23 @@ def test_ando_dump_operators(tmp_path):
     assert dump["v"] == mat_to_grid(ops.v)
 
 
+@pytest.mark.parametrize("problem", [
+    {"field": {"kind": "rational"}, "dim": 0, "T": [], "S": []},
+    {"field": {"kind": "rational"}, "dim": 1, "T": [["-1/3"]], "S": [["2"]]},
+    {"field": {"kind": "rational"}, "recipe": {"kind": "upper_triangular", "dim": 3, "seed": 5}},
+    RECIPE_GF7,
+])
+def test_dump_is_the_json_module_layout(tmp_path, problem):
+    # the dump is written without the json module; its bytes must be what
+    # json.dumps(sort_keys=True, indent=2) writes for the same content
+    path = write_problem(tmp_path / "p.json", problem)
+    out = tmp_path / "report.json"
+    assert main(["ando", "--input", path, "--out", str(out), "--trunc", "1",
+                 "--dump-operators", "1"]) == 0
+    text = (tmp_path / "report.json.operators.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("trunc, level", [(0, 3), (3, 3), (3, 0)])
 def test_dump_and_audit_share_one_build_at_any_level(tmp_path, monkeypatch, trunc, level):
     # the build is at max(trunc + 1, level); the report must not depend on it

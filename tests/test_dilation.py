@@ -33,6 +33,7 @@ from exactdilation.dilation import (
 from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import (
     DimensionMismatch,
+    complete_basis,
     from_cols,
     hstack,
     identity,
@@ -41,6 +42,7 @@ from exactdilation.linalg import (
     mat,
     matvec,
     rank,
+    rref,
     vstack,
     zeros,
 )
@@ -309,6 +311,24 @@ def test_build_v_coherent_and_invertible(field, completion):
     assert v_inv @ gens.H == gens.G
     assert v @ v_inv == identity(field, 8)
     assert v_inv @ v == identity(field, 8)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("completion", ["forward", "reverse"])
+def test_build_v_is_the_plain_change_of_basis(field, completion):
+    # v = target source^-1 and v_inv = v^-1, with both 4d x 4d inverses taken whole
+    for kind in ("polynomial", "upper_triangular", "diagonal", "idempotent"):
+        for d in range(5):
+            t, s = gen_pair(PairRecipe(kind=kind, dim=d, field=field, seed=d))
+            for t, s in ((t, s), (t, t), (identity(field, d), zeros(field, d, d))):
+                gens = build_generators(t, s)
+                _, pivots = rref(gens.G)
+                source, target = (
+                    hstack(b, complete_basis(b, 4 * d, scan=completion)) for b in
+                    (from_cols(field, 4 * d, [m.col(j) for j in pivots]) for m in (gens.G, gens.H)))
+                v, v_inv = build_v(gens, completion=completion)
+                assert v == target @ inverse(source)
+                assert v_inv == inverse(v)
 
 
 def test_build_v_rank_mismatch_rejected():

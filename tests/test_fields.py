@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactdilation.fields import MAX_MODULUS, RATIONAL, FieldSpec, gf
+from exactdilation.fields import MAX_MODULUS, RATIONAL, FieldSpec, ScalarTooLarge, gf
 from exactdilation.linalg import Mat, inverse
 
 GF7 = gf(7)
@@ -105,6 +105,35 @@ def test_fmt_is_canonical_and_round_trips():
     assert GF7.fmt(5) == "5"
     for text in ["-5/2", "4", "0"]:
         assert RATIONAL.fmt(RATIONAL.parse(text)) == text
+
+
+_RATIO_GRIDS = st.integers(1, 4).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-60, 60), min_size=c, max_size=c), min_size=0, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RATIO_GRIDS, st.integers(1, 12), st.integers(1, 5))
+def test_fmt_ints_writes_the_text_of_each_reduced_scalar(rows, den, scale):
+    # scaling by a multiple of den makes some entries reduce to integers
+    rows = [[x * (den if (i + j) % 3 == 0 else 1) * scale for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+    ints, d = RATIONAL.reduce_ints(rows, den * scale)
+    assert RATIONAL.fmt_ints(ints, d) == [[str(Fraction(x, den * scale)) for x in row]
+                                          for row in rows]
+    residues = GF7.reduce_ints(rows, 1)
+    assert GF7.fmt_ints(*residues) == [[str(x % 7) for x in row] for row in rows]
+    for field, (ints, d) in ((RATIONAL, (ints, d)), (GF7, residues)):
+        m = Mat.from_ints(field, len(ints), len(ints[0]) if ints else 0, ints, d)
+        assert field.fmt_ints(m.ints, m.den) == [[field.fmt(x) for x in row] for row in m.entries]
+
+
+def test_fmt_ints_refuses_scalars_past_the_digit_limit():
+    big = 10 ** 4400 + 1
+    assert RATIONAL.fmt_ints(((1, 3),), 2) == [["1/2", "3/2"]]
+    with pytest.raises(ScalarTooLarge):
+        RATIONAL.fmt_ints(((big, 1),), 1)
+    with pytest.raises(ScalarTooLarge):
+        RATIONAL.fmt_ints(((1, 0),), big)
 
 
 def test_coerce():

@@ -15,6 +15,7 @@ from exactdilation.linalg import (
     Singular,
     column_ranks,
     complete_basis,
+    completion_inverse,
     from_cols,
     hstack,
     identity,
@@ -31,7 +32,15 @@ from exactdilation.linalg import (
 from exactdilation.pairs import PairRecipe, gen_pair
 from exactdilation.rng import SplitMix64, rand_matrix
 
-from oracles import col_to_plain, gauss_rank, plain_matvec, plain_mult, plain_rref, to_plain
+from oracles import (
+    col_to_plain,
+    gauss_rank,
+    plain_complete_basis,
+    plain_matvec,
+    plain_mult,
+    plain_rref,
+    to_plain,
+)
 
 GF7 = gf(7)
 GF_M61 = gf(2**61 - 1)
@@ -259,6 +268,59 @@ def test_complete_basis_property(field, scan):
         comp = complete_basis(basis, n, scan=scan)
         assert comp.cols == n - basis.cols
         assert rank(hstack(basis, comp)) == n
+
+
+def _draw_columns(draw, field, n, count):
+    """``count`` columns of height n over ``field`` as plain lists, a quarter of them
+    (past the first) combinations of the earlier ones."""
+    entry = (st.fractions(min_value=-4, max_value=4, max_denominator=5) if field.is_rational
+             else st.integers(0, 6))
+    cols = []
+    for _ in range(count):
+        if cols and draw(st.integers(0, 3)) == 0:
+            coefs = [field.coerce(draw(entry)) for _ in cols]
+            cols.append([field.coerce(sum(a * c[i] for a, c in zip(coefs, cols)))
+                         for i in range(n)])
+        else:
+            cols.append([field.coerce(draw(entry)) for _ in range(n)])
+    return cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([RATIONAL, GF7]), st.sampled_from(["forward", "reverse"]))
+def test_complete_basis_matches_greedy_oracle(data, field, scan):
+    n = data.draw(st.integers(0, 6))
+    cols = _draw_columns(data.draw, field, n, data.draw(st.integers(0, n)))
+    basis = from_cols(field, n, cols)
+    p = field.modulus
+    dependent = next((j for j in range(len(cols)) if gauss_rank(cols[:j + 1], p) <= j), None)
+    if dependent is not None:
+        with pytest.raises(NotIndependent, match=f"input column {dependent} "):
+            complete_basis(basis, n, scan=scan)
+        return
+    kept = plain_complete_basis(cols, n, p, reverse=scan == "reverse")
+    fill = complete_basis(basis, n, scan=scan)
+    assert fill == from_cols(field, n, [[int(i == k) for i in range(n)] for k in kept])
+    assert completion_inverse(basis, fill) == inverse(hstack(basis, fill))
+
+
+def test_completion_inverse_edges():
+    empty = zeros(RATIONAL, 0, 0)
+    assert completion_inverse(empty, empty) == inverse(empty) == empty
+    ones = from_cols(RATIONAL, 2, [(Fraction(1, 2), Fraction(3))])
+    fill = complete_basis(ones, 2)
+    assert completion_inverse(ones, fill) == inverse(hstack(ones, fill))
+    assert completion_inverse(identity(GF7, 3), zeros(GF7, 3, 0)) == identity(GF7, 3)
+    with pytest.raises(ValueError):
+        completion_inverse(ones, mat(RATIONAL, [[2], [0]]))  # not a unit column
+    e0 = from_cols(RATIONAL, 2, [(1, 0)])
+    with pytest.raises(Singular):
+        completion_inverse(e0, e0)  # the stack repeats a column
+    with pytest.raises(Singular):
+        completion_inverse(from_cols(RATIONAL, 3, [(1, 1, 1)]),
+                           mat(RATIONAL, [[1, 1], [0, 0], [0, 0]]))  # e0 twice
+    with pytest.raises(DimensionMismatch):
+        completion_inverse(ones, zeros(RATIONAL, 2, 0))
 
 
 # -- inverse ---------------------------------------------------------------------------------
