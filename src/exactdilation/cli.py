@@ -3,9 +3,9 @@
 Commands: ``sznagy`` (single-map suite), ``ando`` (two-map suite), ``gen``
 (write a problem file from a recipe).  Exit codes: 0 all checks pass, 1 a
 check failed (report still written), 2 input error (among them an output
-scalar past Python's int-to-text digit limit; then nothing is written),
-3 non-commuting input.  Reports are byte-identical across runs on the same
-input and flags.
+scalar past Python's int-to-text digit limit, when nothing is written, and
+a destination that cannot be written), 3 non-commuting input.  Reports are
+byte-identical across runs on the same input and flags.
 """
 
 from __future__ import annotations
@@ -107,9 +107,12 @@ def _render_text(report: Report) -> str:
 def _write(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ProblemError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def _emit(report: Report, args, *dump) -> int:

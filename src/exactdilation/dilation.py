@@ -34,17 +34,15 @@ from .fields import FieldSpec
 from .linalg import (
     DimensionMismatch,
     Mat,
-    _row_echelon,
-    complete_basis,
-    completion_inverse,
-    hstack,
+    _scan_is_forward,
+    _span,
     identity,
     int_product,
-    rank,
+    inverse,
     vstack,
     zeros,
 )
-from .pairs import check_commute
+from .pairs import _require_square_pair, check_commute
 from .sequences import Batch
 
 __all__ = [
@@ -116,14 +114,9 @@ class Generators:
     G: Mat
     H: Mat
 
-
-def _require_square_pair(t: Mat, s: Mat):
-    if t.field != s.field:
-        raise DimensionMismatch("T and S over different fields")
-    if not (t.is_square() and s.is_square() and t.rows == s.rows):
-        raise DimensionMismatch(
-            f"need two square matrices of one size, got {t.rows}x{t.cols} and {s.rows}x{s.cols}"
-        )
+    def __post_init__(self):
+        if (self.G.field, self.G.rows, self.G.cols) != (self.H.field, self.H.rows, self.H.cols):
+            raise DimensionMismatch("G and H need one shape over one field")
 
 
 def sznagy(t: Mat) -> SzNagyOperators:
@@ -150,34 +143,55 @@ def build_generators(t: Mat, s: Mat) -> Generators:
     return Generators(g, h)
 
 
-def _columns(m: Mat, index) -> Mat:
-    """The columns ``index`` of ``m``, sliced off the integer form."""
-    return Mat.from_ints(m.field, m.rows, len(index),
-                         [[row[j] for j in index] for row in m.ints], m.den)
+def _exchange(src: Mat, dst: Mat, pivots: list, lead: list, kept: list,
+              dst_kept: list) -> Mat:
+    """The map sending the columns P = ``pivots`` of ``src`` to those of ``dst``, and
+    the unit vectors ``kept`` to ``dst_kept``, pairwise.
+
+    With L = ``lead`` the other coordinates, ascending, A = src[L, P] is r x r and
+    invertible, and x = src[:, P] a + E_kept b has a = A^-1 x[L] and
+    b = x[kept] - src[kept, P] a.  So the map is
+    (dst[:, P] - E_dst_kept src[kept, P]) A^-1 on the coordinates L, plus the
+    unit moves kept[i] -> dst_kept[i].
+    """
+    field, n = src.field, src.rows
+    den = lcm(src.den, dst.den)
+    s_src, s_dst = den // src.den, den // dst.den
+    m = [[s_dst * dst.ints[i][j] for j in pivots] for i in range(n)]
+    for i, k in zip(kept, dst_kept):
+        m[k] = [x - s_src * src.ints[i][j] for x, j in zip(m[k], pivots)]
+    a = Mat.from_ints(field, len(lead), len(pivots),
+                      [[src.ints[i][j] for j in pivots] for i in lead], src.den)
+    c = Mat.from_ints(field, n, len(pivots), m, den) @ inverse(a)
+    grid = [[0] * n for _ in range(n)]
+    for out, row in zip(grid, c.ints):
+        for i, x in zip(lead, row):
+            out[i] = x
+    for i, k in zip(kept, dst_kept):
+        grid[k][i] = c.den
+    return Mat.from_ints(field, n, n, grid, c.den)
 
 
 def build_v(gens: Generators, completion: str = "forward") -> tuple[Mat, Mat]:
     """Extend the generator correspondence to an invertible map on F^(4d).
 
-    Pivot columns of G, from one forward elimination, form a basis of the
-    source span; the same columns of H form a basis of the target span.  Both
-    are completed to bases of F^(4d) by greedy standard-vector scan, and v is
-    the change of basis sending one completed family to the other:
-    ``v = target source^-1`` and ``v_inv = source target^-1``, each inverse
-    taken through one inverse of size rank G (``completion_inverse``), so
-    v_inv is computed independently of v.  Returns (v, v_inv), both exact.
+    One elimination of G's columns and one of H's (``_span``) give each
+    family's pivot columns P, which must agree (else ExtensionFailure), and
+    its leads, whose complement completes the basis P of its span to one of
+    F^(4d), as ``complete_basis`` does.  v is the change of basis from G's
+    completed family to H's (``_exchange``); v_inv is the same construction
+    with G and H swapped, computed independently of v.  Returns (v, v_inv).
     """
-    g, h = gens.G, gens.H
-    dim4 = g.rows
-    pivots = sorted(_row_echelon(g))
-    if rank(h) != len(pivots):
-        raise ExtensionFailure("generator ranks differ")
-    g_basis, h_basis = _columns(g, pivots), _columns(h, pivots)
-    g_fill = complete_basis(g_basis, dim4, scan=completion)
-    h_fill = complete_basis(h_basis, dim4, scan=completion)
-    v = hstack(h_basis, h_fill) @ completion_inverse(g_basis, g_fill)
-    v_inv = hstack(g_basis, g_fill) @ completion_inverse(h_basis, h_fill)
-    return v, v_inv
+    forward = _scan_is_forward(completion)
+    (pivots, g_leads), (h_pivots, h_leads) = _span(gens.G, forward), _span(gens.H, forward)
+    if pivots != h_pivots:
+        raise ExtensionFailure("the generators have different pivot columns")
+    # either scan lists both families' kept unit vectors in one order, so the
+    # ascending pairing is the scan's: the scan enters only through the leads
+    g_kept, h_kept = ([i for i in range(gens.G.rows) if i not in leads]
+                      for leads in (g_leads, h_leads))
+    return (_exchange(gens.G, gens.H, pivots, sorted(g_leads), g_kept, h_kept),
+            _exchange(gens.H, gens.G, pivots, sorted(h_leads), h_kept, g_kept))
 
 
 def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:
@@ -189,7 +203,6 @@ def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:
     ``build_v`` computes the two factors independently, so the product
     cross-checks them.
     """
-    _require_square_pair(t, s)
     if not check_commute(t, s):
         raise NotCommuting("T and S do not commute; no dilation is constructed")
     v, v_inv = build_v(build_generators(t, s), completion=completion)

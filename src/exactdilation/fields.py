@@ -195,10 +195,8 @@ class FieldSpec:
         raise ValueError(f"not a {self.label()} residue: {s!r}")
 
     def fmt(self, x) -> str:
-        try:
-            return str(x)
-        except ValueError as exc:  # past the int-to-text digit limit
-            raise ScalarTooLarge(f"an output scalar is too large to write: {exc}") from None
+        """The text of the scalar ``x`` (``fmt_ints`` of its integer form)."""
+        return self.fmt_ints(*self.to_ints(((x,),)))[0][0]
 
     def fmt_ints(self, ints, den: int = 1) -> list:
         """The text of every scalar of the canonical grid ``ints / den``, row by row,

@@ -39,7 +39,6 @@ __all__ = [
     "column_ranks",
     "kernel_basis",
     "complete_basis",
-    "completion_inverse",
     "is_invertible",
     "inverse",
 ]
@@ -109,10 +108,6 @@ class Mat:
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
-
-    def at(self, i: int, j: int):
-        """Entry ``(i, j)`` as a field scalar, without building ``entries``."""
-        return self.field.from_ints(((self.ints[i][j],),), self.den)[0][0]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -379,66 +374,46 @@ def kernel_basis(m: Mat) -> Mat:
     return Mat.from_ints(m.field, m.cols, len(free), rows, reduced.den)
 
 
+def _span(m: Mat, forward: bool) -> tuple[list, set]:
+    """One elimination of the columns of ``m``, in order: the columns that enlarge the
+    span (its pivot columns) and the span's leads, the i at which some vector of it
+    starts; for ``forward``, on flipped coordinates, the i at which one ends."""
+    field, top = m.field, m.rows - 1
+    pivot_rows: dict = {}
+    pivots = []
+    for j, terms in enumerate(m._col_terms):
+        row = {top - i: x for i, x in terms} if forward else dict(terms)
+        if _echelon_insert(pivot_rows, row, field) is not None:
+            pivots.append(j)
+    return pivots, {top - c for c in pivot_rows} if forward else set(pivot_rows)
+
+
+def _scan_is_forward(scan: str) -> bool:
+    if scan not in ("forward", "reverse"):
+        raise ValueError(f"unknown scan order {scan!r}")
+    return scan == "forward"
+
+
 def complete_basis(basis_cols: Mat, ambient_dim: int, scan: str = "forward") -> Mat:
     """Greedy pivot completion of independent columns to a basis of F^ambient_dim.
 
     Scans standard basis vectors in index order (``scan="forward"``) or in
     reversed index order (``scan="reverse"``) and keeps each one that enlarges
-    the span.  Deterministic given the inputs and the scan direction.
-
-    The forward scan skips e_i exactly when some vector of the span of the
-    input ends at coordinate i (the reverse scan: starts at i), so the kept
-    vectors are the complement of the leads of one elimination of the input
-    columns, run on coordinates in reversed order for the forward scan.
+    the span.  Deterministic given the inputs and the scan direction.  The
+    forward scan skips e_i exactly when some vector of the span ends at i (the
+    reverse scan: starts at i), so it keeps all but the leads of ``_span``.
     """
-    if scan not in ("forward", "reverse"):
-        raise ValueError(f"unknown scan order {scan!r}")
+    forward = _scan_is_forward(scan)
     if basis_cols.rows != ambient_dim:
         raise DimensionMismatch(
             f"columns of height {basis_cols.rows} cannot complete F^{ambient_dim}"
         )
-    field, top = basis_cols.field, ambient_dim - 1
-    forward = scan == "forward"
-    pivot_rows: dict = {}
-    for j, terms in enumerate(basis_cols._col_terms):
-        row = {top - i: x for i, x in terms} if forward else dict(terms)
-        if _echelon_insert(pivot_rows, row, field) is None:
-            raise NotIndependent(f"input column {j} depends on the previous ones")
-    leads = {top - c for c in pivot_rows} if forward else pivot_rows
-    order = range(ambient_dim) if forward else range(top, -1, -1)
-    return _unit_cols(field, ambient_dim, [i for i in order if i not in leads])
-
-
-def completion_inverse(basis: Mat, fill: Mat) -> Mat:
-    """Inverse of ``hstack(basis, fill)`` for unit columns ``fill`` (as ``complete_basis``
-    returns them), by one inverse of size ``basis.cols``.
-
-    With K the rows of the fill's units, L the other rows and A = basis[L]
-    (invertible exactly when the stack is), the inverse is
-    [A^-1 P_L ; P_K - basis[K] A^-1 P_L], P_X the rows X of the identity.
-    """
-    field, n, r = basis.field, basis.rows, basis.cols
-    if fill.field != field or fill.rows != n or r + fill.cols != n:
-        raise DimensionMismatch(f"{n}x{r} and {fill.rows}x{fill.cols} do not stack square")
-    kept = [terms[0][0] for terms in fill._col_terms if terms]
-    if fill != _unit_cols(field, n, kept):
-        raise ValueError("fill columns must be standard basis vectors")
-    kept_set = set(kept)
-    lead = [i for i in range(n) if i not in kept_set]
-    if len(lead) != r:
-        raise Singular("matrix is not invertible")
-    a_inv = inverse(Mat.from_ints(field, r, r, [basis.ints[i] for i in lead], basis.den))
-    c = Mat.from_ints(field, n - r, r, [basis.ints[i] for i in kept], basis.den) @ a_inv
-    den = lcm(a_inv.den, c.den)
-    grid = [[0] * n for _ in range(n)]
-    for out, row in zip(grid, a_inv.ints_over(den)):
-        for i, x in zip(lead, row):
-            out[i] = x
-    for out, k, row in zip(grid[r:], kept, c.ints_over(den)):
-        out[k] = den
-        for i, x in zip(lead, row):
-            out[i] = -x
-    return Mat.from_ints(field, n, n, grid, den)
+    pivots, leads = _span(basis_cols, forward)
+    if len(pivots) < basis_cols.cols:
+        j = next((j for j, p in enumerate(pivots) if j != p), len(pivots))
+        raise NotIndependent(f"input column {j} depends on the previous ones")
+    order = range(ambient_dim) if forward else range(ambient_dim - 1, -1, -1)
+    return _unit_cols(basis_cols.field, ambient_dim, [i for i in order if i not in leads])
 
 
 def is_invertible(m: Mat) -> bool:

@@ -132,12 +132,16 @@ def gen_pair(recipe: PairRecipe) -> tuple[Mat, Mat]:
     return t, s
 
 
-def check_commute(t: Mat, s: Mat) -> bool:
-    """Exact test T S == S T."""
+def _require_square_pair(t: Mat, s: Mat):
     if t.field != s.field:
-        raise DimensionMismatch("matrices over different fields")
+        raise DimensionMismatch("T and S over different fields")
     if not (t.is_square() and s.is_square() and t.rows == s.rows):
         raise DimensionMismatch(
-            f"commutation needs equal square shapes, got {t.rows}x{t.cols} and {s.rows}x{s.cols}"
+            f"need two square matrices of one size, got {t.rows}x{t.cols} and {s.rows}x{s.cols}"
         )
+
+
+def check_commute(t: Mat, s: Mat) -> bool:
+    """Exact test T S == S T."""
+    _require_square_pair(t, s)
     return t @ s == s @ t

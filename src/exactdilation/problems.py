@@ -123,7 +123,7 @@ def load_problem(path) -> Problem:
             obj = json.load(fh)
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProblemError(f"{path} is not valid JSON: {exc}") from exc
     return parse_problem(obj)
 

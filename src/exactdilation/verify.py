@@ -131,20 +131,26 @@ def _meta(kind: str, field: FieldSpec, d: int, params: CheckParams,
             "recipe": recipe.to_dict() if recipe is not None else None}
 
 
-def _powers(failures: dict, tag: str, ops, t: Mat, w: Batch, tx: Mat, xs: list,
+def _column_text(m: Mat, j: int, rows=None) -> list:
+    """The text of column ``j`` of ``m``, or of its ``rows`` only, from the integer form."""
+    rows = range(m.rows) if rows is None else rows
+    return [text for (text,) in m.field.fmt_ints([(m.ints[i][j],) for i in rows], m.den)]
+
+
+def _powers(failures: dict, tag: str, ops, t: Mat, w: Batch, tx: Mat, x: Mat,
             n_max: int, **exps):
     """Step ``w`` by the operator ``tag`` and its expected coordinate 0, ``tx``, by
     ``t``, ``n_max`` times.  At each step record every column, not failed before,
-    whose coordinate 0 differs from ``tx``; compared in integer form."""
-    field, zero = w.field, zeros(w.field, w.dim, w.width)
+    whose coordinate 0 differs from ``tx``; compared in integer form.  ``x`` is
+    the matrix of trial vectors."""
+    zero = zeros(w.field, w.dim, w.width)
     for n in range(n_max + 1):
         if n:
             w, tx = apply_batch(tag, ops, w), t @ tx
         got = w.blocks.get(0, zero)
         for c in sorted({j for _, j in _mismatches(got, tx)} - failures.keys()):
-            failures[c] = dict(exps, n=n, x=[field.fmt(a) for a in xs[c]],
-                               expected=[field.fmt(e) for e in tx.col(c)],
-                               actual=[field.fmt(h) for h in got.col(c)])
+            failures[c] = dict(exps, n=n, x=_column_text(x, c), expected=_column_text(tx, c),
+                               actual=_column_text(got, c))
 
 
 def _dilation_record(name: str, params: CheckParams, failures: dict) -> CheckRecord:
@@ -184,7 +190,7 @@ def check_sznagy(t: Mat, params: CheckParams = CheckParams(),
     x = from_cols(field, d, xs)
     b = Batch.of(field, d, len(xs), {0: x})
     failures: dict = {}
-    _powers(failures, "SzNagyU", ops, t, b, x, xs, params.max_power)
+    _powers(failures, "SzNagyU", ops, t, b, x, x, params.max_power)
     top = truncated_matrix("SzNagyU", ops, params.max_trunc)
     records = [_dilation_record("dilation_equation", params, failures),
                _injectivity_record("injectivity_u", top, d, params)]
@@ -198,13 +204,13 @@ def _bivariate_record(ops: AndoOperators, params: CheckParams) -> CheckRecord:
     """P U^n V^m = T^n S^m P for n, m <= max_power, all trial vectors as one batch."""
     field, n_max = ops.field, params.max_power
     xs = _trial_vectors(field, ops.d, params)
-    sx = from_cols(field, ops.d, xs)
+    x = sx = from_cols(field, ops.d, xs)
     wv = Batch.of(field, ops.d, len(xs), {0: sx})
     failures: dict = {}
     for m_exp in range(n_max + 1):
         if m_exp:
             wv, sx = apply_batch("V", ops, wv), ops.S @ sx
-        _powers(failures, "U", ops, ops.T, wv, sx, xs, n_max, m=m_exp)
+        _powers(failures, "U", ops, ops.T, wv, sx, x, n_max, m=m_exp)
     return _dilation_record("bivariate_dilation_equation", params, failures)
 
 
@@ -224,7 +230,7 @@ def _commutation_record(ops: AndoOperators, params: CheckParams,
     leading d(4k+1) columns of the top ones, with zeros below, so the first
     failing level is the lowest one whose columns hold a mismatch.
     """
-    field, d, top = ops.field, ops.d, params.max_trunc
+    d, top = ops.d, params.max_trunc
     uv = u @ level_block(v, d, top)
     vu = v @ level_block(u, d, top)
     mismatches = _mismatches(uv, vu)
@@ -233,13 +239,12 @@ def _commutation_record(ops: AndoOperators, params: CheckParams,
         k = (min(j for _, j in mismatches) // d + 3) // 4
         i, j = next((i, j) for i, j in mismatches if j < d * (4 * k + 1))
         counterexample = {"trunc": k, "row": i, "col": j,
-                          "uv": field.fmt(uv.at(i, j)), "vu": field.fmt(vu.at(i, j))}
+                          "uv": _column_text(uv, j, [i])[0], "vu": _column_text(vu, j, [i])[0]}
     return CheckRecord("commutation", {"max_trunc": params.max_trunc},
                        counterexample is None, counterexample)
 
 
 def _coherence_record(ops: AndoOperators, gens: Generators) -> CheckRecord:
-    field = ops.field
     counterexample = None
     for label, got, want in (("v*G", ops.v @ gens.G, gens.H),
                              ("v_inv*H", ops.v_inv @ gens.H, gens.G)):
@@ -247,14 +252,13 @@ def _coherence_record(ops: AndoOperators, gens: Generators) -> CheckRecord:
         if mism:
             i, j = mism[0]
             counterexample = {"which": label, "row": i, "col": j,
-                              "expected": field.fmt(want.at(i, j)),
-                              "actual": field.fmt(got.at(i, j))}
+                              "expected": _column_text(want, j, [i])[0],
+                              "actual": _column_text(got, j, [i])[0]}
             break
     return CheckRecord("v_coherence", {}, counterexample is None, counterexample)
 
 
 def _well_definedness_record(gens: Generators) -> CheckRecord:
-    field = gens.G.field
     kg, kh = kernel_basis(gens.G), kernel_basis(gens.H)
     params = {"kernel_dim_g": kg.cols, "kernel_dim_h": kh.cols}
     counterexample = None
@@ -266,7 +270,7 @@ def _well_definedness_record(gens: Generators) -> CheckRecord:
         j = next((j for j in range(kg.cols) if any(r[j] for r in hk.ints)), None)
         if j is not None:
             counterexample = {"direction": "ker(G) not in ker(H)",
-                              "coefficients": [field.fmt(a) for a in kg.col(j)]}
+                              "coefficients": _column_text(kg, j)}
     return CheckRecord("well_definedness", params, counterexample is None, counterexample)
 
 

@@ -287,14 +287,16 @@ def _count_calls(monkeypatch, **owners):
 
 def test_each_fact_is_computed_once_per_run(tmp_path, monkeypatch):
     counts = _count_calls(monkeypatch, ando=dilation_mod, build_generators=dilation_mod,
-                          truncated_matrix=dilation_mod, kernel_basis=linalg_mod)
+                          truncated_matrix=dilation_mod, kernel_basis=linalg_mod,
+                          _span=linalg_mod, rank=linalg_mod, complete_basis=linalg_mod)
     path = write_problem(tmp_path / "p.json", RECIPE_GF7)
     out = tmp_path / "report.json"
     assert main(["ando", "--input", path, "--out", str(out), "--trunc", "5",
                  "--dump-operators", "1"]) == 0
-    # one truncation per operator, read at every level by the audit and the dump
+    # one truncation per operator, read at every level by the audit and the dump;
+    # the exchange map eliminates G's columns once and H's once
     assert counts == {"ando": 1, "build_generators": 2, "truncated_matrix": 2,
-                      "kernel_basis": 2}
+                      "kernel_basis": 2, "_span": 2, "rank": 0, "complete_basis": 0}
     counts.update(dict.fromkeys(counts, 0))
     assert main(["sznagy", "--input", path, "--out", str(out), "--trunc", "5"]) == 0
     assert counts["truncated_matrix"] == 1
@@ -444,6 +446,50 @@ def test_huge_output_scalar_exits_2_and_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [tmp_path / "p.json"]
     assert main(argv) == 0  # the report alone has no such scalar
     assert report_from_json(out.read_text(encoding="utf-8")).passed
+
+
+def _assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(f in err for f in fragments), err
+
+
+T_ONLY = {"field": {"kind": "rational"}, "dim": 1, "T": [["1/2"]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ando", "--input", "{problem}"],
+    ["sznagy", "--input", "{t_only}"],
+    ["gen", "--kind", "diagonal", "--dim", "2"],
+])
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys, argv):
+    problem = write_problem(tmp_path / "p.json", IDENTITY2)
+    t_only = write_problem(tmp_path / "t.json", T_ONLY)
+    dest = tmp_path / "missing" / "out.json"
+    argv = [a.format(problem=problem, t_only=t_only) for a in argv]
+    assert main(argv + ["--out", str(dest)]) == 2
+    _assert_one_error_line(capsys, f"cannot write {dest}: ")
+    assert not dest.parent.exists()
+
+
+def test_dump_destination_that_is_a_directory_exits_2(tmp_path, capsys):
+    # the report is written before the dump, so it is there; the dump is not
+    path = write_problem(tmp_path / "p.json", IDENTITY2)
+    out = tmp_path / "report.json"
+    dump = tmp_path / "report.json.operators.json"
+    dump.mkdir()
+    assert main(["ando", "--input", path, "--out", str(out), "--dump-operators", "1"]) == 2
+    _assert_one_error_line(capsys, f"cannot write {dump}: ")
+    assert report_from_json(out.read_text(encoding="utf-8")).passed
+    assert list(dump.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["ando", "sznagy"])
+def test_problem_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "p.json"
+    path.write_bytes(b'{"field": {"kind": "rational"}, "dim": 1, "T": [["\xff"]]}')
+    assert main([command, "--input", str(path)]) == 2
+    _assert_one_error_line(capsys, "is not valid JSON")
 
 
 def test_parser_is_built_once_on_first_call():

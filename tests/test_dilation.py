@@ -33,7 +33,6 @@ from exactdilation.dilation import (
 from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import (
     DimensionMismatch,
-    complete_basis,
     from_cols,
     hstack,
     identity,
@@ -50,7 +49,14 @@ from exactdilation.pairs import PairRecipe, gen_pair
 from exactdilation.rng import SplitMix64, rand_column, rand_matrix
 from exactdilation.sequences import Batch, embed, fsvec, project, to_coords, zero_fsvec
 
-from oracles import col_to_plain, lazy_action, plain_matvec, plain_pow_vec, to_plain
+from oracles import (
+    col_to_plain,
+    lazy_action,
+    plain_complete_basis,
+    plain_matvec,
+    plain_pow_vec,
+    to_plain,
+)
 from test_linalg import assert_canonical
 
 GF7 = gf(7)
@@ -313,22 +319,48 @@ def test_build_v_coherent_and_invertible(field, completion):
     assert v_inv @ v == identity(field, 8)
 
 
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["polynomial", "upper_triangular", "diagonal", "idempotent"]),
+       d=st.integers(0, 5), seed=st.integers(0, 2**32))
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("completion", ["forward", "reverse"])
-def test_build_v_is_the_plain_change_of_basis(field, completion):
-    # v = target source^-1 and v_inv = v^-1, with both 4d x 4d inverses taken whole
-    for kind in ("polynomial", "upper_triangular", "diagonal", "idempotent"):
-        for d in range(5):
-            t, s = gen_pair(PairRecipe(kind=kind, dim=d, field=field, seed=d))
-            for t, s in ((t, s), (t, t), (identity(field, d), zeros(field, d, d))):
-                gens = build_generators(t, s)
-                _, pivots = rref(gens.G)
-                source, target = (
-                    hstack(b, complete_basis(b, 4 * d, scan=completion)) for b in
-                    (from_cols(field, 4 * d, [m.col(j) for j in pivots]) for m in (gens.G, gens.H)))
-                v, v_inv = build_v(gens, completion=completion)
-                assert v == target @ inverse(source)
-                assert v_inv == inverse(v)
+def test_build_v_is_the_plain_change_of_basis(field, completion, kind, d, seed):
+    # v = target source^-1 and v_inv = v^-1, with both 4d x 4d inverses taken
+    # whole and both families completed by the greedy oracle
+    t, s = gen_pair(PairRecipe(kind=kind, dim=d, field=field, seed=seed))
+    for t, s in ((t, s), (s, t), (t, t), (identity(field, d), zeros(field, d, d))):
+        gens = build_generators(t, s)
+        _, pivots = rref(gens.G)
+        source, target = (from_cols(field, 4 * d, cols + [
+            [int(i == k) for i in range(4 * d)] for k in plain_complete_basis(
+                cols, 4 * d, field.modulus, reverse=completion == "reverse")])
+            for cols in ([m.col(j) for j in pivots] for m in (gens.G, gens.H)))
+        v, v_inv = build_v(gens, completion=completion)
+        assert v == target @ inverse(source)
+        assert v_inv == inverse(v)
+
+
+def test_build_v_rejects_different_pivot_columns():
+    # equal ranks, different pivot columns (unreachable via build_generators,
+    # which forces equal kernels): no v carries G's columns to H's
+    g = mat(RATIONAL, [[0, 1], [0, 0], [0, 0], [0, 0]])
+    h = mat(RATIONAL, [[0, 0], [1, 1], [0, 0], [0, 0]])
+    for completion in ("forward", "reverse"):
+        with pytest.raises(ExtensionFailure):
+            build_v(Generators(g, h), completion=completion)
+
+
+def test_generators_of_different_shapes_or_fields_rejected():
+    g = mat(RATIONAL, [[1], [0], [0], [0]])
+    for h in (mat(RATIONAL, [[1]] + [[0]] * 7), mat(GF7, [[1], [0], [0], [0]]),
+              mat(RATIONAL, [[1, 0], [0, 0], [0, 0], [0, 0]])):
+        with pytest.raises(DimensionMismatch):
+            Generators(g, h)
+
+
+def test_build_v_rejects_an_unknown_completion():
+    with pytest.raises(ValueError):
+        build_v(build_generators(JORDAN, JORDAN), completion="sideways")
 
 
 def test_build_v_rank_mismatch_rejected():

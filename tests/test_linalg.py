@@ -15,7 +15,6 @@ from exactdilation.linalg import (
     Singular,
     column_ranks,
     complete_basis,
-    completion_inverse,
     from_cols,
     hstack,
     identity,
@@ -301,26 +300,6 @@ def test_complete_basis_matches_greedy_oracle(data, field, scan):
     kept = plain_complete_basis(cols, n, p, reverse=scan == "reverse")
     fill = complete_basis(basis, n, scan=scan)
     assert fill == from_cols(field, n, [[int(i == k) for i in range(n)] for k in kept])
-    assert completion_inverse(basis, fill) == inverse(hstack(basis, fill))
-
-
-def test_completion_inverse_edges():
-    empty = zeros(RATIONAL, 0, 0)
-    assert completion_inverse(empty, empty) == inverse(empty) == empty
-    ones = from_cols(RATIONAL, 2, [(Fraction(1, 2), Fraction(3))])
-    fill = complete_basis(ones, 2)
-    assert completion_inverse(ones, fill) == inverse(hstack(ones, fill))
-    assert completion_inverse(identity(GF7, 3), zeros(GF7, 3, 0)) == identity(GF7, 3)
-    with pytest.raises(ValueError):
-        completion_inverse(ones, mat(RATIONAL, [[2], [0]]))  # not a unit column
-    e0 = from_cols(RATIONAL, 2, [(1, 0)])
-    with pytest.raises(Singular):
-        completion_inverse(e0, e0)  # the stack repeats a column
-    with pytest.raises(Singular):
-        completion_inverse(from_cols(RATIONAL, 3, [(1, 1, 1)]),
-                           mat(RATIONAL, [[1, 1], [0, 0], [0, 0]]))  # e0 twice
-    with pytest.raises(DimensionMismatch):
-        completion_inverse(ones, zeros(RATIONAL, 2, 0))
 
 
 # -- inverse ---------------------------------------------------------------------------------
