@@ -143,11 +143,12 @@ def _grid_json(dump: dict) -> str:
 def _cmd_sznagy(args) -> int:
     problem = load_problem(args.input)
     t, s = resolve_pair(problem)
+    code = _emit(check_sznagy(t, _params(args), recipe=problem.recipe), args)
+    # warned once the report is written, so an exit-2 run writes its error line alone
     if problem.S is not None:
         print("warning: 'S' present in input is ignored by the single-map suite",
               file=sys.stderr)
-    report = check_sznagy(t, _params(args), recipe=problem.recipe)
-    return _emit(report, args)
+    return code
 
 
 def _cmd_ando(args) -> int:

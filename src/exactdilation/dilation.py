@@ -325,42 +325,42 @@ def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
     coordinates 0..4K+4.  Columns are the lazy images of the embedded standard
     basis vectors, one batch per level's new coordinates (coordinate 0, then
     4k-3..4k), so the matrix realization can be checked against the lazy one
-    entry by entry.
+    entry by entry.  The matrix is built by columns (``Mat.from_col_terms``):
+    the operators are near-permutations, and no grid is built unless read.
 
     Truncations nest.  The image of coordinate n must lie below coordinate
     4k+5, where k = ceil(n/4) is the lowest level holding n; otherwise
-    SupportOverflow is raised.  So for every k <= K the level-k matrix is
-    exactly the leading d(4k+5) x d(4k+1) block of the level-K matrix, with
-    zeros below it, and one build serves every lower level.
+    SupportOverflow is raised (read off the column's last row).  So for every
+    k <= K the level-k matrix is exactly the leading d(4k+5) x d(4k+1) block
+    of the level-K matrix, with zeros below it, and one build serves every
+    lower level.
     """
     if trunc < 0:
         raise ValueError("truncation level must be >= 0")
     action = _action(tag, ops)
     d, field = ops.d, ops.field
-    n_in, n_out = 4 * trunc + 1, 4 * trunc + 5
     images = []
     for level in range(trunc + 1):
         coords = range(4 * level - 3, 4 * level + 1) if level else range(1)
-        img = action(ops, Batch.basis(field, d, coords))
-        for c, top in enumerate(img.supports()):
-            if top >= 4 * level + 5:
-                raise SupportOverflow(
-                    f"{tag} pushed coordinate {coords[c // d]} to {top}, past level {level + 1}")
-        images.append((d * coords[0], img))
+        images.append((coords, action(ops, Batch.basis(field, d, coords))))
     # each block is in lowest terms, so over the lcm of their denominators the
-    # grid is in the canonical form of FieldSpec.reduce_ints already
+    # columns are in the canonical form of FieldSpec.reduce_ints already
     den = lcm(*(x.den for _, img in images for x in img.blocks.values()))
-    grid = [[0] * (d * n_in) for _ in range(d * n_out)]
-    for first, img in images:
+    cols = []
+    for level, (coords, img) in enumerate(images):
+        terms = [[] for _ in range(img.width)]
         index = range(img.width)
         for n, x in img.blocks.items():
             scale = den // x.den
-            for out, row in zip(grid[n * d:(n + 1) * d], x.ints):
+            for i, row in enumerate(x.ints, n * d):
                 for c in compress(index, row):
-                    out[first + c] = scale * row[c]
-    for i, row in enumerate(grid):  # one row at a time, so the grid is never held twice
-        grid[i] = tuple(row)
-    return Mat.from_ints(field, d * n_out, d * n_in, tuple(grid), den, canonical=True)
+                    terms[c].append((i, scale * row[c]))
+        for c, col in enumerate(terms):
+            if col and col[-1][0] >= d * (4 * level + 5):
+                raise SupportOverflow(f"{tag} pushed coordinate {coords[c // d]} to "
+                                      f"{col[-1][0] // d}, past level {level + 1}")
+        cols += terms
+    return Mat.from_col_terms(field, d * (4 * trunc + 5), d * (4 * trunc + 1), cols, den)
 
 
 def level_block(m: Mat, d: int, k: int) -> Mat:

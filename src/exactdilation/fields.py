@@ -194,15 +194,12 @@ class FieldSpec:
             return int(s) % self.modulus
         raise ValueError(f"not a {self.label()} residue: {s!r}")
 
-    def fmt(self, x) -> str:
-        """The text of the scalar ``x`` (``fmt_ints`` of its integer form)."""
-        return self.fmt_ints(*self.to_ints(((x,),)))[0][0]
-
     def fmt_ints(self, ints, den: int = 1) -> list:
-        """The text of every scalar of the canonical grid ``ints / den``, row by row,
-        written from the integers without building scalars: over Q, ``x // g`` or
-        ``x // g`` and ``den // g`` joined by ``/``, with ``g = gcd(x, den)``.
-        Each distinct integer is written once."""
+        """The text of every scalar of the grid ``ints / den``, row by row, written
+        from the integers without building scalars: over Q, for any positive
+        ``den``, ``x // g`` or ``x // g`` and ``den // g`` joined by ``/``, with
+        ``g = gcd(x, den)``; over GF(p), residues over 1.  Each distinct
+        integer is written once."""
         values = set().union(*ints)
         try:
             if self.modulus is not None or den == 1:

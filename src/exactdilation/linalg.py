@@ -1,10 +1,14 @@
-"""Dense exact matrices and the elimination kernel.
+"""Exact matrices and the elimination kernel.
 
 A ``Mat`` is held in one canonical integer form, ``ints / den`` (see
 ``FieldSpec.reduce_ints``): over Q, ``den > 0`` with no factor common to
 every entry; over GF(p), residues over 1.  The form is unique, so equality
-and hashing read it directly.  Every kernel computes on it and returns it;
-the grid of field scalars, ``entries``, is built only when it is read, for
+and hashing read it directly.  Every kernel computes on it and returns it.
+The integers come as a grid, ``ints``, or by columns, ``_col_terms``, the
+``(row, int)`` pairs of each column's nonzero entries; a matrix is built in
+one form and the other is a view built when it is read.  The sparse
+truncated operators are built, ranked and multiplied by columns alone.  The
+grid of field scalars, ``entries``, is built only when it is read, for
 output.  One fraction-free elimination kernel, ``_echelon_insert``, serves
 rank, column ranks, basis completion, reduced row echelon form, kernels and
 inverses.  Degenerate shapes (0 x n, n x 0) are legal with the obvious
@@ -34,6 +38,7 @@ __all__ = [
     "vstack",
     "matvec",
     "int_product",
+    "column_product",
     "rref",
     "rank",
     "column_ranks",
@@ -61,11 +66,12 @@ class NotIndependent(ValueError):
 
 
 class Mat:
-    """Dense row-major matrix over an exact field: the grid ``ints / den``.
+    """Matrix over an exact field: the grid ``ints / den``.
 
     ``ints`` is a tuple of ``rows`` row tuples of ``cols`` ints and ``den`` an
     int, in the field's canonical form; neither is ever modified.
-    ``Mat(field, rows, cols, entries)`` reads a grid of field scalars.
+    ``Mat(field, rows, cols, entries)`` reads a grid of field scalars;
+    ``from_ints`` takes the grid and ``from_col_terms`` the columns.
     """
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, entries):
@@ -85,6 +91,24 @@ class Mat:
         m.field, m.rows, m.cols = field, rows, cols
         m.ints, m.den = (ints, den) if canonical else field.reduce_ints(ints, den)
         return m
+
+    @classmethod
+    def from_col_terms(cls, field: FieldSpec, rows: int, cols: int, terms: list,
+                       den: int = 1) -> "Mat":
+        """The matrix whose column j holds the ``(row, int)`` pairs ``terms[j]``, in
+        increasing row order, over ``den``; ``(terms, den)`` is already canonical."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m._col_terms, m.den = field, rows, cols, terms, den
+        return m
+
+    @cached_property
+    def ints(self) -> tuple:
+        """The integer grid of a matrix built by columns, on first read."""
+        grid = [[0] * self.cols for _ in range(self.rows)]
+        for j, terms in enumerate(self._col_terms):
+            for i, x in terms:
+                grid[i][j] = x
+        return tuple(map(tuple, grid))
 
     @cached_property
     def entries(self) -> tuple:
@@ -121,19 +145,27 @@ class Mat:
         return self.ints if s == 1 else tuple([tuple([s * x for x in r]) for r in self.ints])
 
     def leading(self, rows: int, cols: int) -> "Mat":
-        """The top-left ``rows x cols`` block, sliced off the integer form; a block of
-        integers over 1 (every matrix over GF(p)) is in canonical form already."""
+        """The top-left ``rows x cols`` block, sliced off the columns and divided by the
+        gcd of its entries and the denominator; over GF(p) that is 1."""
         if (rows, cols) == (self.rows, self.cols):
             return self
         if rows > self.rows or cols > self.cols:
             raise DimensionMismatch(
                 f"no {rows}x{cols} leading block in a {self.rows}x{self.cols} matrix")
-        return Mat.from_ints(self.field, rows, cols, tuple(r[:cols] for r in self.ints[:rows]),
-                             self.den, canonical=self.den == 1)
+        terms = [[(i, x) for i, x in t if i < rows] for t in self._col_terms[:cols]]
+        g = self.den
+        for t in terms:
+            if g == 1:
+                break
+            g = gcd(g, *(x for _, x in t))
+        if g > 1:
+            terms = [[(i, x // g) for i, x in t] for t in terms]
+        return Mat.from_col_terms(self.field, rows, cols, terms, self.den // g)
 
     @cached_property
     def _col_terms(self) -> list:
-        """For each column, the ``(row, int)`` pairs of its nonzero entries in ``ints``."""
+        """For each column, the ``(row, int)`` pairs of its nonzero entries in ``ints``,
+        in increasing row order."""
         cols = [[] for _ in range(self.cols)]
         index = range(self.cols)
         for i, row in enumerate(self.ints):
@@ -250,6 +282,31 @@ def int_product(a: Mat, b: Sequence[Sequence[int]], width: int) -> list:
             for i, x in colk:
                 acc[i][j] += x * y
     return acc
+
+
+def column_product(a: Mat, b: Mat, width: int) -> list:
+    """The first ``width`` columns of ``a @ b`` over ``a.den * b.den``, each a dict
+    row -> nonzero int, reduced mod p over GF(p); read off the column terms of both.
+
+    Those columns of ``b`` must lie in its first ``a.cols`` rows.  For the
+    near-permutation truncated operators this costs what their nonzeros do.
+    """
+    if a.field != b.field:
+        raise DimensionMismatch("matrices over different fields")
+    if width > b.cols:
+        raise DimensionMismatch(f"no {width} columns in a {b.rows}x{b.cols} matrix")
+    p, a_cols = a.field.modulus, a._col_terms
+    out = []
+    for terms in b._col_terms[:width]:
+        if terms and terms[-1][0] >= a.cols:
+            raise DimensionMismatch(f"a column reaching row {terms[-1][0]} cannot be "
+                                    f"multiplied by a {a.rows}x{a.cols} matrix")
+        acc: dict = {}
+        for k, y in terms:
+            for i, x in a_cols[k]:
+                acc[i] = acc.get(i, 0) + x * y
+        out.append({i: r for i, x in acc.items() if (r := x if p is None else x % p)})
+    return out
 
 
 def matvec(m: Mat, x: Sequence) -> tuple:

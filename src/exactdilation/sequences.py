@@ -13,7 +13,6 @@ F^d used by ``embed`` and ``project``.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldSpec
@@ -79,16 +78,6 @@ class Batch:
     def max_support(self) -> int:
         """Largest coordinate carrying a nonzero entry; -1 when every column is zero."""
         return next(reversed(self.blocks), -1)
-
-    def supports(self) -> list:
-        """Largest coordinate carrying a nonzero entry, per column; -1 for a zero column."""
-        top = [-1] * self.width
-        index = range(self.width)
-        for n, m in self.blocks.items():
-            for row in m.ints:
-                for c in compress(index, row):
-                    top[c] = n
-        return top
 
 
 def fsvec(field: FieldSpec, dim: int, items: Mapping[int, Iterable] | Iterable) -> Batch:

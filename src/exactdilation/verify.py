@@ -22,12 +22,19 @@ from .dilation import (
     ando,
     apply_batch,
     build_generators,
-    level_block,
     sznagy,
     truncated_matrix,
 )
 from .fields import FieldSpec
-from .linalg import Mat, column_ranks, from_cols, kernel_basis, zeros
+from .linalg import (
+    DimensionMismatch,
+    Mat,
+    column_product,
+    column_ranks,
+    from_cols,
+    kernel_basis,
+    zeros,
+)
 from .pairs import PairRecipe, check_commute
 from .rng import SplitMix64, rand_column
 from .sequences import Batch
@@ -226,20 +233,24 @@ def _commutation_record(ops: AndoOperators, params: CheckParams,
                         u: Mat, v: Mat) -> CheckRecord:
     """U_{k+1} V_k = V_{k+1} U_k for every k <= max_trunc, from one product per side.
 
-    ``u`` and ``v`` are at level max_trunc + 1.  The level-k products are the
-    leading d(4k+1) columns of the top ones, with zeros below, so the first
-    failing level is the lowest one whose columns hold a mismatch.
+    ``u`` and ``v`` are at level max_trunc + 1 or higher.  The level-k products
+    are the leading d(4k+1) columns of ``U_{K+1} V_K`` and ``V_{K+1} U_K``, with
+    zeros below, for K = max_trunc; both are built by columns over
+    ``u.den * v.den``.  So the first failing level is the lowest one whose
+    columns hold a mismatch, and the reported cell is the first in row-major
+    order among that level's columns.
     """
-    d, top = ops.d, params.max_trunc
-    uv = u @ level_block(v, d, top)
-    vu = v @ level_block(u, d, top)
-    mismatches = _mismatches(uv, vu)
+    d = ops.d
+    width = d * (4 * params.max_trunc + 1)
+    uv, vu = column_product(u, v, width), column_product(v, u, width)
     counterexample = None
-    if mismatches:
-        k = (min(j for _, j in mismatches) // d + 3) // 4
-        i, j = next((i, j) for i, j in mismatches if j < d * (4 * k + 1))
-        counterexample = {"trunc": k, "row": i, "col": j,
-                          "uv": _column_text(uv, j, [i])[0], "vu": _column_text(vu, j, [i])[0]}
+    first = next((j for j in range(width) if uv[j] != vu[j]), None)
+    if first is not None:
+        k = (first // d + 3) // 4
+        i, j = min((i, j) for j in range(first, d * (4 * k + 1))
+                   for i in uv[j].keys() | vu[j].keys() if uv[j].get(i) != vu[j].get(i))
+        texts = ops.field.fmt_ints([(uv[j].get(i, 0),), (vu[j].get(i, 0),)], u.den * v.den)
+        counterexample = {"trunc": k, "row": i, "col": j, "uv": texts[0][0], "vu": texts[1][0]}
     return CheckRecord("commutation", {"max_trunc": params.max_trunc},
                        counterexample is None, counterexample)
 
@@ -284,14 +295,20 @@ def check_ando(t: Mat, s: Mat, params: CheckParams = CheckParams(),
     input pair does not commute.  ``ops`` may be supplied to audit a
     pre-built or deliberately tampered operator tuple, and ``truncations``
     the truncated matrices of its U and V at one level above ``max_trunc``
-    or higher, when the caller needs them too; every level is read off them.
+    or higher, when the caller needs them too; every level is read off their
+    leading columns.
     """
     if ops is None:
         ops = ando(t, s, completion=completion)
     top = params.max_trunc + 1
     if truncations is None:
         truncations = (truncated_matrix("U", ops, top), truncated_matrix("V", ops, top))
-    u, v = (level_block(m, ops.d, top) for m in truncations)
+    rows, cols = ops.d * (4 * top + 5), ops.d * (4 * top + 1)
+    for m in truncations:
+        if m.cols < cols:
+            raise DimensionMismatch(
+                f"no {rows}x{cols} leading block in a {m.rows}x{m.cols} matrix")
+    u, v = truncations
     gens = build_generators(ops.T, ops.S)
     records = [
         _bivariate_record(ops, params),

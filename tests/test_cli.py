@@ -472,6 +472,26 @@ def test_out_in_a_missing_directory_exits_2(tmp_path, capsys, argv):
     assert not dest.parent.exists()
 
 
+@pytest.mark.parametrize("flags, fragment", [
+    (["--out", "{missing}"], "cannot write "),
+    (["--trunc", "-1"], "max_trunc"),
+])
+def test_sznagy_with_s_that_exits_2_writes_one_line(tmp_path, capsys, flags, fragment):
+    # the warning about S waits for the run's outcome, so the error line is alone
+    path = write_problem(tmp_path / "p.json", IDENTITY2)
+    missing = tmp_path / "missing" / "out.json"
+    flags = [f.format(missing=missing) for f in flags]
+    assert main(["sznagy", "--input", path] + flags) == 2
+    _assert_one_error_line(capsys, fragment)
+
+
+def test_sznagy_with_s_that_passes_warns_once(tmp_path, capsys):
+    path = write_problem(tmp_path / "p.json", IDENTITY2)
+    assert main(["sznagy", "--input", path, "--out", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: 'S' present in input is ignored by the single-map suite\n")
+
+
 def test_dump_destination_that_is_a_directory_exits_2(tmp_path, capsys):
     # the report is written before the dump, so it is there; the dump is not
     path = write_problem(tmp_path / "p.json", IDENTITY2)

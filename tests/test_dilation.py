@@ -26,6 +26,7 @@ from exactdilation.dilation import (
     apply_w_inv,
     build_generators,
     build_v,
+    level_block,
     sznagy,
     sznagy_apply_u,
     truncated_matrix,
@@ -33,6 +34,7 @@ from exactdilation.dilation import (
 from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import (
     DimensionMismatch,
+    Mat,
     from_cols,
     hstack,
     identity,
@@ -710,6 +712,48 @@ def test_lazy_actions_match_plain_oracle(field, d, completion, kind, seed):
         assert columns(out) == [single(tag_ops, w) for w in ws], tag
         # a batch stores exactly the coordinates where some column is nonzero
         assert list(out.blocks) == sorted({n for w in columns(out) for n in w.blocks})
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("d", range(5))
+def test_truncated_matrix_grid_matches_plain_oracle(field, d):
+    # built by columns; its integer grid, a view built when read, is assembled
+    # here from the plain-list lazy oracle
+    t, s = gen_pair(PairRecipe("polynomial", d, field, seed=30 + d))
+    ops, sops = ando(t, s), sznagy(t)
+    p = field.modulus
+    plain = [to_plain(m) for m in (t, s, ops.v, ops.v_inv)]
+    k = 2
+    n_in, n_out = 4 * k + 1, 4 * k + 5
+    for tag in OPERATOR_TAGS:
+        m = truncated_matrix(tag, sops if tag == "SzNagyU" else ops, k)
+        assert "ints" not in m.__dict__
+        grid = [[0] * (d * n_in) for _ in range(d * n_out)]
+        for n in range(n_in):
+            for i in range(d):
+                e = {n: [1 if j == i else 0 for j in range(d)]}
+                for idx, col in lazy_action(tag, *plain, e, p).items():
+                    for r, x in enumerate(col):
+                        grid[idx * d + r][n * d + i] = m.den * x
+        assert all(x == int(x) for row in grid for x in row)
+        assert m.ints == tuple(tuple(int(x) for x in row) for row in grid), tag
+        assert_canonical(m)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("d", range(5))
+def test_levels_of_a_column_form_matrix_are_its_dense_slices(field, d):
+    t, s = gen_pair(PairRecipe("polynomial", d, field, seed=40 + d))
+    ops, top = ando(t, s), 3
+    for tag in ("U", "V", "W"):
+        m = truncated_matrix(tag, ops, top)
+        for k in range(top + 1):
+            rows, cols = d * (4 * k + 5), d * (4 * k + 1)
+            block = level_block(m, d, k)
+            dense = Mat.from_ints(field, rows, cols, [r[:cols] for r in m.ints[:rows]], m.den)
+            assert block == dense and hash(block) == hash(dense), (tag, k)
+            assert block == m.leading(rows, cols) == truncated_matrix(tag, ops, k)
+            assert_canonical(block)
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -13,6 +13,7 @@ from exactdilation.linalg import (
     NotIndependent,
     NotSquare,
     Singular,
+    column_product,
     column_ranks,
     complete_basis,
     from_cols,
@@ -396,6 +397,9 @@ def assert_canonical(m):
     else:
         assert m.den == 1 and all(0 <= x < p for r in m.ints for x in r)
         assert m.entries == m.ints
+    # the column terms, whichever form the matrix was built in, agree with the grid
+    assert m._col_terms == [[(i, r[j]) for i, r in enumerate(m.ints) if r[j]]
+                            for j in range(m.cols)]
 
 
 def shaped_mats(field, r, c, entries=None):
@@ -411,7 +415,7 @@ def test_every_constructor_and_operation_is_canonical(field, data):
     r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
     a, a2 = data.draw(shaped_mats(field, r, k)), data.draw(shaped_mats(field, r, k))
     b, sq = data.draw(shaped_mats(field, k, c)), data.draw(shaped_mats(field, k, k))
-    results = [a, mat(field, [[field.fmt(x) for x in row] for row in a.entries]),
+    results = [a, mat(field, [[str(x) for x in row] for row in a.entries]),
                identity(field, k), zeros(field, r, c),
                from_cols(field, r, [a.col(j) for j in range(k)]),
                hstack(a, a2), vstack(a, a2, a), a.leading(r // 2, k - k // 2),
@@ -432,6 +436,50 @@ def test_truncated_matrices_are_canonical(field, d, seed):
         m = truncated_matrix(tag, ops.get(tag, ando_ops), 2)
         assert_canonical(m)
         assert_canonical(m.leading(d * 9, d * 5))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from((RATIONAL, GF7)), st.data())
+def test_column_product_matches_plain_product(field, data):
+    # column j of a @ b over a.den * b.den, for b taller than a is wide: its
+    # leading columns are zero below a.cols
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, top = data.draw(shaped_mats(field, r, k)), data.draw(shaped_mats(field, k, c))
+    b = vstack(top, zeros(field, 2, c)) if c else zeros(field, k + 2, 0)
+    width = data.draw(st.integers(0, c))
+    got = column_product(a, b, width)
+    want = plain_mult(to_plain(a), to_plain(top), field.modulus, out_cols=c)
+    den = a.den * b.den
+    assert len(got) == width
+    for j, col in enumerate(got):
+        assert all(x for x in col.values())
+        if field.is_rational:
+            assert {i: Fraction(x, den) for i, x in col.items()} == {
+                i: row[j] for i, row in enumerate(want) if row[j]}
+        else:
+            assert col == {i: row[j] for i, row in enumerate(want) if row[j]}
+    if c:
+        tall = vstack(zeros(field, k + 1, c), data.draw(shaped_mats(field, 1, c)))
+        if not tall.is_zero():
+            with pytest.raises(DimensionMismatch):
+                column_product(a, tall, c)
+    with pytest.raises(DimensionMismatch):
+        column_product(a, b, c + 1)
+
+
+def test_leading_block_of_a_column_form_matrix_is_canonical():
+    # 2/6, 4/6 and 1/6, 6/6: the leading 2x2 block shares the factor 2 with 6
+    m = Mat.from_col_terms(RATIONAL, 3, 3, [[(0, 2), (2, 1)], [(1, 4)], [(2, 6)]], 6)
+    assert_canonical(m)
+    block = m.leading(2, 2)
+    assert "ints" not in block.__dict__ and block.den == 3
+    want = mat(RATIONAL, [["1/3", 0], [0, "2/3"]])
+    assert block == want and hash(block) == hash(want)
+    assert_canonical(block)
+    assert m.leading(3, 1) == mat(RATIONAL, [["1/3"], [0], ["1/6"]])
+    assert m.leading(3, 3) is m
+    with pytest.raises(DimensionMismatch):
+        m.leading(4, 1)
 
 
 @settings(deadline=None, max_examples=80)

@@ -89,7 +89,7 @@ def test_fsvec_validation():
     with pytest.raises(ValueError):
         Batch.of(RATIONAL, 2, 1, {-3: from_cols(RATIONAL, 2, [(1, 1)])})
     two = Batch.of(RATIONAL, 2, 2, {4: zeros(RATIONAL, 2, 2), 1: mat(RATIONAL, [[1, 0], [0, 2]])})
-    assert list(two.blocks) == [1] and two.supports() == [1, 1]
+    assert list(two.blocks) == [1] and two.max_support() == 1
 
 
 def test_one_sequence_readers_reject_other_widths():
