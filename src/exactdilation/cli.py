@@ -16,6 +16,7 @@ import re
 import sys
 from functools import cache
 
+from ._jsontext import json_text
 from .dilation import NotCommuting, ando, level_block, truncated_matrix
 from .fields import RATIONAL, FieldSpec, ScalarTooLarge, gf
 from .pairs import InvalidRecipe, PairRecipe, gen_pair
@@ -123,23 +124,6 @@ def _emit(report: Report, args, *dump) -> int:
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 
-def _grid_json(dump: dict) -> str:
-    """``json.dumps(dump, sort_keys=True, indent=2) + "\\n"`` for a dict of ints and
-    grids of scalar text, written directly: with ``indent`` the json module
-    encodes in pure Python.  Scalar text holds nothing JSON escapes."""
-    items = []
-    for key in sorted(dump):
-        value = dump[key]
-        if isinstance(value, int):
-            text = str(value)
-        else:
-            rows = ('[\n      "' + '",\n      "'.join(row) + '"\n    ]' if row else "[]"
-                    for row in value)
-            text = "[\n    " + ",\n    ".join(rows) + "\n  ]" if value else "[]"
-        items.append(f'  "{key}": {text}')
-    return "{\n" + ",\n".join(items) + "\n}\n"
-
-
 def _cmd_sznagy(args) -> int:
     problem = load_problem(args.input)
     t, s = resolve_pair(problem)
@@ -173,7 +157,7 @@ def _cmd_ando(args) -> int:
         return _emit(report, args)
     u, v = (mat_to_grid(level_block(m, ops.d, k)) for m in truncations)
     dump = {"trunc": k, "U": u, "V": v, "v": mat_to_grid(ops.v)}
-    return _emit(report, args, (_grid_json(dump), str(args.out) + ".operators.json"))
+    return _emit(report, args, (json_text(dump), str(args.out) + ".operators.json"))
 
 
 def _cmd_gen(args) -> int:
@@ -184,8 +168,7 @@ def _cmd_gen(args) -> int:
         t, s = gen_pair(recipe)
     except InvalidRecipe as exc:
         raise ProblemError(str(exc)) from exc
-    _write(json.dumps(problem_to_dict(field, t, s), sort_keys=True, indent=2) + "\n",
-           args.out)
+    _write(json_text(problem_to_dict(field, t, s)), args.out)
     return EXIT_PASS
 
 

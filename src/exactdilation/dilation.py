@@ -26,10 +26,10 @@ truncation at level K+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import lcm
 
+from ._record import Record
 from .fields import FieldSpec
 from .linalg import (
     DimensionMismatch,
@@ -82,8 +82,7 @@ class SupportOverflow(AssertionError):
     """A truncated operator image escaped the next truncation level."""
 
 
-@dataclass(frozen=True)
-class SzNagyOperators:
+class SzNagyOperators(Record):
     """Single-map dilation data: just the map itself."""
 
     d: int
@@ -91,8 +90,7 @@ class SzNagyOperators:
     T: Mat
 
 
-@dataclass(frozen=True)
-class AndoOperators:
+class AndoOperators(Record):
     """Two-map dilation data: the commuting pair and the block exchange map."""
 
     d: int
@@ -103,8 +101,7 @@ class AndoOperators:
     v_inv: Mat
 
 
-@dataclass(frozen=True)
-class Generators:
+class Generators(Record):
     """Generator columns of the two spans the exchange map must match up.
 
     Column i of G is ((I-T)S e_i, 0, (I-S) e_i, 0); column i of H is
@@ -114,7 +111,7 @@ class Generators:
     G: Mat
     H: Mat
 
-    def __post_init__(self):
+    def _check(self):
         if (self.G.field, self.G.rows, self.G.cols) != (self.H.field, self.H.rows, self.H.cols):
             raise DimensionMismatch("G and H need one shape over one field")
 

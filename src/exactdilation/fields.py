@@ -19,10 +19,11 @@ prime-field residue ``[0-9]+``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
+
+from ._record import Record
 
 __all__ = ["FieldSpec", "RATIONAL", "gf", "MAX_MODULUS", "ScalarTooLarge"]
 
@@ -66,14 +67,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """The scalar field: ``kind`` is ``"rational"`` or ``"gf"`` (with prime modulus)."""
 
     kind: str
     modulus: Optional[int] = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind == "rational":
             if self.modulus is not None:
                 raise ValueError("rational field carries no modulus")

@@ -7,9 +7,9 @@ seed give bit-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import Record
 from .fields import FieldSpec
 from .linalg import DimensionMismatch, Mat, is_invertible, inverse, zeros
 from .rng import SplitMix64, rand_matrix, rand_scalar
@@ -24,8 +24,7 @@ class InvalidRecipe(ValueError):
     """Recipe fails validation (unknown kind, bad dimension, missing matrices)."""
 
 
-@dataclass(frozen=True)
-class PairRecipe:
+class PairRecipe(Record):
     """How to produce one commuting pair (T, S) of d x d matrices.
 
     Kinds: ``polynomial`` draws a random d x d matrix A and two polynomials of

@@ -19,9 +19,9 @@ the exact text grammar; nothing here ever touches floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record
 from .fields import FieldSpec
 from .linalg import Mat
 from .pairs import RECIPE_KINDS, InvalidRecipe, PairRecipe, gen_pair
@@ -34,8 +34,7 @@ class ProblemError(ValueError):
     """Problem file fails to parse or validate."""
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     field: FieldSpec
     dim: int
     T: Optional[Mat]
@@ -125,6 +124,10 @@ def load_problem(path) -> Problem:
         raise ProblemError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProblemError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's int-from-text digit limit
+        raise ProblemError(f"{path} holds a number too long to read: {exc}") from exc
+    except RecursionError:
+        raise ProblemError(f"{path} is nested too deeply to read") from None
     return parse_problem(obj)
 
 

@@ -29,8 +29,7 @@ class Batch:
     increasing order, to a nonzero ``dim x width`` ``Mat``.  The constructor
     takes ``blocks`` as they are; ``Batch.of`` checks, sorts and drops zero
     blocks.  Batches and their blocks are never modified once made, so an
-    action may hand a block on unchanged.  (A plain class: a dataclass would
-    cost a millisecond of every import.)
+    action may hand a block on unchanged.
     """
 
     __slots__ = ("field", "dim", "width", "blocks")

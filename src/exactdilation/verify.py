@@ -12,9 +12,10 @@ dilation-equation records step every trial vector at once, as one
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
+from ._jsontext import json_text
+from ._record import Record
 from .dilation import (
     AndoOperators,
     Generators,
@@ -43,8 +44,7 @@ __all__ = ["CheckParams", "CheckRecord", "Report", "check_sznagy", "check_ando",
            "check_negative", "report_from_json"]
 
 
-@dataclass(frozen=True)
-class CheckParams:
+class CheckParams(Record):
     """Finite windows for the quantifiers: exponents up to ``max_power``,
     truncation levels up to ``max_trunc``, ``trials`` random vectors per check
     on top of the full standard basis."""
@@ -54,7 +54,7 @@ class CheckParams:
     trials: int = 8
     seed: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         if self.max_power < 1:
             raise ValueError("max_power must be >= 1")
         if self.max_trunc < 0:
@@ -67,14 +67,13 @@ class CheckParams:
                 "trials": self.trials, "seed": self.seed}
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(Record):
     name: str
     params: dict
     passed: bool
     counterexample: Optional[dict] = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.passed and self.counterexample is not None:
             raise ValueError("passing record cannot carry a counterexample")
         if not self.passed and self.counterexample is None:
@@ -87,8 +86,7 @@ class CheckRecord:
         return out
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     meta: dict
     checks: tuple
     passed: bool
@@ -98,7 +96,7 @@ class Report:
                 "pass": self.passed}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict())
 
 
 def _make_report(meta: dict, records) -> Report:

@@ -512,6 +512,23 @@ def test_problem_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     _assert_one_error_line(capsys, "is not valid JSON")
 
 
+@pytest.mark.parametrize("command", ["ando", "sznagy"])
+@pytest.mark.parametrize("text, fragment", [
+    ("[" * 200000, "nested too deeply"),
+    ('{"field": {"kind": "gf", "modulus": ' + "7" * 5000 + '}, "recipe": '
+     '{"kind": "diagonal", "dim": 1, "seed": 0}}', "number too long"),
+], ids=["deep-nesting", "long-integer"])
+def test_hostile_problem_file_exits_2(tmp_path, capsys, command, text, fragment):
+    # json raises RecursionError on deep nesting, and ValueError, not
+    # JSONDecodeError, on an integer past the int-from-text digit limit
+    path = tmp_path / "p.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--input", str(path)]) == 2
+    _assert_one_error_line(capsys, fragment)
+    with pytest.raises(ProblemError, match=fragment):
+        load_problem(path)
+
+
 def test_parser_is_built_once_on_first_call():
     # not at import, so the import time does not grow; then shared by every call
     script = (
@@ -534,3 +551,20 @@ def test_parser_is_built_once_on_first_call():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src_dir)), timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # both cost import time on every command-line run; the value classes are
+    # built without them
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import exactdilation.cli\n"
+        "loaded = set(sys.modules) - before\n"
+        "assert 'exactdilation.cli' in loaded, sorted(loaded)\n"
+        "print(sorted(loaded & {'dataclasses', 'inspect'}))\n")
+    src_dir = Path(cli_mod.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src_dir)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

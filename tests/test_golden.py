@@ -11,8 +11,9 @@ description.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -81,7 +82,7 @@ def _run_tampered() -> dict:
     ops = ando(t, s)
     rows = [list(r) for r in ops.v.entries]
     rows[1][0] += RATIONAL.parse("1/2")
-    bad = replace(ops, v=Mat(RATIONAL, ops.v.rows, ops.v.cols, tuple(map(tuple, rows))))
+    bad = ops.replace(v=Mat(RATIONAL, ops.v.rows, ops.v.cols, tuple(map(tuple, rows))))
     report = check_ando(t, s, CheckParams(max_power=3, max_trunc=2), ops=bad)
     return {"exit": None, "stderr": "", "files": {f"{TAMPERED_CASE}.report": report.to_json()}}
 
@@ -109,6 +110,42 @@ def test_golden_cases_cover_failures():
     assert manifest["ando_noncommuting"]["exit"] == 3
     assert '"pass": false' in (GOLDEN / f"{TAMPERED_CASE}.report").read_text(encoding="utf-8")
     assert "ando_q_dump.report.operators.json" in manifest["ando_q_dump"]["files"]
+
+
+# run under ``python -O``, where assert statements are gone, so every check raises
+_UNDER_O = """
+import json, sys
+from pathlib import Path
+import test_golden as golden
+from exactdilation.verify import CheckParams, CheckRecord
+if __debug__:
+    sys.exit("not running under -O")
+manifest = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
+for name in ("ando_q_dump", "sznagy_q_polynomial"):
+    got = golden._run_cli(name, Path(sys.argv[1]))
+    if got["exit"] != manifest[name]["exit"] or sorted(got["files"]) != manifest[name]["files"]:
+        sys.exit(f"{name}: exit code or files differ from the manifest")
+    for fname, text in got["files"].items():
+        if text.encode("utf-8") != (golden.GOLDEN / fname).read_bytes():
+            sys.exit(f"{fname} differs from its golden bytes")
+for make in (lambda: CheckParams(max_power=0), lambda: CheckRecord("x", {}, True, {"a": 1})):
+    try:
+        make()
+    except ValueError:
+        continue
+    sys.exit("an invalid value was accepted")
+print("ok")
+"""
+
+
+def test_golden_bytes_and_validation_survive_python_O(tmp_path):
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(main.__code__.co_filename).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O, str(tmp_path)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (src_dir, tests_dir)))),
+        timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
 def _write_golden():

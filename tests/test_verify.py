@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -356,9 +355,9 @@ def test_batched_dilation_records_match_per_vector_reference(field, monkeypatch)
             f = honest.field
             tampered = {
                 "honest": honest,
-                "identity v": replace(honest, v=identity(f, 4 * d), v_inv=identity(f, 4 * d)),
-                "v and v_inv swapped": replace(honest, v=honest.v_inv, v_inv=honest.v),
-                "random v": replace(honest, v=rand_matrix(rng, f, 4 * d)),
+                "identity v": honest.replace(v=identity(f, 4 * d), v_inv=identity(f, 4 * d)),
+                "v and v_inv swapped": honest.replace(v=honest.v_inv, v_inv=honest.v),
+                "random v": honest.replace(v=rand_matrix(rng, f, 4 * d)),
             }
             for bumped in ((), ("U",), ("V",), ("U", "V", "SzNagyU")):
                 for tag in actions:
@@ -368,7 +367,7 @@ def test_batched_dilation_records_match_per_vector_reference(field, monkeypatch)
                     monkeypatch.setitem(
                         dilation_mod._ACTIONS, tag,
                         lambda o, b, _a=actions[tag], _w=which:
-                            _a(replace(o, **{_w: getattr(o, _w) + bump}), b))
+                            _a(o.replace(**{_w: getattr(o, _w) + bump}), b))
                 for label, ops in tampered.items():
                     params = CheckParams(max_power=3, trials=3, seed=rng.below(100))
                     bivariate, single = _per_vector_dilation_records(ops, sznagy(t), params)
