@@ -9,20 +9,14 @@ __all__ = ["json_text"]
 _PLAIN = bytes(c for c in range(128) if encode_basestring_ascii(chr(c)) == f'"{chr(c)}"')
 
 
-class _Leaves(dict):
-    """The JSON text of each distinct leaf ``x``, keyed by ``(type(x), x)`` so that
-    ``1`` and ``True`` stay apart, written once as the json module writes it: a
-    string by its string encoder, the one ``json.dumps`` calls for a string, an
-    int by ``int.__repr__``, as its encoder does, any other leaf by
-    ``json.dumps``."""
-
-    def __missing__(self, key) -> str:
-        kind, leaf = key
-        text = (encode_basestring_ascii(leaf) if kind is str else int.__repr__(leaf)
-                if kind is int else json.dumps(leaf))
-        if kind is not float:  # 0.0 == -0.0, but the two are written apart
-            self[key] = text
-        return text
+def _leaf(leaf) -> str:
+    """The JSON text of ``leaf``, as the json module writes it: a string by its
+    string encoder, the one ``json.dumps`` calls for a string, an int by
+    ``int.__repr__``, as its encoder does, any other leaf by ``json.dumps``."""
+    kind = type(leaf)
+    if kind is str:
+        return encode_basestring_ascii(leaf)
+    return int.__repr__(leaf) if kind is int else json.dumps(leaf)
 
 
 def json_text(obj) -> str:
@@ -30,33 +24,34 @@ def json_text(obj) -> str:
     ``indent`` the json module encodes in pure Python.
 
     ``obj`` nests dicts with string keys, lists and tuples.  Escaping stays
-    the json module's (``_Leaves``).  A list of strings, such as a row of
+    the json module's (``_leaf``).  A list of strings, such as a row of
     scalar text, and a list of such lists, such as a grid, are written by
     joins alone when every character of their strings is one that the
     module's encoder writes as it is (``_PLAIN``), checked once for all.
     """
-    leaves = _Leaves()
+    return _write(obj, "\n") + "\n"
 
-    def write(value, pad: str) -> str:
-        if not isinstance(value, (dict, list, tuple)):
-            return leaves[type(value), value]
-        inner = pad + "  "
-        if isinstance(value, dict):
-            items = [leaves[str, k] + ": " + write(v, inner) for k, v in sorted(value.items())]
-            brackets = "{}"
+
+def _write(value, pad: str) -> str:
+    """The JSON text of ``value``, its lines after the first indented by ``pad``."""
+    if not isinstance(value, (dict, list, tuple)):
+        return _leaf(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + _write(v, inner)
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    else:
+        if value and _plain(value):  # a row of scalar text
+            return _rows([value], pad)[0]
+        if set(map(type, value)) <= {list, tuple} and _plain(map("".join, value)):  # a grid
+            items = _rows(value, inner)
         else:
-            if value and _plain(value):  # a row of scalar text
-                return _rows([value], pad)[0]
-            if set(map(type, value)) <= {list, tuple} and _plain(map("".join, value)):  # a grid
-                items = _rows(value, inner)
-            else:
-                items = [write(x, inner) for x in value]
-            brackets = "[]"
-        if not items:
-            return brackets
-        return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
-
-    return write(obj, "\n") + "\n"
+            items = [_write(x, inner) for x in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
 def _plain(strings) -> bool:

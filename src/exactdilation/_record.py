@@ -11,6 +11,12 @@ attribute; it gets positional and keyword construction, value ``==`` and
 Fields are set with ``object.__setattr__``, which keeps the instance's
 attributes as fast to read as a plain object's; the tuple of their values
 is kept too, for ``==`` and ``hash``.
+
+The fields are read off the class's own annotations as the class is made.
+A module that defines a subclass starts with ``from __future__ import
+annotations``: its annotations are then kept as text and not evaluated at
+that point, where a name such as that of a later class may not yet exist.
+A subclass that annotates no fields is refused.
 """
 
 __all__ = ["Record"]
@@ -20,7 +26,9 @@ class Record:
     _fields: tuple = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = tuple(cls.__annotations__)  # the class's own, from 3.10 on
+        if not cls._fields:
+            raise TypeError(f"Record subclass {cls.__name__} annotates no fields")
 
     def __init__(self, *args, **kwargs):
         cls, fields = type(self), self._fields

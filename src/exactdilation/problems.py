@@ -118,16 +118,20 @@ def parse_problem(obj) -> Problem:
 
 def load_problem(path) -> Problem:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
+        fh = open(path, "r", encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         raise ProblemError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ProblemError(f"{path} is not valid JSON: {exc}") from exc
-    except ValueError as exc:  # an integer past Python's int-from-text digit limit
-        raise ProblemError(f"{path} holds a number too long to read: {exc}") from exc
-    except RecursionError:
-        raise ProblemError(f"{path} is nested too deeply to read") from None
+    with fh:
+        try:
+            obj = json.load(fh)
+        except OSError as exc:
+            raise ProblemError(f"cannot read {path}: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ProblemError(f"{path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer past Python's int-from-text digit limit
+            raise ProblemError(f"{path} holds a number too long to read: {exc}") from exc
+        except RecursionError:
+            raise ProblemError(f"{path} is nested too deeply to read") from None
     return parse_problem(obj)
 
 

@@ -92,6 +92,13 @@ def test_load_problem_errors(tmp_path):
         load_problem(str(bad))
 
 
+def test_path_with_nul_byte_cannot_be_read(tmp_path):
+    # open raises ValueError here, which is no number too long to read
+    with pytest.raises(ProblemError, match="cannot read") as info:
+        load_problem(str(tmp_path / "p\0.json"))
+    assert "number too long" not in str(info.value)
+
+
 # -- gen -------------------------------------------------------------------------------
 
 

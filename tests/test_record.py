@@ -6,8 +6,10 @@ name, fields and defaults, the form the classes had before they were built
 on ``exactdilation._record``: repr, ``==`` and ``hash`` must agree with it.
 """
 
+import __future__
 import dataclasses
 import re
+import sys
 
 import pytest
 
@@ -233,3 +235,17 @@ def test_valid_replacements_pass_validation():
 def test_pair_recipe_is_validated_when_used_not_when_made():
     recipe = PairRecipe("no such kind", -1, RATIONAL)
     assert recipe.replace(kind="diagonal", dim=1).kind == "diagonal"
+
+
+def test_a_subclass_without_fields_is_refused():
+    with pytest.raises(TypeError, match="annotates no fields"):
+        class Empty(Record):
+            pass
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_fields_are_read_from_text_annotations(cls):
+    # the fields are the annotations, read as the class is made: kept as text
+    # by the future import, they are never evaluated
+    assert getattr(sys.modules[cls.__module__], "annotations", None) is __future__.annotations
+    assert all(isinstance(a, str) for a in cls.__annotations__.values())
