@@ -26,7 +26,6 @@ truncation at level K+1.
 
 from __future__ import annotations
 
-from itertools import compress
 from math import lcm
 
 from ._record import Record
@@ -34,6 +33,7 @@ from .fields import FieldSpec
 from .linalg import (
     DimensionMismatch,
     Mat,
+    _add_terms,
     _scan_is_forward,
     _span,
     identity,
@@ -346,12 +346,8 @@ def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
     cols = []
     for level, (coords, img) in enumerate(images):
         terms = [[] for _ in range(img.width)]
-        index = range(img.width)
         for n, x in img.blocks.items():
-            scale = den // x.den
-            for i, row in enumerate(x.ints, n * d):
-                for c in compress(index, row):
-                    terms[c].append((i, scale * row[c]))
+            _add_terms(terms, x.ints, n * d, den // x.den)
         for c, col in enumerate(terms):
             if col and col[-1][0] >= d * (4 * level + 5):
                 raise SupportOverflow(f"{tag} pushed coordinate {coords[c // d]} to "

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldSpec
-from .linalg import DimensionMismatch, Mat, from_cols
+from .linalg import DimensionMismatch, Mat, _unit_cols, from_cols
 
 __all__ = ["Batch", "fsvec", "zero_fsvec", "embed", "project", "block", "to_coords",
            "from_coords"]
@@ -55,15 +55,9 @@ class Batch:
         """The standard basis vectors at increasing ``coords``: column ``k*dim + i``
         is e_i at ``coords[k]``."""
         width = dim * len(coords)
-        blocks = {}
-        for k, n in enumerate(coords):
-            rows = [[0] * width for _ in range(dim)]
-            for i, row in enumerate(rows):
-                row[k * dim + i] = 1
-            if rows:
-                blocks[n] = Mat.from_ints(field, dim, width, tuple(map(tuple, rows)), 1,
-                                          canonical=True)
-        return cls(field, dim, width, blocks)
+        return cls(field, dim, width,
+                   {n: _unit_cols(field, dim, width, zip(range(dim), range(k * dim, width)))
+                    for k, n in enumerate(coords) if dim})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Batch):

@@ -105,17 +105,23 @@ def _make_report(meta: dict, records) -> Report:
 
 
 def report_from_json(text: str) -> Report:
+    """The report written as ``text`` by ``Report.to_json``.
+
+    Any other shape raises ValueError, with one message: a top level that is
+    not an object with the keys meta, checks and pass, checks that are not a
+    list, or a record that is not an object with the keys name, params and
+    pass and at most counterexample besides.
+    """
     obj = json.loads(text)
-    if set(obj) != {"meta", "checks", "pass"}:
-        raise ValueError(f"unexpected report keys: {sorted(obj)}")
-    checks = []
-    for c in obj["checks"]:
-        extra = set(c) - {"name", "params", "pass", "counterexample"}
-        if extra:
-            raise ValueError(f"unexpected record keys: {sorted(extra)}")
-        checks.append(CheckRecord(c["name"], c["params"], c["pass"],
-                                  c.get("counterexample")))
-    return Report(obj["meta"], tuple(checks), obj["pass"])
+    records = obj.get("checks") if isinstance(obj, dict) else None
+    if not (isinstance(records, list) and set(obj) == {"meta", "checks", "pass"}
+            and all(isinstance(c, dict) and {"name", "params", "pass"} <= set(c)
+                    <= {"name", "params", "pass", "counterexample"} for c in records)):
+        raise ValueError("malformed report: expected {meta, checks, pass} with checks a "
+                         "list of records {name, params, pass[, counterexample]}")
+    return Report(obj["meta"], tuple(CheckRecord(c["name"], c["params"], c["pass"],
+                                                 c.get("counterexample")) for c in records),
+                  obj["pass"])
 
 
 # -- shared helpers ------------------------------------------------------------

@@ -1,0 +1,45 @@
+"""The code-line counter ``tools/code_lines.py`` is a script outside the
+package; it is loaded from its file and run on a small module here."""
+
+import importlib.util
+from pathlib import Path
+
+CODE_LINES = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+
+SAMPLE = '''"""A module docstring
+over two lines."""
+
+# a comment
+import os  # a comment after code
+
+
+def f(x):
+    """A function docstring."""
+
+    return (x +
+            os.sep)
+
+
+class C:
+    """A class docstring."""
+    y = """a string that is not a docstring"""
+'''
+
+
+def _load_code_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", CODE_LINES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counts_code_lines_without_docstrings_comments_or_blanks(tmp_path, capsys):
+    tool = _load_code_lines()
+    # import, def, the two lines of return, class, y
+    assert tool.code_lines(SAMPLE) == 6
+    (tmp_path / "sample.py").write_text(SAMPLE, encoding="utf-8")
+    assert tool.main([str(tmp_path)]) == 0
+    total = str(len(SAMPLE.splitlines()))
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["module", "code", "total"], ["sample.py", "6", total],
+        ["code", "lines", "6"], ["total", "lines", total]]

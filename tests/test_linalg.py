@@ -203,6 +203,24 @@ def test_column_ranks_match_prefix_ranks(field):
         column_ranks(identity(field, 3), [4])
 
 
+@pytest.mark.parametrize("field", (RATIONAL, GF7))
+def test_column_ranks_of_column_form_matrices(field):
+    # the injectivity path: truncations at level 2, ranked at the widths d(4k+1),
+    # k = 0, 1, and a matrix whose column 1 is three times column 0 and column 2 zero
+    t, s = gen_pair(PairRecipe("polynomial", 2, field, seed=7))
+    ando_ops = ando(t, s)
+    cases = [(truncated_matrix(tag, ops, 2), [2, 10])
+             for tag, ops in (("U", ando_ops), ("V", ando_ops), ("SzNagyU", sznagy(t)))]
+    cases.append((Mat.from_col_terms(field, 3, 4, [[(0, 1), (2, 2)], [(0, 3), (2, 6)], [],
+                                                   [(1, 5)]]), [0, 1, 2, 3, 4]))
+    for m, widths in cases:
+        ranks, full = column_ranks(m, widths), rank(m)
+        assert "ints" not in m.__dict__  # ranked from the columns alone
+        plain = to_plain(m)
+        assert ranks == [gauss_rank([row[:w] for row in plain], field.modulus) for w in widths]
+        assert full == gauss_rank(plain, field.modulus)
+
+
 # -- kernel ------------------------------------------------------------------------------
 
 
@@ -478,8 +496,11 @@ def test_leading_block_of_a_column_form_matrix_is_canonical():
     assert_canonical(block)
     assert m.leading(3, 1) == mat(RATIONAL, [["1/3"], [0], ["1/6"]])
     assert m.leading(3, 3) is m
+    for rows, cols in ((4, 1), (-1, 2), (2, -1)):
+        with pytest.raises(DimensionMismatch):
+            m.leading(rows, cols)
     with pytest.raises(DimensionMismatch):
-        m.leading(4, 1)
+        identity(RATIONAL, 3).leading(-1, 2)
 
 
 @settings(deadline=None, max_examples=80)

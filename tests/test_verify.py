@@ -493,6 +493,19 @@ def test_report_from_json_rejects_unknown_keys():
         report_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda obj: [obj],
+    lambda obj: dict(obj, checks=3),
+    lambda obj: dict(obj, checks=[3]),
+    lambda obj: dict(obj, checks=[{k: v for k, v in c.items() if k != "name"}
+                                  for c in obj["checks"]]),
+], ids=["top_level_not_object", "checks_not_list", "record_not_object", "record_missing_key"])
+def test_report_from_json_rejects_malformed_reports(spoil):
+    obj = check_sznagy(JORDAN, FAST).to_dict()
+    with pytest.raises(ValueError, match="^malformed report: "):
+        report_from_json(json.dumps(spoil(obj)))
+
+
 def test_recipe_pair_report_passes_end_to_end():
     recipe = PairRecipe("idempotent", 3, GF7, seed=6)
     t, s = gen_pair(recipe)
