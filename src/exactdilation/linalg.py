@@ -94,6 +94,8 @@ class Mat:
                   canonical: bool = False) -> "Mat":
         """The matrix ``ints / den``, ``den`` a positive int; ``canonical`` says that
         ``(ints, den)`` is already the canonical form, with row tuples."""
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimension")
         m = cls.__new__(cls)
         m.field, m.rows, m.cols = field, rows, cols
         m.ints, m.den = (ints, den) if canonical else field.reduce_ints(ints, den)
@@ -104,6 +106,8 @@ class Mat:
                        den: int = 1) -> "Mat":
         """The matrix whose column j holds the ``(row, int)`` pairs ``terms[j]``, in
         increasing row order, over ``den``; ``(terms, den)`` is already canonical."""
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimension")
         m = cls.__new__(cls)
         m.field, m.rows, m.cols, m._col_terms, m.den = field, rows, cols, terms, den
         return m

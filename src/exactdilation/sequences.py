@@ -13,13 +13,14 @@ F^d used by ``embed`` and ``project``.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldSpec
-from .linalg import DimensionMismatch, Mat, _unit_cols, from_cols
+from .linalg import DimensionMismatch, Mat, _unit_cols, from_cols, hstack, zeros
 
-__all__ = ["Batch", "fsvec", "zero_fsvec", "embed", "project", "block", "to_coords",
-           "from_coords"]
+__all__ = ["Batch", "side_by_side", "fsvec", "zero_fsvec", "embed", "project", "block",
+           "to_coords", "from_coords"]
 
 
 class Batch:
@@ -71,6 +72,19 @@ class Batch:
     def max_support(self) -> int:
         """Largest coordinate carrying a nonzero entry; -1 when every column is zero."""
         return next(reversed(self.blocks), -1)
+
+
+def side_by_side(batches: Sequence[Batch]) -> Batch:
+    """One batch whose columns are those of ``batches``, in order: at least one
+    batch, all over one field and dimension.  Each coordinate's blocks are joined
+    by ``hstack`` over the lcm of their denominators, so they stay canonical."""
+    field, dim = batches[0].field, batches[0].dim
+    if any(b.field != field or b.dim != dim for b in batches):
+        raise DimensionMismatch("side_by_side needs batches over one field and dimension")
+    zero = [zeros(field, dim, b.width) for b in batches]
+    return Batch(field, dim, sum(b.width for b in batches),
+                 {n: reduce(hstack, [b.blocks.get(n, z) for b, z in zip(batches, zero)])
+                  for n in sorted({n for b in batches for n in b.blocks})})
 
 
 def fsvec(field: FieldSpec, dim: int, items: Mapping[int, Iterable] | Iterable) -> Batch:

@@ -6,12 +6,14 @@ well-definedness), with a minimal counterexample attached to any failure.
 All comparisons are exact; there is no tolerance anywhere.  The
 dilation-equation records step every trial vector at once, as one
 ``Batch``, and compare its coordinate 0 with the plain matrix products
-``T^n X`` and ``T^n S^m X`` of the matrix ``X`` of trial vectors.
+``T^n X`` and ``T^n S^m X`` of the matrix ``X`` of trial vectors; the
+bivariate one steps every ``V^m X`` at once, side by side.
 """
 
 from __future__ import annotations
 
 import json
+from functools import reduce
 from typing import Optional
 
 from ._jsontext import json_text
@@ -33,12 +35,13 @@ from .linalg import (
     column_product,
     column_ranks,
     from_cols,
+    hstack,
     kernel_basis,
     zeros,
 )
 from .pairs import PairRecipe, check_commute
 from .rng import SplitMix64, rand_column
-from .sequences import Batch
+from .sequences import Batch, side_by_side
 
 __all__ = ["CheckParams", "CheckRecord", "Report", "check_sznagy", "check_ando",
            "check_negative", "report_from_json"]
@@ -108,20 +111,29 @@ def report_from_json(text: str) -> Report:
     """The report written as ``text`` by ``Report.to_json``.
 
     Any other shape raises ValueError, with one message: a top level that is
-    not an object with the keys meta, checks and pass, checks that are not a
-    list, or a record that is not an object with the keys name, params and
-    pass and at most counterexample besides.
+    not an object with the keys meta (an object), checks (a list) and pass (a
+    bool), or a record that is not an object with the keys name (a string),
+    params (an object) and pass (a bool) and at most counterexample (an
+    object) besides.
     """
     obj = json.loads(text)
     records = obj.get("checks") if isinstance(obj, dict) else None
     if not (isinstance(records, list) and set(obj) == {"meta", "checks", "pass"}
-            and all(isinstance(c, dict) and {"name", "params", "pass"} <= set(c)
-                    <= {"name", "params", "pass", "counterexample"} for c in records)):
+            and isinstance(obj["meta"], dict) and isinstance(obj["pass"], bool)
+            and all(map(_is_record, records))):
         raise ValueError("malformed report: expected {meta, checks, pass} with checks a "
                          "list of records {name, params, pass[, counterexample]}")
     return Report(obj["meta"], tuple(CheckRecord(c["name"], c["params"], c["pass"],
                                                  c.get("counterexample")) for c in records),
                   obj["pass"])
+
+
+def _is_record(c) -> bool:
+    """Whether ``c`` has the keys and value types of ``CheckRecord.to_dict()``."""
+    return (isinstance(c, dict) and {"name", "params", "pass"} <= set(c)
+            <= {"name", "params", "pass", "counterexample"}
+            and isinstance(c["name"], str) and isinstance(c["params"], dict)
+            and isinstance(c["pass"], bool) and isinstance(c.get("counterexample", {}), dict))
 
 
 # -- shared helpers ------------------------------------------------------------
@@ -148,29 +160,34 @@ def _column_text(m: Mat, j: int, rows=None) -> list:
     return [text for (text,) in m.field.fmt_ints([(m.ints[i][j],) for i in rows], m.den)]
 
 
-def _powers(failures: dict, tag: str, ops, t: Mat, w: Batch, tx: Mat, x: Mat,
-            n_max: int, **exps):
+def _dilation_record(name: str, tag: str, ops, t: Mat, w: Batch, tx: Mat, x: Mat,
+                     params: CheckParams) -> CheckRecord:
     """Step ``w`` by the operator ``tag`` and its expected coordinate 0, ``tx``, by
-    ``t``, ``n_max`` times.  At each step record every column, not failed before,
-    whose coordinate 0 differs from ``tx``; compared in integer form.  ``x`` is
-    the matrix of trial vectors."""
-    zero = zeros(w.field, w.dim, w.width)
-    for n in range(n_max + 1):
+    ``t``, ``max_power`` times, comparing the two in integer form at every step;
+    the record carries the failure of the first trial vector that has one.
+
+    ``x`` is the matrix of the ``k`` trial vectors.  A ``w`` wider than ``x``
+    holds ``V^m X`` for m = 0, 1, ... side by side: column ``c`` is trial
+    vector ``c % k`` at exponent ``m = c // k``, and the counterexample names
+    m.  A vector's failure is from its lowest failing m, at that column's
+    first failing n: the first failure a vector-by-vector loop over m, then n,
+    with early exit would meet.
+    """
+    k, zero = x.cols, zeros(w.field, w.dim, w.width)
+    first = {}  # column -> (n, expected, actual) at its first failing step
+    for n in range(params.max_power + 1):
         if n:
             w, tx = apply_batch(tag, ops, w), t @ tx
         got = w.blocks.get(0, zero)
-        for c in sorted({j for _, j in _mismatches(got, tx)} - failures.keys()):
-            failures[c] = dict(exps, n=n, x=_column_text(x, c), expected=_column_text(tx, c),
-                               actual=_column_text(got, c))
-
-
-def _dilation_record(name: str, params: CheckParams, failures: dict) -> CheckRecord:
-    """The record with the failure of the first trial vector that has one.
-
-    Each column's entry is from its first failing step in loop order, so this
-    is the first failure a vector-by-vector loop with early exit would meet.
-    """
-    counterexample = failures[min(failures)] if failures else None
+        for _, c in _mismatches(got, tx):
+            first.setdefault(c, (n, tx, got))
+    counterexample = None
+    if first:
+        c = min(first, key=lambda c: (c % k, c))
+        n, want, got = first[c]
+        counterexample = {"m": c // k} if w.width > k else {}
+        counterexample.update(n=n, x=_column_text(x, c % k), expected=_column_text(want, c),
+                              actual=_column_text(got, c))
     return CheckRecord(name, {"max_power": params.max_power, "trials": params.trials,
                               "seed": params.seed}, counterexample is None, counterexample)
 
@@ -200,10 +217,8 @@ def check_sznagy(t: Mat, params: CheckParams = CheckParams(),
     xs = _trial_vectors(field, d, params)
     x = from_cols(field, d, xs)
     b = Batch.of(field, d, len(xs), {0: x})
-    failures: dict = {}
-    _powers(failures, "SzNagyU", ops, t, b, x, x, params.max_power)
     top = truncated_matrix("SzNagyU", ops, params.max_trunc)
-    records = [_dilation_record("dilation_equation", params, failures),
+    records = [_dilation_record("dilation_equation", "SzNagyU", ops, t, b, x, x, params),
                _injectivity_record("injectivity_u", top, d, params)]
     return _make_report(_meta("sznagy", field, d, params, recipe), records)
 
@@ -212,17 +227,20 @@ def check_sznagy(t: Mat, params: CheckParams = CheckParams(),
 
 
 def _bivariate_record(ops: AndoOperators, params: CheckParams) -> CheckRecord:
-    """P U^n V^m = T^n S^m P for n, m <= max_power, all trial vectors as one batch."""
-    field, n_max = ops.field, params.max_power
-    xs = _trial_vectors(field, ops.d, params)
-    x = sx = from_cols(field, ops.d, xs)
-    wv = Batch.of(field, ops.d, len(xs), {0: sx})
-    failures: dict = {}
-    for m_exp in range(n_max + 1):
-        if m_exp:
-            wv, sx = apply_batch("V", ops, wv), ops.S @ sx
-        _powers(failures, "U", ops, ops.T, wv, sx, x, n_max, m=m_exp)
-    return _dilation_record("bivariate_dilation_equation", params, failures)
+    """P U^n V^m = T^n S^m P for n, m <= max_power, all trial vectors as one batch.
+
+    ``V^m X`` for every m lie side by side in one batch, so ``U`` is applied
+    ``max_power`` times in all, and ``T^n S^m X`` is one matrix of the same width.
+    """
+    field, d = ops.field, ops.d
+    xs = _trial_vectors(field, d, params)
+    x = from_cols(field, d, xs)
+    ws, sxs = [Batch.of(field, d, len(xs), {0: x})], [x]
+    for _ in range(params.max_power):
+        ws.append(apply_batch("V", ops, ws[-1]))
+        sxs.append(ops.S @ sxs[-1])
+    return _dilation_record("bivariate_dilation_equation", "U", ops, ops.T, side_by_side(ws),
+                            reduce(hstack, sxs), x, params)
 
 
 def _mismatches(a: Mat, b: Mat) -> list:

@@ -1,0 +1,84 @@
+"""The parent/change benchmark driver ``tools/bench_pairs.py`` is a script
+outside the package; its summary is checked here on canned run records, and
+no benchmark is run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+END_TO_END = [{"name": "problems_per_s", "better": "higher", "bound": 0.15},
+              {"name": "verdict_s_p50", "better": "lower", "bound": 0.25}]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_runs(workload, parent_rates, change_rates, change_p50=0.01, correct=True):
+    """One run record per side and seed; seeds from 1, the parent's p50 fixed at 0.01."""
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent_rates, change_rates), 1):
+        for side, rate, p50 in (("parent", p, 0.01), ("change", c, change_p50)):
+            runs.append({"workload": workload, "seed": seed, "side": side,
+                         "result": {"correct": correct or side == "parent", "metrics": {
+                             "problems_per_s": {"value": rate, "unit": "1/s"},
+                             "verdict_s_p50": {"value": p50, "unit": "s"}}}})
+    return runs
+
+
+def test_summary_pairs_runs_by_seed_and_compares_medians():
+    tool = load_tool()
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    change = [110, 111, 112, 113, 114, 115, 116, 117, 118, 100]  # the last pair is lost
+    runs = canned_runs("fast", parent, change) + canned_runs(
+        "same", parent, parent, change_p50=0.013, correct=False)
+    # the order of the records does not matter; only the seed pairs two runs
+    out = tool.summarize(runs[::-1], END_TO_END)
+    assert list(out) == ["same", "fast"]
+    fast = out["fast"]
+    assert (fast["pairs"], fast["seeds"], fast["correct_all"]) == (10, list(range(1, 11)), True)
+    rate = fast["metrics"]["problems_per_s"]
+    assert rate["parent"] == {"median": 104.5, "q1": 102.25, "q3": 106.75}
+    assert rate["change"] == {"median": 113.5, "q1": 111.25, "q3": 115.75}
+    assert rate["change_wins"] == 9
+    assert rate["relative_change_of_median"] == round(9 / 104.5, 4)
+    assert not rate["worse_than_bound"]
+    assert (rate["parent_runs"], rate["change_runs"]) == (parent, change)
+    same = out["same"]
+    assert not same["correct_all"]
+    # equal runs are ties: no wins either way, no change of median
+    assert same["metrics"]["problems_per_s"]["change_wins"] == 0
+    assert same["metrics"]["problems_per_s"]["relative_change_of_median"] == 0.0
+    # a lower-is-better metric 30% up is worse than its 0.25 bound, 20% up is not
+    p50 = same["metrics"]["verdict_s_p50"]
+    assert p50["relative_change_of_median"] == 0.3 and p50["worse_than_bound"]
+    assert p50["change_wins"] == 0
+    near = tool.summarize(canned_runs("w", parent, parent, change_p50=0.012), END_TO_END)
+    assert not near["w"]["metrics"]["verdict_s_p50"]["worse_than_bound"]
+    # a higher-is-better metric 20% down is worse than its 0.15 bound
+    down = tool.summarize(canned_runs("w", parent, [0.8 * x for x in parent]), END_TO_END)
+    assert down["w"]["metrics"]["problems_per_s"]["worse_than_bound"]
+
+
+@pytest.mark.parametrize("change, met", [
+    ([110, 111, 112, 113, 114, 115, 116, 117, 118, 100], True),  # 9 wins, gain 9 > IQR 4.5
+    ([110, 111, 112, 113, 114, 115, 116, 117, 100, 100], False),  # 8 wins
+    ([101, 102, 103, 104, 105, 106, 107, 108, 109, 110], False),  # 10 wins, gain 1 < IQR
+])
+def test_claim_needs_nine_wins_in_ten_and_a_gain_beyond_the_parents_spread(change, met):
+    tool = load_tool()
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    summary = tool.summarize(canned_runs("w", parent, change), END_TO_END)
+    block = tool.claim(summary, "w", "problems_per_s", "higher")
+    assert block["claim_met"] is met
+    assert block["parent_iqr"] == 4.5 and block["pairs"] == 10
+    assert block["median_gain"] == summary["w"]["metrics"]["problems_per_s"]["change"]["median"] \
+        - 104.5
+    # for a lower-is-better metric the gain is the drop of the median
+    lower = tool.claim(summary, "w", "verdict_s_p50", "lower")
+    assert lower["median_gain"] == 0 and not lower["claim_met"]

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -49,7 +48,15 @@ from exactdilation.linalg import (
 )
 from exactdilation.pairs import PairRecipe, gen_pair
 from exactdilation.rng import SplitMix64, rand_column, rand_matrix
-from exactdilation.sequences import Batch, embed, fsvec, project, to_coords, zero_fsvec
+from exactdilation.sequences import (
+    Batch,
+    embed,
+    fsvec,
+    project,
+    side_by_side,
+    to_coords,
+    zero_fsvec,
+)
 
 from oracles import (
     col_to_plain,
@@ -76,14 +83,6 @@ def rand_fsvec(rng, field, d, max_coord, density=2):
         if rng.below(density) == 0:
             items.append((n, rand_column(rng, field, d, height=4)))
     return fsvec(field, d, items)
-
-
-def side_by_side(field, d, ws):
-    """One batch whose columns are the single sequences ``ws``."""
-    zero = zeros(field, d, 1)
-    coords = sorted({n for w in ws for n in w.blocks})
-    return Batch.of(field, d, len(ws),
-                    {n: reduce(hstack, [w.blocks.get(n, zero) for w in ws]) for n in coords})
 
 
 def columns(b):
@@ -190,7 +189,7 @@ def test_every_action_rejects_wrong_dimension_or_field(tag):
     ops = sznagy(identity(RATIONAL, 2)) if tag == "SzNagyU" else _ando_identity(RATIONAL, 2)
     single = SINGLE_ACTIONS[tag]
     for bad in (embed(RATIONAL, (1, 2, 3)), embed(GF7, (1, 1)), zero_fsvec(GF7, 2),
-                side_by_side(GF7, 2, [embed(GF7, (1, 1)), embed(GF7, (0, 1))])):
+                side_by_side([embed(GF7, (1, 1)), embed(GF7, (0, 1))])):
         with pytest.raises(DimensionMismatch):
             single(ops, bad)
         with pytest.raises(DimensionMismatch):
@@ -708,7 +707,7 @@ def test_lazy_actions_match_plain_oracle(field, d, completion, kind, seed):
                 for idx, col in lazy_action(tag, *plain, e, p).items():
                     want[idx * d:(idx + 1) * d] = col
                 assert list(m.col(n * d + i)) == want, (tag, n, i)
-        out = apply_batch(tag, tag_ops, side_by_side(field, d, ws))
+        out = apply_batch(tag, tag_ops, side_by_side(ws))
         assert columns(out) == [single(tag_ops, w) for w in ws], tag
         # a batch stores exactly the coordinates where some column is nonzero
         assert list(out.blocks) == sorted({n for w in columns(out) for n in w.blocks})
@@ -785,7 +784,7 @@ def test_every_action_keeps_its_batch_in_lowest_terms(field, d, seed):
     rng = SplitMix64(seed)
     t, s = gen_pair(PairRecipe("polynomial", d, field, seed=seed))
     ops, sops = ando(t, s), sznagy(t)
-    start = side_by_side(field, d, [rand_fsvec(rng, field, d, 8) for _ in range(3)])
+    start = side_by_side([rand_fsvec(rng, field, d, 8) for _ in range(3)])
     for tag in OPERATOR_TAGS:
         out = start
         for _ in range(3):
@@ -807,7 +806,7 @@ def test_head_surgery_hands_the_tail_on_unchanged(field, tag, shift):
     t = mat(field, [["1/3", 2], [0, "5/7"]] if q else [[3, 2], [0, 5]])
     ops = sznagy(t) if tag == "SzNagyU" else ando(t, t @ t)
     half, fifth, ninth = ("1/2", "1/5", "2/9") if q else (4, 3, 5)
-    w = side_by_side(field, 2, [fsvec(field, 2, {0: (half, 1), 1: (3, fifth), 6: (0, 2)}),
+    w = side_by_side([fsvec(field, 2, {0: (half, 1), 1: (3, fifth), 6: (0, 2)}),
                                 fsvec(field, 2, {0: (4, 0), 3: (ninth, 0), 6: (1, 1)})])
     out = apply_batch(tag, ops, w)
     assert [n for n in out.blocks if n > 1] == [n + shift for n in w.blocks if n]

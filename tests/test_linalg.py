@@ -503,6 +503,22 @@ def test_leading_block_of_a_column_form_matrix_is_canonical():
         identity(RATIONAL, 3).leading(-1, 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Mat(RATIONAL, -1, 2, ()),
+    lambda: Mat.from_ints(RATIONAL, -1, 2, ()),
+    lambda: Mat.from_ints(GF7, 2, -1, ((), ()), canonical=True),
+    lambda: Mat.from_col_terms(RATIONAL, 2, -1, []),
+    lambda: Mat.from_col_terms(GF7, -3, 1, [[]]),
+    lambda: identity(RATIONAL, -2),
+    lambda: zeros(RATIONAL, -1, 3),
+    lambda: zeros(GF7, 3, -1),
+], ids=["Mat", "from_ints_rows", "from_ints_cols", "from_col_terms_cols",
+        "from_col_terms_rows", "identity", "zeros_rows", "zeros_cols"])
+def test_every_constructor_refuses_negative_sizes(build):
+    with pytest.raises(ValueError, match="^negative matrix dimension$"):
+        build()
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.sampled_from((RATIONAL, GF7)), st.data())
 def test_equality_and_hash_follow_the_entries(field, data):

@@ -11,6 +11,7 @@ from exactdilation.sequences import (
     from_coords,
     fsvec,
     project,
+    side_by_side,
     to_coords,
     zero_fsvec,
 )
@@ -102,6 +103,27 @@ def test_one_sequence_readers_reject_other_widths():
             block(w, 3)
         with pytest.raises(DimensionMismatch):
             to_coords(w, 4)
+
+
+def test_side_by_side_joins_columns_in_order_in_lowest_terms():
+    # over Q the blocks at coordinate 0 are over 2 and 3 and the one at 2 over 5;
+    # each joined block is over the lcm of its parts, which stays canonical
+    a = fsvec(RATIONAL, 2, {0: ("1/2", 0), 2: (1, "2/5")})
+    b = Batch.of(RATIONAL, 2, 2, {0: mat(RATIONAL, [["1/3", 0], [0, 1]]),
+                                  3: mat(RATIONAL, [[4, 0], [0, 0]])})
+    w = side_by_side([a, b, zero_fsvec(RATIONAL, 2)])
+    assert (w.field, w.dim, w.width) == (RATIONAL, 2, 4)
+    assert list(w.blocks) == [0, 2, 3]
+    assert w.blocks[0] == mat(RATIONAL, [["1/2", "1/3", 0, 0], [0, 0, 1, 0]])
+    assert w.blocks[2] == mat(RATIONAL, [[1, 0, 0, 0], ["2/5", 0, 0, 0]])
+    assert w.blocks[3] == mat(RATIONAL, [[0, 4, 0, 0], [0, 0, 0, 0]])
+    for x in w.blocks.values():
+        assert_canonical(x)
+    assert side_by_side([a]) == a
+    assert side_by_side([embed(RATIONAL, ()), embed(RATIONAL, ())]) == Batch(RATIONAL, 0, 2, {})
+    for other in (embed(GF7, (1, 0)), embed(RATIONAL, (1, 0, 0))):
+        with pytest.raises(DimensionMismatch):
+            side_by_side([a, other])
 
 
 def test_coords_round_trip():

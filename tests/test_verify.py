@@ -9,6 +9,7 @@ from exactdilation.dilation import (
     Generators,
     NotCommuting,
     ando,
+    apply_batch,
     apply_u,
     apply_v,
     sznagy,
@@ -16,13 +17,15 @@ from exactdilation.dilation import (
     truncated_matrix,
 )
 from exactdilation.fields import RATIONAL, FieldSpec, gf
-from exactdilation.linalg import DimensionMismatch, Mat, identity, mat, matvec, zeros
+from exactdilation.linalg import DimensionMismatch, Mat, from_cols, identity, mat, matvec, zeros
 from exactdilation.pairs import PairRecipe, gen_pair
 from exactdilation.rng import SplitMix64, rand_matrix
-from exactdilation.sequences import embed, project
+from exactdilation.sequences import Batch, embed, project
 from exactdilation.verify import (
     CheckParams,
     CheckRecord,
+    _column_text,
+    _mismatches,
     _trial_vectors,
     _well_definedness_record,
     check_ando,
@@ -335,6 +338,19 @@ def _per_vector_dilation_records(ops, sops, params):
     return bivariate, single
 
 
+def _bump_actions(monkeypatch, actions, bumped, bump):
+    """Restore the operator actions ``actions``, then make each tag in ``bumped``
+    act with ``bump`` added to its T (S for V)."""
+    for tag in actions:
+        monkeypatch.setitem(dilation_mod._ACTIONS, tag, actions[tag])
+    for tag in bumped:
+        which = "S" if tag == "V" else "T"
+        monkeypatch.setitem(
+            dilation_mod._ACTIONS, tag,
+            lambda o, b, _a=actions[tag], _w=which:
+                _a(o.replace(**{_w: getattr(o, _w) + bump}), b))
+
+
 @pytest.mark.parametrize("field", (RATIONAL, GF7))
 def test_batched_dilation_records_match_per_vector_reference(field, monkeypatch):
     # the tampered exchange maps leave coordinate 0 alone, so their records
@@ -360,14 +376,7 @@ def test_batched_dilation_records_match_per_vector_reference(field, monkeypatch)
                 "random v": honest.replace(v=rand_matrix(rng, f, 4 * d)),
             }
             for bumped in ((), ("U",), ("V",), ("U", "V", "SzNagyU")):
-                for tag in actions:
-                    monkeypatch.setitem(dilation_mod._ACTIONS, tag, actions[tag])
-                for tag in bumped:
-                    which = "S" if tag == "V" else "T"
-                    monkeypatch.setitem(
-                        dilation_mod._ACTIONS, tag,
-                        lambda o, b, _a=actions[tag], _w=which:
-                            _a(o.replace(**{_w: getattr(o, _w) + bump}), b))
+                _bump_actions(monkeypatch, actions, bumped, bump)
                 for label, ops in tampered.items():
                     params = CheckParams(max_power=3, trials=3, seed=rng.below(100))
                     bivariate, single = _per_vector_dilation_records(ops, sznagy(t), params)
@@ -457,6 +466,75 @@ def test_negative_records_from_rejection_sampling():
         assert check_negative(t, s).passed
 
 
+def _bivariate_record_per_m(ops, params):
+    """The bivariate record with one pass of U per exponent m: the loop the record
+    ran before it laid every V^m X side by side, kept as its oracle.  Each
+    column's failure is from its first failing (m, n) in loop order."""
+    field, d, n_max = ops.field, ops.d, params.max_power
+    xs = _trial_vectors(field, d, params)
+    x = sx = from_cols(field, d, xs)
+    wv = Batch.of(field, d, len(xs), {0: sx})
+    zero = zeros(field, d, len(xs))
+    failures = {}
+    for m in range(n_max + 1):
+        if m:
+            wv, sx = apply_batch("V", ops, wv), ops.S @ sx
+        w, tx = wv, sx
+        for n in range(n_max + 1):
+            if n:
+                w, tx = apply_batch("U", ops, w), ops.T @ tx
+            got = w.blocks.get(0, zero)
+            for c in sorted({j for _, j in _mismatches(got, tx)} - failures.keys()):
+                failures[c] = {"m": m, "n": n, "x": _column_text(x, c),
+                               "expected": _column_text(tx, c), "actual": _column_text(got, c)}
+    counterexample = failures[min(failures)] if failures else None
+    return CheckRecord("bivariate_dilation_equation",
+                       {"max_power": n_max, "trials": params.trials, "seed": params.seed},
+                       counterexample is None, counterexample).to_dict()
+
+
+@pytest.mark.parametrize("field", (RATIONAL, GF7))
+def test_bivariate_record_matches_per_m_oracle(field, monkeypatch):
+    # U is applied to all V^m X at once; with U or V bumped, columns fail at
+    # different m and n, and the record must keep each vector's lowest failing m
+    rng = SplitMix64(97)
+    actions = dict(dilation_mod._ACTIONS)
+    failing_m = set()
+    for d in (1, 2, 3):
+        bump = mat(field, [[1 if (i, j) == (0, d - 1) else 0 for j in range(d)]
+                           for i in range(d)])
+        for kind in ("polynomial", "idempotent"):
+            t, s = gen_pair(PairRecipe(kind, d, field, seed=d))
+            tampered = _tamperings(ando(t, s), rng)
+            for bumped in ((), ("U",), ("V",), ("U", "V")):
+                _bump_actions(monkeypatch, actions, bumped, bump)
+                for label, ops in tampered.items():
+                    for max_power in (1, 2, 3):
+                        params = CheckParams(max_power=max_power, trials=2, seed=rng.below(100))
+                        want = _bivariate_record_per_m(ops, params)
+                        assert verify_mod._bivariate_record(ops, params).to_dict() == want, \
+                            (d, kind, bumped, label, max_power)
+                        if not want["pass"]:
+                            failing_m.add(want["counterexample"]["m"])
+    assert 0 in failing_m and any(m >= 1 for m in failing_m)
+
+
+@pytest.mark.parametrize("max_power", (1, 4))
+def test_bivariate_record_applies_u_and_v_max_power_times(max_power, monkeypatch):
+    # U and V are built from given truncations, so every action call is the record's
+    t, s = gen_pair(PairRecipe("polynomial", 3, GF7, seed=4))
+    params = CheckParams(max_power=max_power, max_trunc=1, trials=2)
+    ops = ando(t, s)
+    truncs = (truncated_matrix("U", ops, 2), truncated_matrix("V", ops, 2))
+    calls = []
+    for tag, action in dict(dilation_mod._ACTIONS).items():
+        monkeypatch.setitem(dilation_mod._ACTIONS, tag,
+                            lambda o, b, _a=action, _t=tag: calls.append((_t, b.width)) or _a(o, b))
+    assert check_ando(t, s, params, ops=ops, truncations=truncs).passed
+    k = len(_trial_vectors(GF7, 3, params))
+    assert calls == [("V", k)] * max_power + [("U", k * (max_power + 1))] * max_power
+
+
 # -- report serialization ------------------------------------------------------------------
 
 
@@ -493,13 +571,31 @@ def test_report_from_json_rejects_unknown_keys():
         report_from_json(json.dumps(obj))
 
 
+def _spoil_record(obj, **changes):
+    """``obj`` with ``changes`` made to its first record."""
+    return dict(obj, checks=[dict(obj["checks"][0], **changes)] + obj["checks"][1:])
+
+
 @pytest.mark.parametrize("spoil", [
     lambda obj: [obj],
     lambda obj: dict(obj, checks=3),
     lambda obj: dict(obj, checks=[3]),
     lambda obj: dict(obj, checks=[{k: v for k, v in c.items() if k != "name"}
                                   for c in obj["checks"]]),
-], ids=["top_level_not_object", "checks_not_list", "record_not_object", "record_missing_key"])
+    lambda obj: dict(obj, meta=5),
+    lambda obj: dict(obj, **{"pass": "no"}),
+    lambda obj: dict(obj, **{"pass": 1}),
+    lambda obj: _spoil_record(obj, name=7),
+    lambda obj: _spoil_record(obj, params=None),
+    lambda obj: _spoil_record(obj, **{"pass": "yes"}),
+    lambda obj: _spoil_record(obj, **{"pass": False}, counterexample=["n", 1]),
+    lambda obj: _spoil_record(obj, **{"pass": False}, counterexample=None),
+    lambda obj: {"meta": 5, "checks": [{"name": 7, "params": None, "pass": "yes"}],
+                 "pass": "no"},
+], ids=["top_level_not_object", "checks_not_list", "record_not_object", "record_missing_key",
+        "meta_not_object", "pass_not_bool", "pass_an_int", "name_not_string",
+        "params_not_object", "record_pass_not_bool", "counterexample_a_list",
+        "counterexample_null", "every_value_mistyped"])
 def test_report_from_json_rejects_malformed_reports(spoil):
     obj = check_sznagy(JORDAN, FAST).to_dict()
     with pytest.raises(ValueError, match="^malformed report: "):
