@@ -260,13 +260,14 @@ def from_cols(field: FieldSpec, height: int, cols: Sequence[Sequence]) -> Mat:
     return Mat(field, height, len(cols), rows)
 
 
-def hstack(a: Mat, b: Mat) -> Mat:
-    if a.field != b.field or a.rows != b.rows:
+def hstack(*mats: Mat) -> Mat:
+    first = mats[0]
+    if any(m.field != first.field or m.rows != first.rows for m in mats):
         raise DimensionMismatch("hstack needs equal row counts over one field")
     # canonical forms over the lcm of their denominators combine into a canonical form
-    den = lcm(a.den, b.den)
-    return Mat.from_ints(a.field, a.rows, a.cols + b.cols,
-                         tuple(map(tuple.__add__, a.ints_over(den), b.ints_over(den))), den,
+    den = lcm(*(m.den for m in mats))
+    rows = tuple(sum(r, ()) for r in zip(*(m.ints_over(den) for m in mats)))
+    return Mat.from_ints(first.field, first.rows, sum(m.cols for m in mats), rows, den,
                          canonical=True)
 
 

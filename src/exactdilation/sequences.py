@@ -13,7 +13,6 @@ F^d used by ``embed`` and ``project``.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldSpec
@@ -83,7 +82,7 @@ def side_by_side(batches: Sequence[Batch]) -> Batch:
         raise DimensionMismatch("side_by_side needs batches over one field and dimension")
     zero = [zeros(field, dim, b.width) for b in batches]
     return Batch(field, dim, sum(b.width for b in batches),
-                 {n: reduce(hstack, [b.blocks.get(n, z) for b, z in zip(batches, zero)])
+                 {n: hstack(*[b.blocks.get(n, z) for b, z in zip(batches, zero)])
                   for n in sorted({n for b in batches for n in b.blocks})})
 
 

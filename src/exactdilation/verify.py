@@ -13,7 +13,6 @@ bivariate one steps every ``V^m X`` at once, side by side.
 from __future__ import annotations
 
 import json
-from functools import reduce
 from typing import Optional
 
 from ._jsontext import json_text
@@ -240,7 +239,7 @@ def _bivariate_record(ops: AndoOperators, params: CheckParams) -> CheckRecord:
         ws.append(apply_batch("V", ops, ws[-1]))
         sxs.append(ops.S @ sxs[-1])
     return _dilation_record("bivariate_dilation_equation", "U", ops, ops.T, side_by_side(ws),
-                            reduce(hstack, sxs), x, params)
+                            hstack(*sxs), x, params)
 
 
 def _mismatches(a: Mat, b: Mat) -> list:

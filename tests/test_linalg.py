@@ -95,6 +95,8 @@ def test_stack_and_access():
     a = mat(RATIONAL, [[1, 2], [3, 4]])
     assert a.col(1) == (Fraction(2), Fraction(4))
     assert hstack(a, identity(RATIONAL, 2)).cols == 4
+    assert hstack(a, mat(RATIONAL, [["1/2"], ["1/3"]]), a) == mat(
+        RATIONAL, [[1, 2, "1/2", 1, 2], [3, 4, "1/3", 3, 4]])
     assert vstack(a, a).rows == 4
     with pytest.raises(DimensionMismatch):
         hstack(a, identity(RATIONAL, 3))
@@ -102,6 +104,8 @@ def test_stack_and_access():
         vstack(a, zeros(RATIONAL, 1, 3))
     with pytest.raises(DimensionMismatch):
         hstack(a, identity(GF7, 2))
+    with pytest.raises(DimensionMismatch):
+        hstack(a, a, identity(RATIONAL, 3))
 
 
 # -- products against the plain oracle ----------------------------------------------
@@ -436,7 +440,7 @@ def test_every_constructor_and_operation_is_canonical(field, data):
     results = [a, mat(field, [[str(x) for x in row] for row in a.entries]),
                identity(field, k), zeros(field, r, c),
                from_cols(field, r, [a.col(j) for j in range(k)]),
-               hstack(a, a2), vstack(a, a2, a), a.leading(r // 2, k - k // 2),
+               hstack(a, a2, a), vstack(a, a2, a), a.leading(r // 2, k - k // 2),
                a + a2, a - a2, a - a, a @ b, rref(a)[0], kernel_basis(a)]
     if is_invertible(sq):
         results.append(inverse(sq))

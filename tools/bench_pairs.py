@@ -3,9 +3,10 @@ and write the comparison as one JSON file.
 
 The parent side is a ``git archive`` of ``--parent`` and the change side a
 copy of the working tree's files (tracked, or untracked and not ignored),
-each extracted into its own directory under ``--workdir``.  For pair ``i``
-and each workload, both sides run ``python3 perfbench/run.py --workload W
---seed S --seconds T`` with seed ``--first-seed + i``, one after the other:
+each extracted into its own directory under a new temporary directory.  For
+pair ``i`` and each workload of ``BENCHMARK.json``, both sides run ``python3
+perfbench/run.py --workload W --seed S --seconds T``, with T the
+benchmark's ``run_seconds`` and seed ``--first-seed + i``, one after the other:
 the parent first on even pairs, the change first on odd ones.  Every run
 has ``PYTHONDONTWRITEBYTECODE=1`` and starts from directories with no
 ``__pycache__``, so each compiles the package's source as a fresh checkout
@@ -24,8 +25,7 @@ distance between the parent's quartiles.
 Usage::
 
     python tools/bench_pairs.py --parent COMMIT --out BENCH_<n>.json \\
-        [--pairs 10] [--seconds 20] [--first-seed 1] [--workload W ...] \\
-        [--claim WORKLOAD:METRIC] [--note TEXT] [--workdir DIR]
+        [--pairs 10] [--first-seed 1] [--claim WORKLOAD:METRIC] [--note TEXT]
 """
 
 from __future__ import annotations
@@ -122,11 +122,9 @@ def _git(*args: str) -> bytes:
 
 
 def checkouts(parent: str, workdir: Path) -> dict:
-    """The two source trees: the parent commit's archive and the working tree's files."""
+    """The two source trees, in ``workdir``: the parent commit's archive and the
+    working tree's files."""
     dirs = {side: workdir / side for side in SIDES}
-    for d in dirs.values():
-        shutil.rmtree(d, ignore_errors=True)
-        d.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", parent))) as tar:
         tar.extractall(dirs["parent"])
     for name in _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split(b"\0"):
@@ -154,24 +152,21 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workload", action="append")
     parser.add_argument("--claim")
     parser.add_argument("--note", default="")
-    parser.add_argument("--workdir", type=Path)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     parent = _git("rev-parse", args.parent).decode().strip()
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    dirs = checkouts(parent, workdir)
+    dirs = checkouts(parent, Path(tempfile.mkdtemp(prefix="bench_pairs-")))
     runs = []
     for i in range(args.pairs):
         seed = args.first_seed + i
         for workload in workloads:
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                result = run_once(dirs[side], workload, seed, args.seconds)
+                result = run_once(dirs[side], workload, seed, seconds)
                 runs.append({"workload": workload, "seed": seed, "side": side,
                              "result": result})
                 print(f"pair {i} {workload} {side}: problems_per_s "
@@ -179,7 +174,7 @@ def main(argv=None) -> int:
     summary = summarize(runs, spec["end_to_end"])
     seeds = f"{args.first_seed}-{args.first_seed + args.pairs - 1}"
     out = {"change": args.note, "parent_commit": parent,
-           "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
+           "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}",
            "python": platform.python_version(), "nproc": os.cpu_count(),
            "method": METHOD.format(pairs=args.pairs, seeds=seeds), "claimed": None}
     if args.claim:
