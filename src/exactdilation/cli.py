@@ -2,10 +2,10 @@
 
 Commands: ``sznagy`` (single-map suite), ``ando`` (two-map suite), ``gen``
 (write a problem file from a recipe).  Exit codes: 0 all checks pass, 1 a
-check failed (report still written), 2 input error (among them an output
-scalar past Python's int-to-text digit limit, when nothing is written, and
-a destination that cannot be written), 3 non-commuting input.  Reports are
-byte-identical across runs on the same input and flags.
+check failed (report still written), 2 input error (among them an invalid
+recipe, an output scalar past Python's int-to-text digit limit, when nothing
+is written, and a destination that cannot be written), 3 non-commuting
+input.  Reports are byte-identical across runs on the same input and flags.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cache
 from ._jsontext import json_text
 from .dilation import NotCommuting, ando, level_block, truncated_matrix
 from .fields import RATIONAL, FieldSpec, ScalarTooLarge, gf
-from .pairs import InvalidRecipe, PairRecipe, gen_pair
+from .pairs import RECIPE_KINDS, InvalidRecipe, PairRecipe, gen_pair
 from .problems import ProblemError, load_problem, mat_to_grid, problem_to_dict, resolve_pair
 from .verify import CheckParams, Report, check_ando, check_sznagy
 
@@ -72,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write truncated U, V and the exchange map at level K")
 
     p_gen = sub.add_parser("gen", help="generate a commuting-pair problem file")
-    p_gen.add_argument("--kind", required=True,
-                       choices=("polynomial", "upper_triangular", "diagonal", "idempotent"))
+    p_gen.add_argument("--kind", required=True, choices=RECIPE_KINDS)
     p_gen.add_argument("--dim", type=int, required=True)
     p_gen.add_argument("--field", default="rational", help="'rational' or 'gfP' (default rational)")
     p_gen.add_argument("--seed", type=int, default=0)
@@ -162,12 +161,8 @@ def _cmd_ando(args) -> int:
 
 def _cmd_gen(args) -> int:
     field = _parse_field(args.field)
-    try:
-        recipe = PairRecipe(kind=args.kind, dim=args.dim, field=field, seed=args.seed,
-                            degree=args.degree, height=args.height)
-        t, s = gen_pair(recipe)
-    except InvalidRecipe as exc:
-        raise ProblemError(str(exc)) from exc
+    t, s = gen_pair(PairRecipe(kind=args.kind, dim=args.dim, field=field, seed=args.seed,
+                               degree=args.degree, height=args.height))
     _write(json_text(problem_to_dict(field, t, s)), args.out)
     return EXIT_PASS
 
@@ -180,7 +175,7 @@ def main(argv=None) -> int:
         if args.command == "ando":
             return _cmd_ando(args)
         return _cmd_gen(args)
-    except (ProblemError, ScalarTooLarge) as exc:
+    except (ProblemError, InvalidRecipe, ScalarTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NotCommuting as exc:

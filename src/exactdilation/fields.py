@@ -2,11 +2,12 @@
 the integer kernels meet them.
 
 Scalars are plain values: ``fractions.Fraction`` for the rationals and ``int``
-residues in ``[0, p)`` for GF(p).  A ``FieldSpec`` says which applies and
-supplies what depends on it: parsing, formatting, and the integer form every
-matrix and batch is held in.  ``reduce_ints`` brings integers over a
-denominator to the canonical form (over Q, a positive denominator with no
-factor common to every entry; over GF(p), residues over 1), and
+residues in ``[0, p)`` for GF(p).  A ``FieldSpec`` holds one fact, its
+modulus, ``None`` for Q and a prime p for GF(p), and supplies what depends
+on it: parsing, formatting, and the integer form every matrix and batch is
+held in.  ``reduce_ints`` brings integers over a denominator to the
+canonical form (over Q, a positive denominator with no factor common to
+every entry; over GF(p), residues over 1), and
 ``reduce_row`` and ``pivot_row`` keep elimination rows small.  Scalars are
 met only at the edges: ``to_ints`` reads a grid of them into integer form,
 and ``from_ints`` builds them back for output; ``fmt_ints`` writes the text of
@@ -68,25 +69,19 @@ def _is_prime(n: int) -> bool:
 
 
 class FieldSpec(Record):
-    """The scalar field: ``kind`` is ``"rational"`` or ``"gf"`` (with prime modulus)."""
+    """The scalar field: Q when ``modulus`` is None, else GF(p) for the prime p = ``modulus``."""
 
-    kind: str
     modulus: Optional[int] = None
 
     def _check(self):
-        if self.kind == "rational":
-            if self.modulus is not None:
-                raise ValueError("rational field carries no modulus")
-        elif self.kind == "gf":
-            if not isinstance(self.modulus, int) or isinstance(self.modulus, bool):
-                raise ValueError(f"modulus must be a prime integer, got {self.modulus!r}")
-            if self.modulus > MAX_MODULUS:
-                raise ValueError(
-                    f"modulus {self.modulus} is too large; the limit is {MAX_MODULUS}")
-            if not _is_prime(self.modulus):
-                raise ValueError(f"modulus must be a prime integer, got {self.modulus!r}")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+        if self.modulus is None:
+            return
+        if not isinstance(self.modulus, int) or isinstance(self.modulus, bool):
+            raise ValueError(f"modulus must be a prime integer, got {self.modulus!r}")
+        if self.modulus > MAX_MODULUS:
+            raise ValueError(f"modulus {self.modulus} is too large; the limit is {MAX_MODULUS}")
+        if not _is_prime(self.modulus):
+            raise ValueError(f"modulus must be a prime integer, got {self.modulus!r}")
 
     @property
     def is_rational(self) -> bool:
@@ -229,13 +224,15 @@ class FieldSpec(Record):
         if obj["kind"] == "gf":
             if set(obj) != {"kind", "modulus"}:
                 raise ValueError(f"bad field description: {obj!r}")
-            return FieldSpec("gf", obj["modulus"])
+            return gf(obj["modulus"])
         raise ValueError(f"unknown field kind {obj['kind']!r}")
 
 
-RATIONAL = FieldSpec("rational")
+RATIONAL = FieldSpec()
 
 
 def gf(p: int) -> FieldSpec:
-    """The prime field of integers modulo p."""
-    return FieldSpec("gf", p)
+    """The prime field of integers modulo p; a None p is refused, not read as Q."""
+    if p is None:
+        raise ValueError("modulus must be a prime integer, got None")
+    return FieldSpec(p)

@@ -1,13 +1,14 @@
 """Deterministic generation of commuting matrix pairs, and the commutation test.
 
-All recipe kinds except ``explicit`` produce pairs that commute by
-construction; the generator checks this before returning.  Same recipe and
-seed give bit-identical output.
+Every recipe kind produces pairs that commute by construction; the
+generator checks this before returning.  A recipe validates itself when it
+is made, so ``gen_pair`` only ever sees valid ones.  Same recipe and seed
+give bit-identical output.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._record import Record
 from .fields import FieldSpec
@@ -17,11 +18,16 @@ from .rng import SplitMix64, rand_matrix, rand_scalar
 __all__ = ["PairRecipe", "InvalidRecipe", "RECIPE_KINDS", "gen_pair", "check_commute",
            "matrix_polynomial"]
 
-RECIPE_KINDS = ("polynomial", "upper_triangular", "diagonal", "idempotent", "explicit")
+RECIPE_KINDS = ("polynomial", "upper_triangular", "diagonal", "idempotent")
 
 
 class InvalidRecipe(ValueError):
-    """Recipe fails validation (unknown kind, bad dimension, missing matrices)."""
+    """Recipe fails validation (unknown kind, a number that is not an int or out of range)."""
+
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class PairRecipe(Record):
@@ -32,7 +38,7 @@ class PairRecipe(Record):
     (p(A), q(A)); ``upper_triangular`` does the same with an upper-triangular
     A, so the pair is triangular; ``diagonal`` draws two diagonal matrices;
     ``idempotent`` conjugates two random 0/1 diagonals by one random invertible
-    matrix; ``explicit`` passes the supplied matrices through unchecked.
+    matrix.
     """
 
     kind: str
@@ -41,20 +47,18 @@ class PairRecipe(Record):
     seed: int = 0
     degree: int = 3
     height: int = 5
-    explicit: Optional[tuple] = None  # (T, S), kind "explicit" only
 
-    def validate(self):
+    def _check(self):
         if self.kind not in RECIPE_KINDS:
-            raise InvalidRecipe(f"unknown recipe kind {self.kind!r}")
+            raise InvalidRecipe(f"recipe kind must be one of {sorted(RECIPE_KINDS)}, "
+                                f"got {self.kind!r}")
+        for key in ("dim", "seed", "degree", "height"):
+            if not _is_int(getattr(self, key)):
+                raise InvalidRecipe(f"recipe '{key}' must be an integer")
         if self.dim < 0:
-            raise InvalidRecipe("negative dimension")
+            raise InvalidRecipe("recipe 'dim' must be a nonnegative integer")
         if self.degree < 0 or self.height < 1:
             raise InvalidRecipe("degree must be >= 0 and height >= 1")
-        if self.kind == "explicit":
-            if self.explicit is None or len(self.explicit) != 2:
-                raise InvalidRecipe("explicit recipe needs a (T, S) pair")
-        elif self.explicit is not None:
-            raise InvalidRecipe(f"{self.kind} recipe does not take explicit matrices")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "seed": self.seed,
@@ -102,15 +106,8 @@ def _rand_invertible(rng: SplitMix64, field: FieldSpec, d: int, height: int) -> 
 
 def gen_pair(recipe: PairRecipe) -> tuple[Mat, Mat]:
     """Produce (T, S) from the recipe; reproducible from the seed alone."""
-    recipe.validate()
     field, d = recipe.field, recipe.dim
     rng = SplitMix64(recipe.seed)
-    if recipe.kind == "explicit":
-        t, s = recipe.explicit
-        if not (t.is_square() and s.is_square() and t.rows == s.rows == d
-                and t.field == s.field == field):
-            raise InvalidRecipe("explicit matrices do not match the declared shape or field")
-        return t, s
     if recipe.kind in ("polynomial", "upper_triangular"):
         draw = rand_matrix if recipe.kind == "polynomial" else _rand_upper_triangular
         a = draw(rng, field, d, recipe.height)

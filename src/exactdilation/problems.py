@@ -24,7 +24,7 @@ from typing import Optional
 from ._record import Record
 from .fields import FieldSpec
 from .linalg import Mat
-from .pairs import RECIPE_KINDS, InvalidRecipe, PairRecipe, gen_pair
+from .pairs import InvalidRecipe, PairRecipe, _is_int, gen_pair
 
 __all__ = ["Problem", "ProblemError", "parse_problem", "load_problem",
            "problem_to_dict", "mat_to_grid", "grid_to_mat", "resolve_pair"]
@@ -55,11 +55,6 @@ def grid_to_mat(field: FieldSpec, dim: int, grid, name: str) -> Mat:
     except ValueError as exc:
         raise ProblemError(f"{name}: {exc}") from exc
     return Mat(field, dim, dim, rows)
-
-
-def _is_int(x) -> bool:
-    # JSON true/false load as bool, which Python counts as int
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_problem(obj) -> Problem:
@@ -100,19 +95,12 @@ def parse_problem(obj) -> Problem:
     for key in ("kind", "dim", "seed"):
         if key not in entry:
             raise ProblemError(f"recipe needs '{key}'")
-    if entry["kind"] not in RECIPE_KINDS or entry["kind"] == "explicit":
-        raise ProblemError(f"recipe kind must be one of "
-                           f"{sorted(set(RECIPE_KINDS) - {'explicit'})}, got {entry['kind']!r}")
-    if not _is_int(entry["dim"]) or entry["dim"] < 0:
-        raise ProblemError("recipe 'dim' must be a nonnegative integer")
-    for key in ("seed", "degree", "height"):
-        if key in entry and not _is_int(entry[key]):
-            raise ProblemError(f"recipe '{key}' must be an integer")
-    if "dim" in obj and (not _is_int(obj["dim"]) or obj["dim"] != entry["dim"]):
+    try:
+        recipe = PairRecipe(field=field, **entry)
+    except InvalidRecipe as exc:
+        raise ProblemError(str(exc)) from exc
+    if "dim" in obj and (not _is_int(obj["dim"]) or obj["dim"] != recipe.dim):
         raise ProblemError("top-level 'dim', if given, must equal the recipe 'dim'")
-    recipe = PairRecipe(kind=entry["kind"], dim=entry["dim"], field=field,
-                        seed=entry["seed"], degree=entry.get("degree", 3),
-                        height=entry.get("height", 5))
     return Problem(field, recipe.dim, None, None, recipe)
 
 
@@ -138,10 +126,7 @@ def load_problem(path) -> Problem:
 def resolve_pair(problem: Problem) -> tuple[Mat, Optional[Mat]]:
     """Explicit matrices, or the pair the recipe generates."""
     if problem.recipe is not None:
-        try:
-            return gen_pair(problem.recipe)
-        except InvalidRecipe as exc:
-            raise ProblemError(str(exc)) from exc
+        return gen_pair(problem.recipe)
     return problem.T, problem.S
 
 

@@ -89,9 +89,14 @@ class CheckRecord(Record):
 
 
 class Report(Record):
+    """The records of one audit; its verdict is read off them, never stored."""
+
     meta: dict
     checks: tuple
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
         return {"meta": self.meta, "checks": [c.to_dict() for c in self.checks],
@@ -102,8 +107,7 @@ class Report(Record):
 
 
 def _make_report(meta: dict, records) -> Report:
-    records = tuple(sorted(records, key=lambda r: r.name))
-    return Report(meta, records, all(r.passed for r in records))
+    return Report(meta, tuple(sorted(records, key=lambda r: r.name)))
 
 
 def report_from_json(text: str) -> Report:
@@ -113,7 +117,9 @@ def report_from_json(text: str) -> Report:
     not an object with the keys meta (an object), checks (a list) and pass (a
     bool), or a record that is not an object with the keys name (a string),
     params (an object) and pass (a bool) and at most counterexample (an
-    object) besides.
+    object) besides.  So do, each with its own ``malformed report: ...``
+    message, a record whose pass disagrees with whether it carries a
+    counterexample, and a top-level pass that is not its records' verdict.
     """
     obj = json.loads(text)
     records = obj.get("checks") if isinstance(obj, dict) else None
@@ -122,9 +128,14 @@ def report_from_json(text: str) -> Report:
             and all(map(_is_record, records))):
         raise ValueError("malformed report: expected {meta, checks, pass} with checks a "
                          "list of records {name, params, pass[, counterexample]}")
-    return Report(obj["meta"], tuple(CheckRecord(c["name"], c["params"], c["pass"],
-                                                 c.get("counterexample")) for c in records),
-                  obj["pass"])
+    if any(c["pass"] == ("counterexample" in c) for c in records):
+        raise ValueError("malformed report: a record's pass disagrees with whether it "
+                         "carries a counterexample")
+    report = Report(obj["meta"], tuple(CheckRecord(c["name"], c["params"], c["pass"],
+                                                   c.get("counterexample")) for c in records))
+    if report.passed != obj["pass"]:
+        raise ValueError("malformed report: pass disagrees with the verdict of its records")
+    return report
 
 
 def _is_record(c) -> bool:

@@ -367,7 +367,7 @@ def test_failing_report_exits_1(tmp_path, monkeypatch):
 
     def fake_check(t, s, params, recipe=None, ops=None, truncations=None):
         rec = CheckRecord("commutation", {}, False, {"trunc": 0})
-        return Report({"kind": "ando"}, (rec,), False)
+        return Report({"kind": "ando"}, (rec,))
 
     monkeypatch.setattr(cli_mod, "check_ando", fake_check)
     path = write_problem(tmp_path / "p.json", IDENTITY2)
@@ -415,7 +415,8 @@ def test_text_renderer_failure_lines():
     rec = CheckRecord("commutation", {}, False, {"trunc": 0, "row": 1, "col": 2,
                                                  "uv": "1", "vu": "0"})
     report = Report({"kind": "ando", "field": {"kind": "rational"}, "dim": 1,
-                     "params": {"seed": 0}}, (rec,), False)
+                     "params": {"seed": 0}}, (rec,))
+    assert not report.passed
     rendered = _render_text(report)
     assert "FAIL commutation" in rendered
     assert "counterexample" in rendered

@@ -55,16 +55,27 @@ def test_moduli_above_the_ceiling_rejected():
         with pytest.raises(ValueError, match="too large"):
             gf(p)
     with pytest.raises(ValueError):
-        FieldSpec("gf", True)
+        FieldSpec(True)
 
 
 def test_bad_kinds_rejected():
+    # a field is its modulus alone, but its JSON form still names its kind, and
+    # a gf kind with a null modulus is refused, never read as Q
+    for obj in ({"kind": "rational", "modulus": 7}, {"kind": "real"}, {"kind": "gf"},
+                {"kind": "gf", "modulus": None}, {"kind": "gf", "modulus": "7"},
+                {"modulus": 7}, [7]):
+        with pytest.raises(ValueError):
+            FieldSpec.from_dict(obj)
     with pytest.raises(ValueError):
-        FieldSpec("rational", 7)
-    with pytest.raises(ValueError):
-        FieldSpec("real")
-    with pytest.raises(ValueError):
-        FieldSpec("gf")
+        gf(None)
+
+
+def test_field_is_its_modulus():
+    assert FieldSpec() == RATIONAL and FieldSpec(7) == GF7 and FieldSpec._fields == ("modulus",)
+    for field in (RATIONAL, GF7):
+        assert FieldSpec.from_dict(field.to_dict()) == field
+    assert GF7.to_dict() == {"kind": "gf", "modulus": 7}
+    assert RATIONAL.to_dict() == {"kind": "rational"}
 
 
 # -- text grammar ------------------------------------------------------------------

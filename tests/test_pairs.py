@@ -20,7 +20,6 @@ from exactdilation.rng import SplitMix64
 
 GF7 = gf(7)
 FIELDS = (RATIONAL, GF7)
-GENERATING_KINDS = [k for k in RECIPE_KINDS if k != "explicit"]
 
 
 # -- the generator stream -----------------------------------------------------------
@@ -50,7 +49,7 @@ def test_splitmix64_helpers():
 
 
 @pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("kind", GENERATING_KINDS)
+@pytest.mark.parametrize("kind", RECIPE_KINDS)
 def test_every_kind_commutes(field, kind):
     for seed in range(6):
         t, s = gen_pair(PairRecipe(kind, 3, field, seed=seed))
@@ -58,7 +57,7 @@ def test_every_kind_commutes(field, kind):
         assert check_commute(t, s)
 
 
-@pytest.mark.parametrize("kind", GENERATING_KINDS)
+@pytest.mark.parametrize("kind", RECIPE_KINDS)
 def test_same_seed_same_pair(kind):
     recipe = PairRecipe(kind, 4, RATIONAL, seed=77)
     assert gen_pair(recipe) == gen_pair(recipe)
@@ -123,15 +122,6 @@ def test_polynomials_in_one_matrix_commute():
     assert matrix_polynomial(a, [0, 1]) == a
 
 
-def test_explicit_recipe_passthrough():
-    t = mat(RATIONAL, [[0, 1], [0, 0]])
-    s = mat(RATIONAL, [[0, 0], [1, 0]])
-    recipe = PairRecipe("explicit", 2, RATIONAL, explicit=(t, s))
-    got_t, got_s = gen_pair(recipe)
-    assert got_t == t and got_s == s
-    assert not check_commute(got_t, got_s)  # explicit pairs may violate commutation
-
-
 def test_commutation_check_survives_python_O(tmp_path):
     # gen_pair's own check that the pair commutes must not be an assert,
     # which python -O strips
@@ -158,22 +148,17 @@ def test_commutation_check_survives_python_O(tmp_path):
 
 
 def test_invalid_recipes():
-    with pytest.raises(InvalidRecipe):
-        gen_pair(PairRecipe("funky", 2, RATIONAL))
-    with pytest.raises(InvalidRecipe):
-        gen_pair(PairRecipe("diagonal", -1, RATIONAL))
-    with pytest.raises(InvalidRecipe):
-        gen_pair(PairRecipe("polynomial", 2, RATIONAL, degree=-1))
-    with pytest.raises(InvalidRecipe):
-        gen_pair(PairRecipe("polynomial", 2, RATIONAL, height=0))
-    with pytest.raises(InvalidRecipe):
-        gen_pair(PairRecipe("explicit", 2, RATIONAL))
-    with pytest.raises(InvalidRecipe):
-        gen_pair(PairRecipe("diagonal", 2, RATIONAL,
-                            explicit=(identity(RATIONAL, 2), identity(RATIONAL, 2))))
-    with pytest.raises(InvalidRecipe):
-        gen_pair(PairRecipe("explicit", 3, RATIONAL,
-                            explicit=(identity(RATIONAL, 2), identity(RATIONAL, 2))))
+    # refused as they are made, so no invalid recipe ever reaches gen_pair;
+    # explicit pairs are problem-file matrices, not a recipe kind
+    assert RECIPE_KINDS == ("polynomial", "upper_triangular", "diagonal", "idempotent")
+    valid = PairRecipe("polynomial", 2, RATIONAL)
+    for changes in ({"kind": "funky"}, {"kind": "explicit"}, {"dim": -1}, {"degree": -1},
+                    {"height": 0}, {"dim": True}, {"dim": 2.0}, {"seed": "x"},
+                    {"seed": None}, {"degree": 3.0}, {"height": False}):
+        with pytest.raises(InvalidRecipe):
+            PairRecipe(**dict(valid.to_dict(), field=RATIONAL, **changes))
+        with pytest.raises(InvalidRecipe):
+            valid.replace(**changes)
 
 
 def test_small_prime_field_recipes():

@@ -17,7 +17,7 @@ from exactdilation._record import Record
 from exactdilation.dilation import AndoOperators, Generators, SzNagyOperators
 from exactdilation.fields import RATIONAL, FieldSpec, gf
 from exactdilation.linalg import DimensionMismatch, identity, mat, zeros
-from exactdilation.pairs import PairRecipe
+from exactdilation.pairs import InvalidRecipe, PairRecipe
 from exactdilation.problems import Problem
 from exactdilation.verify import CheckParams, CheckRecord, Report
 
@@ -32,12 +32,11 @@ RECIPE = PairRecipe("polynomial", 2, RATIONAL)
 # class -> (field, default or REQUIRED) in order, and two different full
 # sets of field values
 CASES = {
-    FieldSpec: ((("kind", REQUIRED), ("modulus", None)),
-                ("rational", None), ("gf", 7)),
+    FieldSpec: ((("modulus", None),), (None,), (7,)),
     PairRecipe: ((("kind", REQUIRED), ("dim", REQUIRED), ("field", REQUIRED), ("seed", 0),
-                  ("degree", 3), ("height", 5), ("explicit", None)),
-                 ("polynomial", 2, RATIONAL, 0, 3, 5, None),
-                 ("explicit", 2, RATIONAL, 1, 2, 4, (A, B))),
+                  ("degree", 3), ("height", 5)),
+                 ("polynomial", 2, RATIONAL, 0, 3, 5),
+                 ("diagonal", 3, GF7, 1, 2, 4)),
     Problem: ((("field", REQUIRED), ("dim", REQUIRED), ("T", REQUIRED), ("S", REQUIRED),
                ("recipe", REQUIRED)),
               (RATIONAL, 2, A, B, None), (RATIONAL, 2, None, None, RECIPE)),
@@ -54,8 +53,8 @@ CASES = {
                    ("counterexample", None)),
                   ("commutation", {"max_trunc": 1}, True, None),
                   ("commutation", {"max_trunc": 1}, False, {"trunc": 0})),
-    Report: ((("meta", REQUIRED), ("checks", REQUIRED), ("passed", REQUIRED)),
-             ({"kind": "ando"}, (), True), ({"kind": "sznagy"}, (), False)),
+    Report: ((("meta", REQUIRED), ("checks", REQUIRED)),
+             ({"kind": "ando"}, ()), ({"kind": "sznagy"}, ())),
 }
 CLASSES = list(CASES)
 
@@ -178,21 +177,40 @@ def test_replace_changes_the_named_fields_only(cls):
 
 
 INVALID = {
-    "rational-with-modulus": (lambda: FieldSpec("rational", 7), ValueError,
-                              "rational field carries no modulus"),
-    "gf-without-modulus": (lambda: FieldSpec("gf"), ValueError,
+    "gf-without-modulus": (lambda: gf(None), ValueError,
                            "modulus must be a prime integer, got None"),
-    "gf-composite": (lambda: FieldSpec("gf", 8), ValueError,
+    "gf-null-modulus-from-dict": (lambda: FieldSpec.from_dict({"kind": "gf", "modulus": None}),
+                                  ValueError, "modulus must be a prime integer, got None"),
+    "gf-composite": (lambda: FieldSpec(8), ValueError,
                      "modulus must be a prime integer, got 8"),
-    "gf-bool": (lambda: FieldSpec("gf", True), ValueError,
+    "gf-bool": (lambda: FieldSpec(True), ValueError,
                 "modulus must be a prime integer, got True"),
-    "gf-too-large": (lambda: FieldSpec("gf", 2 ** 89 - 1), ValueError,
+    "gf-too-large": (lambda: FieldSpec(2 ** 89 - 1), ValueError,
                      "is too large; the limit is"),
-    "unknown-kind": (lambda: FieldSpec("real"), ValueError, "unknown field kind 'real'"),
     "replace-gf-composite": (lambda: GF7.replace(modulus=9), ValueError,
                              "modulus must be a prime integer, got 9"),
-    "replace-rational-with-modulus": (lambda: RATIONAL.replace(modulus=7), ValueError,
-                                      "rational field carries no modulus"),
+    "recipe-unknown-kind": (lambda: PairRecipe("funky", 2, RATIONAL), InvalidRecipe,
+                            "recipe kind must be one of"),
+    "recipe-explicit-kind": (lambda: PairRecipe("explicit", 2, RATIONAL), InvalidRecipe,
+                             "recipe kind must be one of"),
+    "recipe-bool-dim": (lambda: PairRecipe("diagonal", True, RATIONAL), InvalidRecipe,
+                        "recipe 'dim' must be an integer"),
+    "recipe-str-seed": (lambda: PairRecipe("diagonal", 2, RATIONAL, seed="x"), InvalidRecipe,
+                        "recipe 'seed' must be an integer"),
+    "recipe-float-degree": (lambda: PairRecipe("polynomial", 2, RATIONAL, degree=2.0),
+                            InvalidRecipe, "recipe 'degree' must be an integer"),
+    "recipe-negative-dim": (lambda: PairRecipe("diagonal", -1, RATIONAL), InvalidRecipe,
+                            "recipe 'dim' must be a nonnegative integer"),
+    "replace-recipe-explicit-kind": (lambda: RECIPE.replace(kind="explicit"), InvalidRecipe,
+                                     "recipe kind must be one of"),
+    "replace-recipe-bool-dim": (lambda: RECIPE.replace(dim=False), InvalidRecipe,
+                                "recipe 'dim' must be an integer"),
+    "replace-recipe-str-seed": (lambda: RECIPE.replace(seed="x"), InvalidRecipe,
+                                "recipe 'seed' must be an integer"),
+    "replace-recipe-float-degree": (lambda: RECIPE.replace(degree=3.0), InvalidRecipe,
+                                    "recipe 'degree' must be an integer"),
+    "replace-recipe-height": (lambda: RECIPE.replace(height=0), InvalidRecipe,
+                              "degree must be >= 0 and height >= 1"),
     "generators-shapes": (lambda: Generators(G, A), DimensionMismatch,
                           "G and H need one shape over one field"),
     "replace-generators-field": (lambda: Generators(G, H).replace(H=zeros(GF7, 8, 2)),
@@ -226,15 +244,19 @@ def test_validation_raises(case):
 
 def test_valid_replacements_pass_validation():
     assert GF7.replace(modulus=11) == gf(11)
-    assert FieldSpec("gf", 7).replace(kind="rational", modulus=None) == RATIONAL
+    assert GF7.replace(modulus=None) == RATIONAL and RATIONAL.replace(modulus=7) == GF7
+    assert RECIPE.replace(kind="diagonal", dim=1) == PairRecipe("diagonal", 1, RATIONAL)
     assert CheckParams().replace(trials=1) == CheckParams(4, 5, 1, 0)
     failing = CheckRecord("x", {}, True).replace(passed=False, counterexample={"a": 1})
     assert (failing.passed, failing.counterexample) == (False, {"a": 1})
 
 
-def test_pair_recipe_is_validated_when_used_not_when_made():
-    recipe = PairRecipe("no such kind", -1, RATIONAL)
-    assert recipe.replace(kind="diagonal", dim=1).kind == "diagonal"
+def test_pair_recipe_is_validated_when_made():
+    # a recipe that could not be generated is never made, so gen_pair needs no check
+    with pytest.raises(InvalidRecipe):
+        PairRecipe("no such kind", -1, RATIONAL)
+    with pytest.raises(InvalidRecipe):
+        RECIPE.replace(dim=-1)
 
 
 def test_a_subclass_without_fields_is_refused():

@@ -592,10 +592,16 @@ def _spoil_record(obj, **changes):
     lambda obj: _spoil_record(obj, **{"pass": False}, counterexample=None),
     lambda obj: {"meta": 5, "checks": [{"name": 7, "params": None, "pass": "yes"}],
                  "pass": "no"},
+    lambda obj: dict(obj, **{"pass": False}),
+    lambda obj: _spoil_record(obj, **{"pass": False}),
+    lambda obj: _spoil_record(obj, counterexample={"n": 1}),
+    lambda obj: _spoil_record(obj, **{"pass": False}, counterexample={"n": 1}),
 ], ids=["top_level_not_object", "checks_not_list", "record_not_object", "record_missing_key",
         "meta_not_object", "pass_not_bool", "pass_an_int", "name_not_string",
         "params_not_object", "record_pass_not_bool", "counterexample_a_list",
-        "counterexample_null", "every_value_mistyped"])
+        "counterexample_null", "every_value_mistyped", "pass_not_the_records_verdict",
+        "failing_record_without_counterexample", "passing_record_with_counterexample",
+        "failing_record_under_pass_true"])
 def test_report_from_json_rejects_malformed_reports(spoil):
     obj = check_sznagy(JORDAN, FAST).to_dict()
     with pytest.raises(ValueError, match="^malformed report: "):
