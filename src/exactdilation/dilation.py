@@ -26,6 +26,7 @@ truncation at level K+1.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 
 from ._record import Record
@@ -82,16 +83,26 @@ class SupportOverflow(AssertionError):
     """A truncated operator image escaped the next truncation level."""
 
 
+def _require_shape(name: str, m: Mat, field: FieldSpec, n: int):
+    if (m.field, m.rows, m.cols) != (field, n, n):
+        raise DimensionMismatch(f"{name} must be {n}x{n} over {field.label()}, "
+                                f"got {m.rows}x{m.cols} over {m.field.label()}")
+
+
 class SzNagyOperators(Record):
-    """Single-map dilation data: just the map itself."""
+    """Single-map dilation data: just the map itself, d x d over the field."""
 
     d: int
     field: FieldSpec
     T: Mat
 
+    def _check(self):
+        _require_shape("T", self.T, self.field, self.d)
+
 
 class AndoOperators(Record):
-    """Two-map dilation data: the commuting pair and the block exchange map."""
+    """Two-map dilation data: the commuting pair, d x d, and the block exchange
+    map and its inverse, 4d x 4d, all over the field."""
 
     d: int
     field: FieldSpec
@@ -99,6 +110,12 @@ class AndoOperators(Record):
     S: Mat
     v: Mat
     v_inv: Mat
+
+    def _check(self):
+        for name in ("T", "S"):
+            _require_shape(name, getattr(self, name), self.field, self.d)
+        for name in ("v", "v_inv"):
+            _require_shape(name, getattr(self, name), self.field, 4 * self.d)
 
 
 class Generators(Record):
@@ -117,13 +134,12 @@ class Generators(Record):
 
 
 def sznagy(t: Mat) -> SzNagyOperators:
-    if not t.is_square():
-        raise DimensionMismatch(f"T must be square, got {t.rows}x{t.cols}")
     return SzNagyOperators(t.rows, t.field, t)
 
 
+@lru_cache(maxsize=1)  # ando() and the audit of its operators ask for the same pair
 def build_generators(t: Mat, s: Mat) -> Generators:
-    """Generator columns G and H of the pair (T, S).
+    """Generator columns G and H of the pair (T, S), kept for the last pair asked.
 
     ker G = ker H = ker(I-T) ∩ ker(I-S) for any square T and S, so the
     correspondence G e_i -> H e_i is always well defined: a kernel vector x of

@@ -293,17 +293,20 @@ def _count_calls(monkeypatch, **owners):
 
 
 def test_each_fact_is_computed_once_per_run(tmp_path, monkeypatch):
-    counts = _count_calls(monkeypatch, ando=dilation_mod, build_generators=dilation_mod,
-                          truncated_matrix=dilation_mod, kernel_basis=linalg_mod,
-                          _span=linalg_mod, rank=linalg_mod, complete_basis=linalg_mod)
+    counts = _count_calls(monkeypatch, ando=dilation_mod, truncated_matrix=dilation_mod,
+                          kernel_basis=linalg_mod, _span=linalg_mod, rank=linalg_mod,
+                          complete_basis=linalg_mod)
     path = write_problem(tmp_path / "p.json", RECIPE_GF7)
     out = tmp_path / "report.json"
+    dilation_mod.build_generators.cache_clear()
     assert main(["ando", "--input", path, "--out", str(out), "--trunc", "5",
                  "--dump-operators", "1"]) == 0
     # one truncation per operator, read at every level by the audit and the dump;
-    # the exchange map eliminates G's columns once and H's once
-    assert counts == {"ando": 1, "build_generators": 2, "truncated_matrix": 2,
-                      "kernel_basis": 2, "_span": 2, "rank": 0, "complete_basis": 0}
+    # the exchange map eliminates G's columns once and H's once; the builder and
+    # the audit share one computation of the generators
+    assert counts == {"ando": 1, "truncated_matrix": 2, "kernel_basis": 2, "_span": 2,
+                      "rank": 0, "complete_basis": 0}
+    assert dilation_mod.build_generators.cache_info().misses == 1
     counts.update(dict.fromkeys(counts, 0))
     assert main(["sznagy", "--input", path, "--out", str(out), "--trunc", "5"]) == 0
     assert counts["truncated_matrix"] == 1
@@ -525,10 +528,13 @@ def test_problem_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     ("[" * 200000, "nested too deeply"),
     ('{"field": {"kind": "gf", "modulus": ' + "7" * 5000 + '}, "recipe": '
      '{"kind": "diagonal", "dim": 1, "seed": 0}}', "number too long"),
-], ids=["deep-nesting", "long-integer"])
+    ('{"field": {"kind": "gf", "modulus": null}, "recipe": '
+     '{"kind": "diagonal", "dim": 1, "seed": 0}}', "modulus must be a prime integer, got None"),
+], ids=["deep-nesting", "long-integer", "null-modulus"])
 def test_hostile_problem_file_exits_2(tmp_path, capsys, command, text, fragment):
     # json raises RecursionError on deep nesting, and ValueError, not
-    # JSONDecodeError, on an integer past the int-from-text digit limit
+    # JSONDecodeError, on an integer past the int-from-text digit limit; a
+    # null modulus is refused, not read as the rational field
     path = tmp_path / "p.json"
     path.write_text(text, encoding="utf-8")
     assert main([command, "--input", str(path)]) == 2

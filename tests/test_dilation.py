@@ -126,6 +126,8 @@ def test_sznagy_dimension_mismatch():
         sznagy_apply_u(ops, embed(RATIONAL, (1,)))
     with pytest.raises(DimensionMismatch):
         sznagy_apply_u(ops, embed(GF7, (1, 1)))
+    with pytest.raises(DimensionMismatch, match="T must be 2x2 over rational, got 2x3"):
+        sznagy(zeros(RATIONAL, 2, 3))
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -117,7 +117,11 @@ _UNDER_O = """
 import json, sys
 from pathlib import Path
 import test_golden as golden
-from exactdilation.verify import CheckParams, CheckRecord
+from exactdilation.dilation import ando
+from exactdilation.fields import FieldSpec, gf
+from exactdilation.linalg import identity, mat
+from exactdilation.pairs import PairRecipe
+from exactdilation.verify import CheckParams, CheckRecord, report_from_json
 if __debug__:
     sys.exit("not running under -O")
 manifest = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
@@ -128,10 +132,17 @@ for name in ("ando_q_dump", "sznagy_q_polynomial"):
     for fname, text in got["files"].items():
         if text.encode("utf-8") != (golden.GOLDEN / fname).read_bytes():
             sys.exit(f"{fname} differs from its golden bytes")
-for make in (lambda: CheckParams(max_power=0), lambda: CheckRecord("x", {}, True, {"a": 1})):
+ops = ando(*(mat(gf(7), [[1, 2], [0, 1]]),) * 2)
+failing = json.dumps({"meta": {}, "checks": [{"name": "x", "params": {}, "pass": False,
+                                              "counterexample": {}}], "pass": True})
+for make in (lambda: CheckParams(max_power=0), lambda: CheckRecord("x", {}, True, {"a": 1}),
+             lambda: PairRecipe("diagonal", True, ops.field), lambda: gf(None),
+             lambda: FieldSpec.from_dict({"kind": "gf", "modulus": None}),
+             lambda: ops.replace(v=identity(ops.field, 9)),
+             lambda: report_from_json(failing)):
     try:
         make()
-    except ValueError:
+    except ValueError:  # DimensionMismatch and InvalidRecipe among them
         continue
     sys.exit("an invalid value was accepted")
 print("ok")

@@ -28,6 +28,8 @@ B = mat(RATIONAL, [[3, 0], [0, 3]])
 G = zeros(RATIONAL, 8, 2)
 H = mat(RATIONAL, [[1, 0]] + [[0, 0]] * 7)
 RECIPE = PairRecipe("polynomial", 2, RATIONAL)
+I8 = identity(RATIONAL, 8)
+OPS = AndoOperators(2, RATIONAL, A, B, I8, I8)
 
 # class -> (field, default or REQUIRED) in order, and two different full
 # sets of field values
@@ -215,6 +217,21 @@ INVALID = {
                           "G and H need one shape over one field"),
     "replace-generators-field": (lambda: Generators(G, H).replace(H=zeros(GF7, 8, 2)),
                                  DimensionMismatch, "G and H need one shape over one field"),
+    "sznagy-ops-d": (lambda: SzNagyOperators(3, RATIONAL, A), DimensionMismatch,
+                     "T must be 3x3 over rational, got 2x2 over rational"),
+    "replace-sznagy-ops-field": (lambda: SzNagyOperators(2, RATIONAL, A).replace(field=GF7),
+                                 DimensionMismatch,
+                                 "T must be 2x2 over gf(7), got 2x2 over rational"),
+    "ando-ops-d-and-field": (lambda: AndoOperators(3, GF7, A, B, identity(GF7, 12),
+                                                   identity(GF7, 12)),
+                             DimensionMismatch, "T must be 3x3 over gf(7), got 2x2 over rational"),
+    "ando-ops-s": (lambda: AndoOperators(2, RATIONAL, A, zeros(RATIONAL, 2, 3), I8, I8),
+                   DimensionMismatch, "S must be 2x2 over rational, got 2x3 over rational"),
+    "replace-ando-ops-v": (lambda: OPS.replace(v=identity(RATIONAL, 9),
+                                               v_inv=identity(RATIONAL, 9)),
+                           DimensionMismatch, "v must be 8x8 over rational, got 9x9 over rational"),
+    "replace-ando-ops-v-inv": (lambda: OPS.replace(v_inv=identity(GF7, 8)), DimensionMismatch,
+                               "v_inv must be 8x8 over rational, got 8x8 over gf(7)"),
     "params-max-power": (lambda: CheckParams(max_power=0), ValueError,
                          "max_power must be >= 1"),
     "params-max-trunc": (lambda: CheckParams(max_trunc=-1), ValueError,
