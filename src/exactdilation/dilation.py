@@ -17,11 +17,16 @@ completing both column families to bases (greedy scan, direction selectable).
 Operators act lazily on finite-support sequences, which is exact and total.
 They act on a ``Batch`` of columns, whose coordinate blocks are canonical
 ``Mat``s; one sequence is the width-1 case.  The head surgery multiplies
-coordinate 0 alone and hands the tail blocks on unchanged, and the block
-exchange makes one integer product per 4-block.  Matrices exist only as
-restrictions to truncations.  The truncation at level K is the subspace
-supported on coordinates 0..4K, and every operator here maps it into the
-truncation at level K+1.
+coordinate 0 alone and hands the tail blocks on unchanged.  The block
+exchange makes one integer product per distinct 4-block group, from the
+group's nonzero blocks alone, and builds only its nonzero output blocks.
+That product depends on v and the group's blocks alone, so a small
+fixed-size cache keyed by their values (``_group_product``; a ``Mat`` keeps
+its hash) serves every repeat.  Matrices exist only as restrictions to
+truncations.  The truncation at level K is the subspace supported on
+coordinates 0..4K, and every operator here maps it into the truncation at
+level K+1.  ``truncated_matrix`` feeds every level past 0 the same unit
+blocks, re-keyed, so the group products of levels 2..K are those of level 1.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .linalg import (
     DimensionMismatch,
     Mat,
     _add_terms,
+    _require_shape,
     _scan_is_forward,
     _span,
     identity,
@@ -81,12 +87,6 @@ class ExtensionFailure(AssertionError):
 
 class SupportOverflow(AssertionError):
     """A truncated operator image escaped the next truncation level."""
-
-
-def _require_shape(name: str, m: Mat, field: FieldSpec, n: int):
-    if (m.field, m.rows, m.cols) != (field, n, n):
-        raise DimensionMismatch(f"{name} must be {n}x{n} over {field.label()}, "
-                                f"got {m.rows}x{m.cols} over {m.field.label()}")
 
 
 class SzNagyOperators(Record):
@@ -241,24 +241,37 @@ def _head_surgery(m: Mat, b: Batch, shift: int) -> Batch:
                  head | {n + shift: x for n, x in b.blocks.items() if n})
 
 
-def _block_exchange(vmat: Mat, b: Batch) -> Batch:
-    """Apply vmat to each 4-block of coordinates (4g+1 .. 4g+4) of every column, head untouched.
+@lru_cache(maxsize=2)  # a fixed size: the groups of one truncation level, which later levels repeat
+def _group_product(vmat: Mat, xs: tuple, width: int) -> tuple:
+    """vmat applied to one 4-block group of width-``width`` blocks: ``xs`` holds its
+    four blocks, None for a zero one, and the result the nonzero output blocks as
+    ``(k, block)`` pairs, k in 0..3.
 
-    A 4-block's rows are gathered over the lcm of its blocks' denominators into
-    one integer product, which is cut back into four blocks."""
-    field, d, width = b.field, b.dim, b.width
+    The present blocks enter one integer product over the lcm of their
+    denominators, each scaled inside the product.  Only output blocks with a
+    nonzero integer grid are brought to canonical form, and over GF(p) one
+    that vanishes mod p is dropped after it.  The result depends on the values
+    of the arguments alone, so one product serves every equal group while it
+    stays in the cache.
+    """
+    d, den = vmat.rows // 4, lcm(*(x.den for x in xs if x is not None))
+    acc = [[0] * width for _ in range(4 * d)]
+    for k, x in enumerate(xs):
+        if x is not None:
+            int_product(vmat, x.ints, width, acc, k * d, den // x.den)
+    ys = [(k, Mat.from_ints(vmat.field, d, width, acc[k * d:(k + 1) * d], den * vmat.den))
+          for k in range(4) if any(map(any, acc[k * d:(k + 1) * d]))]
+    return tuple((k, y) for k, y in ys if not y.is_zero())
+
+
+def _block_exchange(vmat: Mat, b: Batch) -> Batch:
+    """Apply vmat to each 4-block of coordinates (4g+1 .. 4g+4) of every column, head
+    untouched, by one ``_group_product`` per 4-block holding a nonzero block."""
     blocks = {0: b.blocks[0]} if 0 in b.blocks else {}
-    zero = [[0] * width] * d
     for g in dict.fromkeys((n - 1) // 4 for n in b.blocks if n):
-        xs = [b.blocks.get(n) for n in range(4 * g + 1, 4 * g + 5)]
-        den = lcm(*(x.den for x in xs if x is not None))
-        y = int_product(vmat, [r for x in xs for r in (zero if x is None else x.ints_over(den))],
-                        width)
-        for k in range(4):
-            blk = Mat.from_ints(field, d, width, y[k * d:(k + 1) * d], den * vmat.den)
-            if not blk.is_zero():
-                blocks[4 * g + 1 + k] = blk
-    return Batch(field, d, width, blocks)
+        xs = tuple(b.blocks.get(n) for n in range(4 * g + 1, 4 * g + 5))
+        blocks.update((4 * g + 1 + k, y) for k, y in _group_product(vmat, xs, b.width))
+    return Batch(b.field, b.dim, b.width, blocks)
 
 
 # each operator as an action on a batch: U = W after W1, V = W2 after W^-1
@@ -352,10 +365,15 @@ def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
         raise ValueError("truncation level must be >= 0")
     action = _action(tag, ops)
     d, field = ops.d, ops.field
+    # every level past 0 feeds the same four unit blocks, re-keyed, so the block
+    # exchange finds the group products of level 1 in its cache
+    units = Batch.basis(field, d, range(1, 5)).blocks
     images = []
     for level in range(trunc + 1):
         coords = range(4 * level - 3, 4 * level + 1) if level else range(1)
-        images.append((coords, action(ops, Batch.basis(field, d, coords))))
+        basis = (Batch(field, d, 4 * d, {n + coords[0] - 1: x for n, x in units.items()})
+                 if level else Batch.basis(field, d, coords))
+        images.append((coords, action(ops, basis)))
     # each block is in lowest terms, so over the lcm of their denominators the
     # columns are in the canonical form of FieldSpec.reduce_ints already
     den = lcm(*(x.den for _, img in images for x in img.blocks.values()))

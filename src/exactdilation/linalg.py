@@ -14,11 +14,15 @@ column ranks, basis completion, reduced row echelon form, kernels and
 inverses; it is fed rows or columns as each job needs.  Products keep two
 loops, each shaped for its operands: ``int_product`` multiplies a matrix
 into the small dense blocks of a batch, and ``column_product`` multiplies
-the column-sparse truncated operators.  One loop over column terms for
-both was tried and ran 23-35% fewer problems per second on the ``ando``
-and ``sznagy-deep`` benchmark workloads: gathering the column terms of the
-dense blocks cost twice their products.  Degenerate shapes (0 x n, n x 0)
-are legal with the obvious conventions.
+the column-sparse truncated operators.  ``int_product`` adds a scaled
+product of some of the matrix's columns into a given grid, so the block
+exchange feeds each nonzero block of a 4-block straight in, over the
+group's common denominator, with no zero rows and no rescaled copies.  One
+loop over column terms for both was tried and ran 23-35% fewer problems
+per second on the ``ando`` and ``sznagy-deep`` benchmark workloads:
+gathering the column terms of the dense blocks cost twice their products.
+Degenerate shapes (0 x n, n x 0) are legal with the obvious conventions.
+A ``Mat`` keeps its hash once taken; the block exchange keys a cache by it.
 """
 
 from __future__ import annotations
@@ -134,6 +138,11 @@ class Mat:
                 and self.ints == other.ints)
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """Hashed once: a ``Mat`` is never modified, and the lazy actions key a cache by it."""
         return hash((self.field, self.rows, self.cols, self.den, self.ints))
 
     def __repr__(self) -> str:
@@ -213,6 +222,13 @@ class Mat:
                              int_product(self, other.ints, other.cols), self.den * other.den)
 
 
+def _require_shape(name: str, m: Mat, field: FieldSpec, n: int):
+    """Raise DimensionMismatch unless the matrix ``m``, called ``name``, is n x n over ``field``."""
+    if (m.field, m.rows, m.cols) != (field, n, n):
+        raise DimensionMismatch(f"{name} must be {n}x{n} over {field.label()}, "
+                                f"got {m.rows}x{m.cols} over {m.field.label()}")
+
+
 # -- construction ---------------------------------------------------------------
 
 
@@ -283,20 +299,24 @@ def vstack(*mats: Mat) -> Mat:
 # -- vector ops --------------------------------------------------------------------
 
 
-def int_product(a: Mat, b: Sequence[Sequence[int]], width: int) -> list:
-    """The integer grid ``a.ints @ b``, for ``b`` with ``a.cols`` rows of ``width`` ints.
+def int_product(a: Mat, b: Sequence[Sequence[int]], width: int, acc: list | None = None,
+                first: int = 0, scale: int = 1) -> list:
+    """The integer grid ``acc + scale * A @ b``, for ``b`` with rows of ``width`` ints
+    and A the ``len(b)`` columns of ``a.ints`` from column ``first`` on; ``acc``, a
+    list of ``a.rows`` int lists, is added into in place, and is zeros if not given.
 
     The product loop of ``@``, ``matvec`` and the lazy operators, whose right
     operands are small dense grids.  It accumulates
     ``C[i][j] += A[i][k] * B[k][j]`` and skips zero entries of both sides.
     """
-    acc = [[0] * width for _ in range(a.rows)]
+    if acc is None:
+        acc = [[0] * width for _ in range(a.rows)]
     index = range(width)
-    for colk, brow in zip(a._col_terms, b):
+    for colk, brow in zip(a._col_terms[first:], b):
         if not colk:
             continue
         for j in compress(index, brow):
-            y = brow[j]
+            y = scale * brow[j]
             for i, x in colk:
                 acc[i][j] += x * y
     return acc

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from ._record import Record
 from .fields import FieldSpec
-from .linalg import DimensionMismatch, Mat, is_invertible, inverse, zeros
+from .linalg import Mat, _require_shape, is_invertible, inverse, zeros
 from .rng import SplitMix64, rand_matrix, rand_scalar
 
 __all__ = ["PairRecipe", "InvalidRecipe", "RECIPE_KINDS", "gen_pair", "check_commute",
@@ -22,7 +22,8 @@ RECIPE_KINDS = ("polynomial", "upper_triangular", "diagonal", "idempotent")
 
 
 class InvalidRecipe(ValueError):
-    """Recipe fails validation (unknown kind, a number that is not an int or out of range)."""
+    """Recipe fails validation (unknown kind, a field that is not a ``FieldSpec``, a number
+    that is not an int or out of range)."""
 
 
 def _is_int(x) -> bool:
@@ -52,6 +53,8 @@ class PairRecipe(Record):
         if self.kind not in RECIPE_KINDS:
             raise InvalidRecipe(f"recipe kind must be one of {sorted(RECIPE_KINDS)}, "
                                 f"got {self.kind!r}")
+        if not isinstance(self.field, FieldSpec):
+            raise InvalidRecipe(f"recipe field must be a FieldSpec, got {self.field!r}")
         for key in ("dim", "seed", "degree", "height"):
             if not _is_int(getattr(self, key)):
                 raise InvalidRecipe(f"recipe '{key}' must be an integer")
@@ -129,12 +132,8 @@ def gen_pair(recipe: PairRecipe) -> tuple[Mat, Mat]:
 
 
 def _require_square_pair(t: Mat, s: Mat):
-    if t.field != s.field:
-        raise DimensionMismatch("T and S over different fields")
-    if not (t.is_square() and s.is_square() and t.rows == s.rows):
-        raise DimensionMismatch(
-            f"need two square matrices of one size, got {t.rows}x{t.cols} and {s.rows}x{s.cols}"
-        )
+    _require_shape("T", t, t.field, t.rows)
+    _require_shape("S", s, t.field, t.rows)
 
 
 def check_commute(t: Mat, s: Mat) -> bool:

@@ -23,7 +23,7 @@ from typing import Optional
 
 from ._record import Record
 from .fields import FieldSpec
-from .linalg import Mat
+from .linalg import Mat, _require_shape
 from .pairs import InvalidRecipe, PairRecipe, _is_int, gen_pair
 
 __all__ = ["Problem", "ProblemError", "parse_problem", "load_problem",
@@ -35,11 +35,28 @@ class ProblemError(ValueError):
 
 
 class Problem(Record):
+    """A field, a dimension ``dim``, and either explicit matrices (``T``, and ``S`` or
+    None) or a generation ``recipe``, never both.  Each matrix is ``dim x dim`` over
+    the field, and the recipe is over the field and of the dimension."""
+
     field: FieldSpec
     dim: int
     T: Optional[Mat]
     S: Optional[Mat]
     recipe: Optional[PairRecipe]
+
+    def _check(self):
+        if not isinstance(self.field, FieldSpec) or not _is_int(self.dim) or self.dim < 0:
+            raise ProblemError("a problem needs a FieldSpec and a nonnegative integer 'dim'")
+        if (self.T is None) == (self.recipe is None) or (self.S is not None and self.T is None):
+            raise ProblemError("problem needs exactly one of: explicit 'T' (with optional 'S'), "
+                               "or a 'recipe'")
+        for name, m in (("T", self.T), ("S", self.S)):
+            if m is not None:
+                _require_shape(name, m, self.field, self.dim)
+        r = self.recipe
+        if r is not None and (r.field, r.dim) != (self.field, self.dim):
+            raise ProblemError(f"recipe must be over {self.field.label()} with 'dim' {self.dim}")
 
 
 def mat_to_grid(m: Mat) -> list:
@@ -70,38 +87,27 @@ def parse_problem(obj) -> Problem:
     except ValueError as exc:
         raise ProblemError(str(exc)) from exc
 
-    has_matrices = "T" in obj
-    has_recipe = "recipe" in obj
-    if has_matrices == has_recipe:
-        raise ProblemError("problem needs exactly one of: explicit 'T' (with optional 'S'), "
-                           "or a 'recipe'")
-    if has_recipe and "S" in obj:
-        raise ProblemError("'S' is only valid alongside an explicit 'T'")
-
-    if has_matrices:
-        if "dim" not in obj or not _is_int(obj["dim"]) or obj["dim"] < 0:
-            raise ProblemError("explicit problems need a nonnegative integer 'dim'")
-        dim = obj["dim"]
-        t = grid_to_mat(field, dim, obj["T"], "T")
-        s = grid_to_mat(field, dim, obj["S"], "S") if "S" in obj else None
-        return Problem(field, dim, t, s, None)
-
-    entry = obj["recipe"]
-    if not isinstance(entry, dict):
-        raise ProblemError("'recipe' must be an object")
-    unknown = set(entry) - {"kind", "dim", "seed", "degree", "height"}
-    if unknown:
-        raise ProblemError(f"unknown recipe keys: {sorted(unknown)}")
-    for key in ("kind", "dim", "seed"):
-        if key not in entry:
-            raise ProblemError(f"recipe needs '{key}'")
-    try:
-        recipe = PairRecipe(field=field, **entry)
-    except InvalidRecipe as exc:
-        raise ProblemError(str(exc)) from exc
-    if "dim" in obj and (not _is_int(obj["dim"]) or obj["dim"] != recipe.dim):
-        raise ProblemError("top-level 'dim', if given, must equal the recipe 'dim'")
-    return Problem(field, recipe.dim, None, None, recipe)
+    recipe = None
+    if "recipe" in obj:
+        entry = obj["recipe"]
+        if not isinstance(entry, dict):
+            raise ProblemError("'recipe' must be an object")
+        unknown = set(entry) - {"kind", "dim", "seed", "degree", "height"}
+        if unknown:
+            raise ProblemError(f"unknown recipe keys: {sorted(unknown)}")
+        for key in ("kind", "dim", "seed"):
+            if key not in entry:
+                raise ProblemError(f"recipe needs '{key}'")
+        try:
+            recipe = PairRecipe(field=field, **entry)
+        except InvalidRecipe as exc:
+            raise ProblemError(str(exc)) from exc
+    dim = obj.get("dim", None if recipe is None else recipe.dim)
+    if not _is_int(dim) or dim < 0:  # checked before the grids are read at this size
+        raise ProblemError("problem needs a nonnegative integer 'dim'")
+    t, s = (grid_to_mat(field, dim, obj[k], k) if k in obj else None for k in ("T", "S"))
+    # the Problem refuses T with a recipe, S without T, and a recipe of another dim
+    return Problem(field, dim, t, s, recipe)
 
 
 def load_problem(path) -> Problem:

@@ -24,17 +24,18 @@ from .dilation import (
     ando,
     apply_batch,
     build_generators,
+    level_block,
     sznagy,
     truncated_matrix,
 )
 from .fields import FieldSpec
 from .linalg import (
-    DimensionMismatch,
     Mat,
     column_product,
     column_ranks,
     from_cols,
     hstack,
+    identity,
     kernel_basis,
     zeros,
 )
@@ -149,12 +150,12 @@ def _is_record(c) -> bool:
 # -- shared helpers ------------------------------------------------------------
 
 
-def _trial_vectors(field: FieldSpec, d: int, params: CheckParams) -> list:
-    one, zero = field.one(), field.zero()
-    vectors = [tuple(one if k == i else zero for k in range(d)) for i in range(d)]
+def _trial_vectors(field: FieldSpec, d: int, params: CheckParams) -> Mat:
+    """The matrix X of the trial vectors: the standard basis of F^d, then ``trials``
+    random columns drawn from ``seed``."""
     rng = SplitMix64(params.seed)
-    vectors.extend(rand_column(rng, field, d) for _ in range(params.trials))
-    return vectors
+    return hstack(identity(field, d),
+                  from_cols(field, d, [rand_column(rng, field, d) for _ in range(params.trials)]))
 
 
 def _meta(kind: str, field: FieldSpec, d: int, params: CheckParams,
@@ -224,9 +225,8 @@ def check_sznagy(t: Mat, params: CheckParams = CheckParams(),
     """Dilation equation T^n = P U^n on coordinate 0, plus injectivity of U."""
     ops = sznagy(t)
     field, d = ops.field, ops.d
-    xs = _trial_vectors(field, d, params)
-    x = from_cols(field, d, xs)
-    b = Batch.of(field, d, len(xs), {0: x})
+    x = _trial_vectors(field, d, params)
+    b = Batch.of(field, d, x.cols, {0: x})
     top = truncated_matrix("SzNagyU", ops, params.max_trunc)
     records = [_dilation_record("dilation_equation", "SzNagyU", ops, t, b, x, x, params),
                _injectivity_record("injectivity_u", top, d, params)]
@@ -243,9 +243,8 @@ def _bivariate_record(ops: AndoOperators, params: CheckParams) -> CheckRecord:
     ``max_power`` times in all, and ``T^n S^m X`` is one matrix of the same width.
     """
     field, d = ops.field, ops.d
-    xs = _trial_vectors(field, d, params)
-    x = from_cols(field, d, xs)
-    ws, sxs = [Batch.of(field, d, len(xs), {0: x})], [x]
+    x = _trial_vectors(field, d, params)
+    ws, sxs = [Batch.of(field, d, x.cols, {0: x})], [x]
     for _ in range(params.max_power):
         ws.append(apply_batch("V", ops, ws[-1]))
         sxs.append(ops.S @ sxs[-1])
@@ -335,12 +334,7 @@ def check_ando(t: Mat, s: Mat, params: CheckParams = CheckParams(),
     top = params.max_trunc + 1
     if truncations is None:
         truncations = (truncated_matrix("U", ops, top), truncated_matrix("V", ops, top))
-    rows, cols = ops.d * (4 * top + 5), ops.d * (4 * top + 1)
-    for m in truncations:
-        if m.cols < cols:
-            raise DimensionMismatch(
-                f"no {rows}x{cols} leading block in a {m.rows}x{m.cols} matrix")
-    u, v = truncations
+    u, v = (level_block(m, ops.d, top) for m in truncations)  # DimensionMismatch if lower
     gens = build_generators(ops.T, ops.S)
     records = [
         _bivariate_record(ops, params),

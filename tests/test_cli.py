@@ -543,6 +543,28 @@ def test_hostile_problem_file_exits_2(tmp_path, capsys, command, text, fragment)
         load_problem(path)
 
 
+DIAGONAL_RECIPE = {"kind": "diagonal", "dim": 1, "seed": 0}
+
+
+@pytest.mark.parametrize("command", ["ando", "sznagy"])
+@pytest.mark.parametrize("obj, fragment", [
+    ({"field": {"kind": "rational"}, "dim": 2, "recipe": DIAGONAL_RECIPE},
+     "recipe must be over rational with 'dim' 2"),
+    ({"field": {"kind": "gf", "modulus": 7}, "dim": 1, "T": [["1"]], "recipe": DIAGONAL_RECIPE},
+     "problem needs exactly one of"),
+    ({"field": {"kind": "rational"}, "S": [["1"]], "recipe": DIAGONAL_RECIPE},
+     "problem needs exactly one of"),
+    ({"field": {"kind": "rational"}, "dim": 1}, "problem needs exactly one of"),
+    ({"field": {"kind": "rational"}, "dim": -1, "T": []}, "nonnegative integer 'dim'"),
+], ids=["recipe-of-another-dim", "t-and-recipe", "s-and-recipe", "neither", "negative-dim"])
+def test_inconsistent_problem_file_exits_2(tmp_path, capsys, command, obj, fragment):
+    # the Problem refuses what its parts do not agree on, and the CLI says so in one line
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main([command, "--input", str(path)]) == 2
+    _assert_one_error_line(capsys, fragment)
+
+
 def test_parser_is_built_once_on_first_call():
     # not at import, so the import time does not grow; then shared by every call
     script = (

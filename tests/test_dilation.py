@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import exactdilation.dilation as dilation_mod
 from exactdilation.dilation import (
+    AndoOperators,
     ExtensionFailure,
     Generators,
     NotCommuting,
@@ -816,3 +817,82 @@ def test_head_surgery_hands_the_tail_on_unchanged(field, tag, shift):
         if n:
             assert out.blocks[n + shift] is x, (tag, n)
     assert out.blocks[0] == (ops.S if tag == "W2" else t) @ w.blocks[0]
+
+
+# -- the block exchange: one product per distinct 4-block group ----------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("warm", [False, True], ids=["cleared", "warm"])
+def test_truncations_match_plain_oracle_level_by_level_with_group_cache(field, warm):
+    # every level past 0 finds level 1's group products in the cache; each level is
+    # checked against the oracle, the cache cleared before the build or filled by an
+    # identical build first
+    d, k = 2, 3
+    t, s = gen_pair(PairRecipe("polynomial", d, field, seed=61))
+    ops, p = ando(t, s), field.modulus
+    plain = [to_plain(m) for m in (t, s, ops.v, ops.v_inv)]
+    for tag in ("U", "V", "W", "Winv"):
+        dilation_mod._group_product.cache_clear()
+        if warm:
+            truncated_matrix(tag, ops, k)
+        m = truncated_matrix(tag, ops, k)
+        for level in range(k + 1):
+            for n in range(4 * level - 3, 4 * level + 1) if level else range(1):
+                for i in range(d):
+                    want = [0] * (d * (4 * k + 5))
+                    e = {n: [1 if j == i else 0 for j in range(d)]}
+                    for idx, col in lazy_action(tag, *plain, e, p).items():
+                        want[idx * d:(idx + 1) * d] = col
+                    assert list(m.col(n * d + i)) == want, (tag, level, n, i)
+            assert level_block(m, d, level) == truncated_matrix(tag, ops, level), (tag, level)
+
+
+@pytest.mark.parametrize("field, c", [(RATIONAL, -1), (GF7, 6)], ids=["zero", "zero-mod-7"])
+def test_block_exchange_stores_no_zero_block(field, c, monkeypatch):
+    # v sends (x1, x2, x3, x4) to (x1 + c x2, x2, x3, x4): at x1 = x2 = 1 the first
+    # output block is 0, over GF(7) only once the integer product 7 is reduced mod 7;
+    # a zero integer grid is never brought to canonical form
+    v = mat(field, [[1, c, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    one = identity(field, 1)
+    ops = AndoOperators(1, field, one, one, v, v)
+    w = fsvec(field, 1, {1: (1,), 2: (1,), 7: (1,)})
+    assert sum(v.ints[0][:2]) == (7 if field.modulus else 0)
+    grids = []
+    from_ints = Mat.from_ints
+    monkeypatch.setattr(Mat, "from_ints", lambda *a, **k: grids.append(a[3]) or from_ints(*a, **k))
+    for b in (w, side_by_side([w, w])):
+        dilation_mod._group_product.cache_clear()
+        grids.clear()
+        out = apply_w(ops, b)
+        assert list(out.blocks) == [2, 7]
+        assert len(grids) == 2 + bool(field.modulus)
+        assert all(any(map(any, g)) for g in grids)
+        for tag in OPERATOR_TAGS[:-1]:
+            assert all(not x.is_zero() for x in apply_batch(tag, ops, b).blocks.values()), tag
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("tag, groups", [("U", 2), ("V", 1), ("W", 1), ("Winv", 1),
+                                         ("W1", 0), ("W2", 0)])
+def test_group_cache_hits_are_the_repeated_levels(field, tag, groups, monkeypatch):
+    # every level k >= 1 feeds the same unit blocks, re-keyed: W1 moves them to
+    # 4k-1 .. 4k+2, two groups, and V, W and Winv see one group, 4k-3 .. 4k.  Level 1
+    # computes its groups and levels 2..K find them; U's level 0 has one group of its
+    # own, (I-T) e at coordinate 1
+    d, top = 2, 4
+    t, s = gen_pair(PairRecipe("polynomial", d, field, seed=62))
+    assert not (identity(field, d) - t).is_zero()
+    ops = ando(t, s)
+    fed = []
+    action = dilation_mod._ACTIONS[tag]
+    monkeypatch.setitem(dilation_mod._ACTIONS, tag, lambda o, b: fed.append(b) or action(o, b))
+    dilation_mod._group_product.cache_clear()
+    truncated_matrix(tag, ops, top)
+    info = dilation_mod._group_product.cache_info()
+    assert (info.hits, info.misses) == (groups * (top - 1), groups + (tag == "U"))
+    # the same block objects, so a cache lookup reads their kept hashes and finds
+    # its key by identity
+    assert len(fed) == top + 1
+    assert all(list(map(id, b.blocks.values())) == list(map(id, fed[1].blocks.values()))
+               for b in fed[2:])

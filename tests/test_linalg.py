@@ -542,3 +542,31 @@ def test_equality_and_hash_follow_the_entries(field, data):
         if x == y:
             assert hash(x) == hash(y)
     assert a == sliced
+
+
+@pytest.mark.parametrize("field", (RATIONAL, GF7))
+def test_equal_mats_built_by_ints_or_by_column_terms_hash_alike(field):
+    # a Mat keys the block exchange's product cache: its hash is taken once, and a
+    # matrix built by columns hashes as the same matrix built as a grid
+    if field.is_rational:  # halves: the integer form is over 2
+        by_grid = mat(field, [["1/2", 0, 2], [0, 0, "3/2"]])
+        terms = [[(0, 1)], [], [(0, 4), (1, 3)]]
+    else:
+        by_grid = mat(field, [[4, 0, 2], [0, 0, 5]])
+        terms = [[(0, 4)], [], [(0, 2), (1, 5)]]
+    by_cols = Mat.from_col_terms(field, 2, 3, terms, by_grid.den)
+    assert "ints" not in by_cols.__dict__ and "_hash" not in by_cols.__dict__
+    assert by_cols == by_grid and hash(by_cols) == hash(by_grid)
+    assert by_cols.__dict__["_hash"] == hash(by_cols) == hash(Mat.from_col_terms(
+        field, 2, 3, terms, by_grid.den))
+    assert {by_grid: 1}[by_cols] == 1
+
+
+def test_from_ints_over_gf_divides_by_its_denominator():
+    # over GF(p) dividing by a denominator multiplies by its inverse mod p: 1/3 = 5 mod 7
+    m = Mat.from_ints(GF7, 2, 2, [[1, -2], [0, 9]], den=3)
+    assert m == mat(GF7, [[5, 4], [0, 3]]) and m.den == 1
+    assert_canonical(m)
+    assert Mat.from_ints(GF7, 1, 2, [[3, 20]], den=10) == Mat.from_ints(GF7, 1, 2, [[1, 2]])
+    with pytest.raises(ValueError):  # 14 = 0 mod 7 has no inverse
+        Mat.from_ints(GF7, 1, 1, [[1]], den=14)

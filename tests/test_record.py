@@ -18,7 +18,7 @@ from exactdilation.dilation import AndoOperators, Generators, SzNagyOperators
 from exactdilation.fields import RATIONAL, FieldSpec, gf
 from exactdilation.linalg import DimensionMismatch, identity, mat, zeros
 from exactdilation.pairs import InvalidRecipe, PairRecipe
-from exactdilation.problems import Problem
+from exactdilation.problems import Problem, ProblemError
 from exactdilation.verify import CheckParams, CheckRecord, Report
 
 REQUIRED = object()
@@ -213,6 +213,34 @@ INVALID = {
                                     "recipe 'degree' must be an integer"),
     "replace-recipe-height": (lambda: RECIPE.replace(height=0), InvalidRecipe,
                               "degree must be >= 0 and height >= 1"),
+    "recipe-str-field": (lambda: PairRecipe("diagonal", 2, "rational"), InvalidRecipe,
+                         "recipe field must be a FieldSpec, got 'rational'"),
+    "replace-recipe-none-field": (lambda: RECIPE.replace(field=None), InvalidRecipe,
+                                  "recipe field must be a FieldSpec, got None"),
+    "problem-t-of-another-dim-and-field": (
+        lambda: Problem(GF7, 5, identity(RATIONAL, 2), None, None), DimensionMismatch,
+        "T must be 5x5 over gf(7), got 2x2 over rational"),
+    "problem-s-of-another-shape": (lambda: Problem(RATIONAL, 2, A, zeros(RATIONAL, 2, 3), None),
+                                   DimensionMismatch,
+                                   "S must be 2x2 over rational, got 2x3 over rational"),
+    "problem-str-field": (lambda: Problem("rational", 2, None, None, RECIPE), ProblemError,
+                          "a problem needs a FieldSpec and a nonnegative integer 'dim'"),
+    "problem-bool-dim": (lambda: Problem(RATIONAL, True, None, None, RECIPE), ProblemError,
+                         "a problem needs a FieldSpec and a nonnegative integer 'dim'"),
+    "problem-negative-dim": (lambda: Problem(RATIONAL, -1, None, None, RECIPE), ProblemError,
+                             "a problem needs a FieldSpec and a nonnegative integer 'dim'"),
+    "problem-neither-t-nor-recipe": (lambda: Problem(RATIONAL, 2, None, None, None),
+                                     ProblemError, "problem needs exactly one of"),
+    "problem-t-and-recipe": (lambda: Problem(RATIONAL, 2, A, None, RECIPE), ProblemError,
+                             "problem needs exactly one of"),
+    "problem-s-without-t": (lambda: Problem(RATIONAL, 2, None, B, RECIPE), ProblemError,
+                            "problem needs exactly one of"),
+    "problem-recipe-of-another-dim": (lambda: Problem(RATIONAL, 3, None, None, RECIPE),
+                                      ProblemError, "recipe must be over rational with 'dim' 3"),
+    "problem-recipe-of-another-field": (lambda: Problem(GF7, 2, None, None, RECIPE),
+                                        ProblemError, "recipe must be over gf(7) with 'dim' 2"),
+    "replace-problem-dim": (lambda: Problem(RATIONAL, 2, A, B, None).replace(dim=3),
+                            DimensionMismatch, "T must be 3x3 over rational, got 2x2"),
     "generators-shapes": (lambda: Generators(G, A), DimensionMismatch,
                           "G and H need one shape over one field"),
     "replace-generators-field": (lambda: Generators(G, H).replace(H=zeros(GF7, 8, 2)),

@@ -17,7 +17,7 @@ from exactdilation.dilation import (
     truncated_matrix,
 )
 from exactdilation.fields import RATIONAL, FieldSpec, gf
-from exactdilation.linalg import DimensionMismatch, Mat, from_cols, identity, mat, matvec, zeros
+from exactdilation.linalg import DimensionMismatch, Mat, identity, mat, matvec, zeros
 from exactdilation.pairs import PairRecipe, gen_pair
 from exactdilation.rng import SplitMix64, rand_matrix
 from exactdilation.sequences import Batch, embed, project
@@ -302,7 +302,8 @@ def _per_vector_dilation_records(ops, sops, params):
     its own, one lazy application per step, stopping at the first failure."""
     field = ops.field
     n_max = params.max_power
-    xs = _trial_vectors(field, ops.d, params)
+    x_mat = _trial_vectors(field, ops.d, params)
+    xs = [x_mat.col(j) for j in range(x_mat.cols)]
     bivariate = None
     for x in xs:
         wv, sx = embed(field, x), x
@@ -471,10 +472,9 @@ def _bivariate_record_per_m(ops, params):
     ran before it laid every V^m X side by side, kept as its oracle.  Each
     column's failure is from its first failing (m, n) in loop order."""
     field, d, n_max = ops.field, ops.d, params.max_power
-    xs = _trial_vectors(field, d, params)
-    x = sx = from_cols(field, d, xs)
-    wv = Batch.of(field, d, len(xs), {0: sx})
-    zero = zeros(field, d, len(xs))
+    x = sx = _trial_vectors(field, d, params)
+    wv = Batch.of(field, d, x.cols, {0: sx})
+    zero = zeros(field, d, x.cols)
     failures = {}
     for m in range(n_max + 1):
         if m:
@@ -531,7 +531,7 @@ def test_bivariate_record_applies_u_and_v_max_power_times(max_power, monkeypatch
         monkeypatch.setitem(dilation_mod._ACTIONS, tag,
                             lambda o, b, _a=action, _t=tag: calls.append((_t, b.width)) or _a(o, b))
     assert check_ando(t, s, params, ops=ops, truncations=truncs).passed
-    k = len(_trial_vectors(GF7, 3, params))
+    k = _trial_vectors(GF7, 3, params).cols
     assert calls == [("V", k)] * max_power + [("U", k * (max_power + 1))] * max_power
 
 
