@@ -89,33 +89,40 @@ class SupportOverflow(AssertionError):
     """A truncated operator image escaped the next truncation level."""
 
 
-class SzNagyOperators(Record):
-    """Single-map dilation data: just the map itself, d x d over the field."""
+class _ShapeOfT:
+    """The size ``d`` and the ``field`` of an operator tuple, read off its square T,
+    never stored.  A plain mixin: ``Record`` refuses a subclass without fields."""
 
-    d: int
-    field: FieldSpec
+    @property
+    def d(self) -> int:
+        return self.T.rows
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.T.field
+
+
+class SzNagyOperators(_ShapeOfT, Record):
+    """Single-map dilation data: just the map itself, square."""
+
     T: Mat
 
     def _check(self):
         _require_shape("T", self.T, self.field, self.d)
 
 
-class AndoOperators(Record):
+class AndoOperators(_ShapeOfT, Record):
     """Two-map dilation data: the commuting pair, d x d, and the block exchange
-    map and its inverse, 4d x 4d, all over the field."""
+    map and its inverse, 4d x 4d, all over the field of T."""
 
-    d: int
-    field: FieldSpec
     T: Mat
     S: Mat
     v: Mat
     v_inv: Mat
 
     def _check(self):
-        for name in ("T", "S"):
-            _require_shape(name, getattr(self, name), self.field, self.d)
-        for name in ("v", "v_inv"):
-            _require_shape(name, getattr(self, name), self.field, 4 * self.d)
+        for name, n in (("T", self.d), ("S", self.d), ("v", 4 * self.d), ("v_inv", 4 * self.d)):
+            _require_shape(name, getattr(self, name), self.field, n)
 
 
 class Generators(Record):
@@ -134,7 +141,7 @@ class Generators(Record):
 
 
 def sznagy(t: Mat) -> SzNagyOperators:
-    return SzNagyOperators(t.rows, t.field, t)
+    return SzNagyOperators(t)
 
 
 @lru_cache(maxsize=1)  # ando() and the audit of its operators ask for the same pair
@@ -222,7 +229,7 @@ def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:
     d = t.rows
     if v @ v_inv != identity(t.field, 4 * d):
         raise ExtensionFailure("exchange map inverse is wrong")
-    return AndoOperators(d, t.field, t, s, v, v_inv)
+    return AndoOperators(t, s, v, v_inv)
 
 
 # -- lazy actions on finite-support sequences -----------------------------------
@@ -288,22 +295,18 @@ _ACTIONS = {
 OPERATOR_TAGS = tuple(_ACTIONS)
 
 
-def _action(tag: str, ops):
+def apply_batch(tag: str, ops, b: Batch) -> Batch:
+    """The operator named ``tag`` (one of ``OPERATOR_TAGS``) applied to every column of ``b``;
+    every operator application goes through here."""
     if tag not in _ACTIONS:
         raise ValueError(f"unknown operator tag {tag!r}")
     kind = SzNagyOperators if tag == "SzNagyU" else AndoOperators
     if not isinstance(ops, kind):
         raise TypeError(f"tag {tag!r} needs {kind.__name__}")
-    return _ACTIONS[tag]
-
-
-def apply_batch(tag: str, ops, b: Batch) -> Batch:
-    """The operator named ``tag`` (one of ``OPERATOR_TAGS``) applied to every column of ``b``."""
-    action = _action(tag, ops)
     if b.dim != ops.d or b.field != ops.field:
         raise DimensionMismatch(f"sequence over {b.field.label()}^{b.dim} fed to operators on "
                                 f"{ops.field.label()}^{ops.d}")
-    return action(ops, b)
+    return _ACTIONS[tag](ops, b)
 
 
 def sznagy_apply_u(ops: SzNagyOperators, w: Batch) -> Batch:
@@ -363,7 +366,6 @@ def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
     """
     if trunc < 0:
         raise ValueError("truncation level must be >= 0")
-    action = _action(tag, ops)
     d, field = ops.d, ops.field
     # every level past 0 feeds the same four unit blocks, re-keyed, so the block
     # exchange finds the group products of level 1 in its cache
@@ -373,7 +375,7 @@ def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
         coords = range(4 * level - 3, 4 * level + 1) if level else range(1)
         basis = (Batch(field, d, 4 * d, {n + coords[0] - 1: x for n, x in units.items()})
                  if level else Batch.basis(field, d, coords))
-        images.append((coords, action(ops, basis)))
+        images.append((coords, apply_batch(tag, ops, basis)))
     # each block is in lowest terms, so over the lcm of their denominators the
     # columns are in the canonical form of FieldSpec.reduce_ints already
     den = lcm(*(x.den for _, img in images for x in img.blocks.values()))

@@ -7,11 +7,15 @@ and hashing read it directly.  Every kernel computes on it and returns it.
 The integers come as a grid, ``ints``, or by columns, ``_col_terms``, the
 ``(row, int)`` pairs of each column's nonzero entries; a matrix is built in
 one form and the other is a view built when it is read.  The sparse
-truncated operators are built, ranked and multiplied by columns alone.  The
-grid of field scalars, ``entries``, is built only when it is read, for
-output.  One fraction-free elimination loop, ``_echelon``, serves rank,
-column ranks, basis completion, reduced row echelon form, kernels and
-inverses; it is fed rows or columns as each job needs.  Products keep two
+truncated operators are built, ranked and multiplied by columns alone.
+Stacks, unit matrices and truncations are canonical as built, each by a
+lemma stated where it is built; every other matrix (a sum, a product, a
+leading block cut from a larger one) is brought to the form by
+``reduce_ints`` alone, through ``from_ints``.  The grid of field scalars,
+``entries``, is built only when it is read, for output.  One
+fraction-free elimination loop, ``_echelon``, serves rank, column ranks,
+basis completion, reduced row echelon form, kernels and inverses; it is
+fed rows or columns as each job needs.  Products keep two
 loops, each shaped for its operands: ``int_product`` multiplies a matrix
 into the small dense blocks of a batch, and ``column_product`` multiplies
 the column-sparse truncated operators.  ``int_product`` adds a scaled
@@ -119,11 +123,18 @@ class Mat:
     @cached_property
     def ints(self) -> tuple:
         """The integer grid of a matrix built by columns, on first read."""
-        grid = [[0] * self.cols for _ in range(self.rows)]
-        for j, terms in enumerate(self._col_terms):
+        return tuple(map(tuple, self._grid(self.rows, self.cols)))
+
+    def _grid(self, rows: int, cols: int) -> list:
+        """The top-left ``rows x cols`` block of the integers, as row lists, cut from
+        the column terms."""
+        grid = [[0] * cols for _ in range(rows)]
+        for j, terms in zip(range(cols), self._col_terms):
             for i, x in terms:
+                if i >= rows:
+                    break
                 grid[i][j] = x
-        return tuple(map(tuple, grid))
+        return grid
 
     @cached_property
     def entries(self) -> tuple:
@@ -165,22 +176,14 @@ class Mat:
         return self.ints if s == 1 else tuple([tuple([s * x for x in r]) for r in self.ints])
 
     def leading(self, rows: int, cols: int) -> "Mat":
-        """The top-left ``rows x cols`` block, sliced off the columns and divided by the
-        gcd of its entries and the denominator; over GF(p) that is 1."""
+        """The top-left ``rows x cols`` block: its integers, cut from the column terms,
+        over the denominator, brought to canonical form by ``from_ints``."""
         if (rows, cols) == (self.rows, self.cols):
             return self
         if not (0 <= rows <= self.rows and 0 <= cols <= self.cols):
             raise DimensionMismatch(
                 f"no {rows}x{cols} leading block in a {self.rows}x{self.cols} matrix")
-        terms = [[(i, x) for i, x in t if i < rows] for t in self._col_terms[:cols]]
-        g = self.den
-        for t in terms:
-            if g == 1:
-                break
-            g = gcd(g, *(x for _, x in t))
-        if g > 1:
-            terms = [[(i, x // g) for i, x in t] for t in terms]
-        return Mat.from_col_terms(self.field, rows, cols, terms, self.den // g)
+        return Mat.from_ints(self.field, rows, cols, self._grid(rows, cols), self.den)
 
     @cached_property
     def _col_terms(self) -> list:

@@ -46,8 +46,9 @@ class Problem(Record):
     recipe: Optional[PairRecipe]
 
     def _check(self):
-        if not isinstance(self.field, FieldSpec) or not _is_int(self.dim) or self.dim < 0:
-            raise ProblemError("a problem needs a FieldSpec and a nonnegative integer 'dim'")
+        if not isinstance(self.field, FieldSpec):
+            raise ProblemError(f"problem field must be a FieldSpec, got {self.field!r}")
+        _require_dim(self.dim)
         if (self.T is None) == (self.recipe is None) or (self.S is not None and self.T is None):
             raise ProblemError("problem needs exactly one of: explicit 'T' (with optional 'S'), "
                                "or a 'recipe'")
@@ -57,6 +58,11 @@ class Problem(Record):
         r = self.recipe
         if r is not None and (r.field, r.dim) != (self.field, self.dim):
             raise ProblemError(f"recipe must be over {self.field.label()} with 'dim' {self.dim}")
+
+
+def _require_dim(dim):
+    if not _is_int(dim) or dim < 0:
+        raise ProblemError("problem needs a nonnegative integer 'dim'")
 
 
 def mat_to_grid(m: Mat) -> list:
@@ -103,8 +109,7 @@ def parse_problem(obj) -> Problem:
         except InvalidRecipe as exc:
             raise ProblemError(str(exc)) from exc
     dim = obj.get("dim", None if recipe is None else recipe.dim)
-    if not _is_int(dim) or dim < 0:  # checked before the grids are read at this size
-        raise ProblemError("problem needs a nonnegative integer 'dim'")
+    _require_dim(dim)  # before the grids are read at this size
     t, s = (grid_to_mat(field, dim, obj[k], k) if k in obj else None for k in ("T", "S"))
     # the Problem refuses T with a recipe, S without T, and a recipe of another dim
     return Problem(field, dim, t, s, recipe)

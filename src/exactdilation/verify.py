@@ -24,12 +24,12 @@ from .dilation import (
     ando,
     apply_batch,
     build_generators,
-    level_block,
     sznagy,
     truncated_matrix,
 )
 from .fields import FieldSpec
 from .linalg import (
+    DimensionMismatch,
     Mat,
     column_product,
     column_ranks,
@@ -66,21 +66,19 @@ class CheckParams(Record):
             raise ValueError("trials must be >= 1")
 
     def to_dict(self) -> dict:
-        return {"max_power": self.max_power, "max_trunc": self.max_trunc,
-                "trials": self.trials, "seed": self.seed}
+        return dict(zip(self._fields, self._values))
 
 
 class CheckRecord(Record):
+    """One claim's record; it passes exactly when it carries no counterexample."""
+
     name: str
     params: dict
-    passed: bool
     counterexample: Optional[dict] = None
 
-    def _check(self):
-        if self.passed and self.counterexample is not None:
-            raise ValueError("passing record cannot carry a counterexample")
-        if not self.passed and self.counterexample is None:
-            raise ValueError("failing record must carry a counterexample")
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "params": self.params, "pass": self.passed}
@@ -132,8 +130,8 @@ def report_from_json(text: str) -> Report:
     if any(c["pass"] == ("counterexample" in c) for c in records):
         raise ValueError("malformed report: a record's pass disagrees with whether it "
                          "carries a counterexample")
-    report = Report(obj["meta"], tuple(CheckRecord(c["name"], c["params"], c["pass"],
-                                                   c.get("counterexample")) for c in records))
+    report = Report(obj["meta"], tuple(CheckRecord(c["name"], c["params"], c.get("counterexample"))
+                                       for c in records))
     if report.passed != obj["pass"]:
         raise ValueError("malformed report: pass disagrees with the verdict of its records")
     return report
@@ -200,7 +198,7 @@ def _dilation_record(name: str, tag: str, ops, t: Mat, w: Batch, tx: Mat, x: Mat
         counterexample.update(n=n, x=_column_text(x, c % k), expected=_column_text(want, c),
                               actual=_column_text(got, c))
     return CheckRecord(name, {"max_power": params.max_power, "trials": params.trials,
-                              "seed": params.seed}, counterexample is None, counterexample)
+                              "seed": params.seed}, counterexample)
 
 
 def _injectivity_record(name: str, m: Mat, d: int, params: CheckParams) -> CheckRecord:
@@ -213,8 +211,7 @@ def _injectivity_record(name: str, m: Mat, d: int, params: CheckParams) -> Check
         ranks.append({"trunc": k, "rows": d * (4 * k + 5), "cols": cols, "rank": r})
         if r != cols and counterexample is None:
             counterexample = {"trunc": k, "cols": cols, "rank": r}
-    return CheckRecord(name, {"max_trunc": params.max_trunc, "ranks": ranks},
-                       counterexample is None, counterexample)
+    return CheckRecord(name, {"max_trunc": params.max_trunc, "ranks": ranks}, counterexample)
 
 
 # -- single-map suite ------------------------------------------------------------
@@ -282,8 +279,7 @@ def _commutation_record(ops: AndoOperators, params: CheckParams,
                    for i in uv[j].keys() | vu[j].keys() if uv[j].get(i) != vu[j].get(i))
         texts = ops.field.fmt_ints([(uv[j].get(i, 0),), (vu[j].get(i, 0),)], u.den * v.den)
         counterexample = {"trunc": k, "row": i, "col": j, "uv": texts[0][0], "vu": texts[1][0]}
-    return CheckRecord("commutation", {"max_trunc": params.max_trunc},
-                       counterexample is None, counterexample)
+    return CheckRecord("commutation", {"max_trunc": params.max_trunc}, counterexample)
 
 
 def _coherence_record(ops: AndoOperators, gens: Generators) -> CheckRecord:
@@ -297,7 +293,7 @@ def _coherence_record(ops: AndoOperators, gens: Generators) -> CheckRecord:
                               "expected": _column_text(want, j, [i])[0],
                               "actual": _column_text(got, j, [i])[0]}
             break
-    return CheckRecord("v_coherence", {}, counterexample is None, counterexample)
+    return CheckRecord("v_coherence", {}, counterexample)
 
 
 def _well_definedness_record(gens: Generators) -> CheckRecord:
@@ -313,7 +309,7 @@ def _well_definedness_record(gens: Generators) -> CheckRecord:
         if j is not None:
             counterexample = {"direction": "ker(G) not in ker(H)",
                               "coefficients": _column_text(kg, j)}
-    return CheckRecord("well_definedness", params, counterexample is None, counterexample)
+    return CheckRecord("well_definedness", params, counterexample)
 
 
 def check_ando(t: Mat, s: Mat, params: CheckParams = CheckParams(),
@@ -327,14 +323,15 @@ def check_ando(t: Mat, s: Mat, params: CheckParams = CheckParams(),
     pre-built or deliberately tampered operator tuple, and ``truncations``
     the truncated matrices of its U and V at one level above ``max_trunc``
     or higher, when the caller needs them too; every level is read off their
-    leading columns.
+    leading columns in place, and lower truncations raise DimensionMismatch.
     """
     if ops is None:
         ops = ando(t, s, completion=completion)
     top = params.max_trunc + 1
-    if truncations is None:
-        truncations = (truncated_matrix("U", ops, top), truncated_matrix("V", ops, top))
-    u, v = (level_block(m, ops.d, top) for m in truncations)  # DimensionMismatch if lower
+    u, v = truncations or (truncated_matrix("U", ops, top), truncated_matrix("V", ops, top))
+    rows, cols = ops.d * (4 * top + 5), ops.d * (4 * top + 1)
+    if any(m.rows < rows or m.cols < cols for m in (u, v)):
+        raise DimensionMismatch(f"U and V must be truncated at level {top} or higher")
     gens = build_generators(ops.T, ops.S)
     records = [
         _bivariate_record(ops, params),
@@ -350,12 +347,10 @@ def check_ando(t: Mat, s: Mat, params: CheckParams = CheckParams(),
 def check_negative(t: Mat, s: Mat) -> CheckRecord:
     """Contrapositive probe: a non-commuting pair must be rejected up front."""
     if check_commute(t, s):
-        return CheckRecord("noncommuting_rejection",
-                           {"commutes": True, "skipped": True}, True)
+        return CheckRecord("noncommuting_rejection", {"commutes": True, "skipped": True})
     try:
         ando(t, s)
     except NotCommuting:
-        return CheckRecord("noncommuting_rejection",
-                           {"commutes": False, "skipped": False}, True)
+        return CheckRecord("noncommuting_rejection", {"commutes": False, "skipped": False})
     return CheckRecord("noncommuting_rejection", {"commutes": False, "skipped": False},
-                       False, {"error": "builder accepted a non-commuting pair"})
+                       {"error": "builder accepted a non-commuting pair"})

@@ -369,7 +369,7 @@ def test_failing_report_exits_1(tmp_path, monkeypatch):
     from exactdilation.verify import CheckRecord, Report
 
     def fake_check(t, s, params, recipe=None, ops=None, truncations=None):
-        rec = CheckRecord("commutation", {}, False, {"trunc": 0})
+        rec = CheckRecord("commutation", {}, {"trunc": 0})
         return Report({"kind": "ando"}, (rec,))
 
     monkeypatch.setattr(cli_mod, "check_ando", fake_check)
@@ -415,8 +415,7 @@ def test_text_renderer_failure_lines():
     from exactdilation.cli import _render_text
     from exactdilation.verify import CheckRecord, Report
 
-    rec = CheckRecord("commutation", {}, False, {"trunc": 0, "row": 1, "col": 2,
-                                                 "uv": "1", "vu": "0"})
+    rec = CheckRecord("commutation", {}, {"trunc": 0, "row": 1, "col": 2, "uv": "1", "vu": "0"})
     report = Report({"kind": "ando", "field": {"kind": "rational"}, "dim": 1,
                      "params": {"seed": 0}}, (rec,))
     assert not report.passed

@@ -824,19 +824,25 @@ def test_head_surgery_hands_the_tail_on_unchanged(field, tag, shift):
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("warm", [False, True], ids=["cleared", "warm"])
-def test_truncations_match_plain_oracle_level_by_level_with_group_cache(field, warm):
+def test_truncations_match_plain_oracle_level_by_level_with_group_cache(field, warm,
+                                                                        monkeypatch):
     # every level past 0 finds level 1's group products in the cache; each level is
     # checked against the oracle, the cache cleared before the build or filled by an
-    # identical build first
+    # identical build first; each level's basis goes through apply_batch, once
     d, k = 2, 3
     t, s = gen_pair(PairRecipe("polynomial", d, field, seed=61))
     ops, p = ando(t, s), field.modulus
     plain = [to_plain(m) for m in (t, s, ops.v, ops.v_inv)]
+    calls, apply_batch = [], dilation_mod.apply_batch
+    monkeypatch.setattr(dilation_mod, "apply_batch",
+                        lambda *args: calls.append(args[0]) or apply_batch(*args))
     for tag in ("U", "V", "W", "Winv"):
         dilation_mod._group_product.cache_clear()
         if warm:
             truncated_matrix(tag, ops, k)
+        calls.clear()
         m = truncated_matrix(tag, ops, k)
+        assert calls == [tag] * (k + 1)
         for level in range(k + 1):
             for n in range(4 * level - 3, 4 * level + 1) if level else range(1):
                 for i in range(d):
@@ -855,7 +861,7 @@ def test_block_exchange_stores_no_zero_block(field, c, monkeypatch):
     # a zero integer grid is never brought to canonical form
     v = mat(field, [[1, c, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     one = identity(field, 1)
-    ops = AndoOperators(1, field, one, one, v, v)
+    ops = AndoOperators(one, one, v, v)
     w = fsvec(field, 1, {1: (1,), 2: (1,), 7: (1,)})
     assert sum(v.ints[0][:2]) == (7 if field.modulus else 0)
     grids = []

@@ -117,11 +117,12 @@ _UNDER_O = """
 import json, sys
 from pathlib import Path
 import test_golden as golden
-from exactdilation.dilation import ando
+from exactdilation.dilation import Generators, SzNagyOperators, ando
 from exactdilation.fields import FieldSpec, gf
-from exactdilation.linalg import identity, mat
+from exactdilation.linalg import identity, mat, zeros
 from exactdilation.pairs import PairRecipe
-from exactdilation.verify import CheckParams, CheckRecord, report_from_json
+from exactdilation.problems import Problem
+from exactdilation.verify import CheckParams, report_from_json
 if __debug__:
     sys.exit("not running under -O")
 manifest = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
@@ -135,14 +136,18 @@ for name in ("ando_q_dump", "sznagy_q_polynomial"):
 ops = ando(*(mat(gf(7), [[1, 2], [0, 1]]),) * 2)
 failing = json.dumps({"meta": {}, "checks": [{"name": "x", "params": {}, "pass": False,
                                               "counterexample": {}}], "pass": True})
-for make in (lambda: CheckParams(max_power=0), lambda: CheckRecord("x", {}, True, {"a": 1}),
+recipe = PairRecipe("diagonal", 2, ops.field)
+for make in (lambda: CheckParams(max_power=0),
              lambda: PairRecipe("diagonal", True, ops.field), lambda: gf(None),
              lambda: FieldSpec.from_dict({"kind": "gf", "modulus": None}),
              lambda: ops.replace(v=identity(ops.field, 9)),
+             lambda: Problem(ops.field, 2, ops.T, None, recipe),
+             lambda: SzNagyOperators(zeros(ops.field, 2, 3)),
+             lambda: Generators(zeros(ops.field, 8, 2), zeros(ops.field, 8, 3)),
              lambda: report_from_json(failing)):
     try:
         make()
-    except ValueError:  # DimensionMismatch and InvalidRecipe among them
+    except ValueError:  # DimensionMismatch, InvalidRecipe and ProblemError among them
         continue
     sys.exit("an invalid value was accepted")
 print("ok")

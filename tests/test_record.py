@@ -29,7 +29,7 @@ G = zeros(RATIONAL, 8, 2)
 H = mat(RATIONAL, [[1, 0]] + [[0, 0]] * 7)
 RECIPE = PairRecipe("polynomial", 2, RATIONAL)
 I8 = identity(RATIONAL, 8)
-OPS = AndoOperators(2, RATIONAL, A, B, I8, I8)
+OPS = AndoOperators(A, B, I8, I8)
 
 # class -> (field, default or REQUIRED) in order, and two different full
 # sets of field values
@@ -42,19 +42,16 @@ CASES = {
     Problem: ((("field", REQUIRED), ("dim", REQUIRED), ("T", REQUIRED), ("S", REQUIRED),
                ("recipe", REQUIRED)),
               (RATIONAL, 2, A, B, None), (RATIONAL, 2, None, None, RECIPE)),
-    SzNagyOperators: ((("d", REQUIRED), ("field", REQUIRED), ("T", REQUIRED)),
-                      (2, RATIONAL, A), (2, RATIONAL, B)),
-    AndoOperators: ((("d", REQUIRED), ("field", REQUIRED), ("T", REQUIRED), ("S", REQUIRED),
-                     ("v", REQUIRED), ("v_inv", REQUIRED)),
-                    (2, RATIONAL, A, B, identity(RATIONAL, 8), identity(RATIONAL, 8)),
-                    (2, RATIONAL, B, A, identity(RATIONAL, 8), identity(RATIONAL, 8))),
+    SzNagyOperators: ((("T", REQUIRED),), (A,), (B,)),
+    AndoOperators: ((("T", REQUIRED), ("S", REQUIRED), ("v", REQUIRED), ("v_inv", REQUIRED)),
+                    (A, B, identity(RATIONAL, 8), identity(RATIONAL, 8)),
+                    (B, A, identity(RATIONAL, 8), identity(RATIONAL, 8))),
     Generators: ((("G", REQUIRED), ("H", REQUIRED)), (G, H), (H, G)),
     CheckParams: ((("max_power", 4), ("max_trunc", 5), ("trials", 8), ("seed", 0)),
                   (4, 5, 8, 0), (1, 0, 1, 7)),
-    CheckRecord: ((("name", REQUIRED), ("params", REQUIRED), ("passed", REQUIRED),
-                   ("counterexample", None)),
-                  ("commutation", {"max_trunc": 1}, True, None),
-                  ("commutation", {"max_trunc": 1}, False, {"trunc": 0})),
+    CheckRecord: ((("name", REQUIRED), ("params", REQUIRED), ("counterexample", None)),
+                  ("commutation", {"max_trunc": 1}, None),
+                  ("commutation", {"max_trunc": 1}, {"trunc": 0})),
     Report: ((("meta", REQUIRED), ("checks", REQUIRED)),
              ({"kind": "ando"}, ()), ({"kind": "sznagy"}, ())),
 }
@@ -224,11 +221,11 @@ INVALID = {
                                    DimensionMismatch,
                                    "S must be 2x2 over rational, got 2x3 over rational"),
     "problem-str-field": (lambda: Problem("rational", 2, None, None, RECIPE), ProblemError,
-                          "a problem needs a FieldSpec and a nonnegative integer 'dim'"),
+                          "problem field must be a FieldSpec, got 'rational'"),
     "problem-bool-dim": (lambda: Problem(RATIONAL, True, None, None, RECIPE), ProblemError,
-                         "a problem needs a FieldSpec and a nonnegative integer 'dim'"),
+                         "problem needs a nonnegative integer 'dim'"),
     "problem-negative-dim": (lambda: Problem(RATIONAL, -1, None, None, RECIPE), ProblemError,
-                             "a problem needs a FieldSpec and a nonnegative integer 'dim'"),
+                             "problem needs a nonnegative integer 'dim'"),
     "problem-neither-t-nor-recipe": (lambda: Problem(RATIONAL, 2, None, None, None),
                                      ProblemError, "problem needs exactly one of"),
     "problem-t-and-recipe": (lambda: Problem(RATIONAL, 2, A, None, RECIPE), ProblemError,
@@ -245,16 +242,20 @@ INVALID = {
                           "G and H need one shape over one field"),
     "replace-generators-field": (lambda: Generators(G, H).replace(H=zeros(GF7, 8, 2)),
                                  DimensionMismatch, "G and H need one shape over one field"),
-    "sznagy-ops-d": (lambda: SzNagyOperators(3, RATIONAL, A), DimensionMismatch,
-                     "T must be 3x3 over rational, got 2x2 over rational"),
-    "replace-sznagy-ops-field": (lambda: SzNagyOperators(2, RATIONAL, A).replace(field=GF7),
-                                 DimensionMismatch,
-                                 "T must be 2x2 over gf(7), got 2x2 over rational"),
-    "ando-ops-d-and-field": (lambda: AndoOperators(3, GF7, A, B, identity(GF7, 12),
-                                                   identity(GF7, 12)),
-                             DimensionMismatch, "T must be 3x3 over gf(7), got 2x2 over rational"),
-    "ando-ops-s": (lambda: AndoOperators(2, RATIONAL, A, zeros(RATIONAL, 2, 3), I8, I8),
+    # d and field are read off T: T must be square, and the rest must fit it
+    "sznagy-ops-d": (lambda: SzNagyOperators(zeros(RATIONAL, 3, 2)), DimensionMismatch,
+                     "T must be 3x3 over rational, got 3x2 over rational"),
+    "replace-sznagy-ops-field": (lambda: SzNagyOperators(A).replace(field=GF7), TypeError,
+                                 "SzNagyOperators() has no field 'field'"),
+    "ando-ops-d-and-field": (lambda: AndoOperators(A, B, identity(GF7, 12), identity(GF7, 12)),
+                             DimensionMismatch,
+                             "v must be 8x8 over rational, got 12x12 over gf(7)"),
+    "ando-ops-s": (lambda: AndoOperators(A, zeros(RATIONAL, 2, 3), I8, I8),
                    DimensionMismatch, "S must be 2x2 over rational, got 2x3 over rational"),
+    "ando-ops-s-field": (lambda: AndoOperators(A, identity(GF7, 2), I8, I8),
+                         DimensionMismatch, "S must be 2x2 over rational, got 2x2 over gf(7)"),
+    "ando-ops-non-square-t": (lambda: AndoOperators(zeros(RATIONAL, 2, 3), B, I8, I8),
+                              DimensionMismatch, "T must be 2x2 over rational, got 2x3"),
     "replace-ando-ops-v": (lambda: OPS.replace(v=identity(RATIONAL, 9),
                                                v_inv=identity(RATIONAL, 9)),
                            DimensionMismatch, "v must be 8x8 over rational, got 9x9 over rational"),
@@ -269,14 +270,6 @@ INVALID = {
                                  "max_power must be >= 1"),
     "replace-params-trials": (lambda: CheckParams(1, 0, 1).replace(trials=-2), ValueError,
                               "trials must be >= 1"),
-    "record-passing-with-counterexample": (lambda: CheckRecord("x", {}, True, {"a": 1}),
-                                           ValueError,
-                                           "passing record cannot carry a counterexample"),
-    "record-failing-without": (lambda: CheckRecord("x", {}, False), ValueError,
-                               "failing record must carry a counterexample"),
-    "replace-record-failing-without": (lambda: CheckRecord("x", {}, True).replace(passed=False),
-                                       ValueError,
-                                       "failing record must carry a counterexample"),
 }
 
 
@@ -292,8 +285,9 @@ def test_valid_replacements_pass_validation():
     assert GF7.replace(modulus=None) == RATIONAL and RATIONAL.replace(modulus=7) == GF7
     assert RECIPE.replace(kind="diagonal", dim=1) == PairRecipe("diagonal", 1, RATIONAL)
     assert CheckParams().replace(trials=1) == CheckParams(4, 5, 1, 0)
-    failing = CheckRecord("x", {}, True).replace(passed=False, counterexample={"a": 1})
+    failing = CheckRecord("x", {}).replace(counterexample={"a": 1})
     assert (failing.passed, failing.counterexample) == (False, {"a": 1})
+    assert OPS.replace(T=B, S=A).d == 2 and SzNagyOperators(identity(GF7, 3)).field == GF7
 
 
 def test_pair_recipe_is_validated_when_made():

@@ -63,6 +63,13 @@ def test_fsvec_canonicalizes():
             assert (m.rows, m.cols) == (2, 1)
 
 
+def test_batch_repr_and_comparison_with_other_types():
+    w = fsvec(GF7, 1, {2: (3,)})
+    assert repr(w) == f"Batch({GF7!r}, 1, 1, {{2: {w.blocks[2]!r}}})"
+    assert w.__eq__((3,)) is NotImplemented
+    assert w != (3,) and w != w.blocks and not w == None  # noqa: E711
+
+
 def test_block_lookup():
     w = fsvec(RATIONAL, 1, {1: (2,), 4: (3,)})
     assert block(w, 1) == (Fraction(2),)

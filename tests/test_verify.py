@@ -55,12 +55,16 @@ def test_check_params_validation():
 
 
 def test_check_record_invariants():
-    with pytest.raises(ValueError):
+    # the verdict is read off the counterexample, never given
+    assert CheckRecord("x", {}).passed and CheckRecord("x", {}, None).to_dict()["pass"]
+    rec = CheckRecord("x", {}, {"bad": "1"})
+    assert not rec.passed
+    assert rec.to_dict() == {"name": "x", "params": {}, "pass": False,
+                             "counterexample": {"bad": "1"}}
+    with pytest.raises(TypeError):
         CheckRecord("x", {}, True, {"oops": 1})
-    with pytest.raises(ValueError):
-        CheckRecord("x", {}, False, None)
-    rec = CheckRecord("x", {}, False, {"bad": "1"})
-    assert rec.to_dict()["counterexample"] == {"bad": "1"}
+    with pytest.raises(AttributeError):
+        rec.passed = True
 
 
 # -- single-map suite ------------------------------------------------------------------
@@ -131,7 +135,7 @@ def test_tampered_operators_produce_counterexamples():
     # (no block exchange ever touches the head coordinate) but must break
     # commutation and generator coherence
     t, s = JORDAN, JORDAN @ JORDAN
-    bad_ops = AndoOperators(2, RATIONAL, t, s, identity(RATIONAL, 8), identity(RATIONAL, 8))
+    bad_ops = AndoOperators(t, s, identity(RATIONAL, 8), identity(RATIONAL, 8))
     report = check_ando(t, s, FAST, ops=bad_ops)
     assert not report.passed
     by_name = {r.name: r for r in report.checks}
@@ -148,7 +152,7 @@ def test_tampered_operators_produce_counterexamples():
 
 def test_singular_exchange_map_breaks_injectivity():
     t, s = JORDAN, JORDAN @ JORDAN
-    crushed = AndoOperators(2, RATIONAL, t, s, zeros(RATIONAL, 8, 8), zeros(RATIONAL, 8, 8))
+    crushed = AndoOperators(t, s, zeros(RATIONAL, 8, 8), zeros(RATIONAL, 8, 8))
     report = check_ando(t, s, FAST, ops=crushed)
     by_name = {r.name: r for r in report.checks}
     inj = by_name["injectivity_u"]
@@ -195,12 +199,12 @@ def _tamperings(ops, rng):
     eye, zero = identity(f, 4 * d), zeros(f, 4 * d, 4 * d)
     return {
         "honest": ops,
-        "identity v": AndoOperators(d, f, t, s, eye, eye),
-        "zero v": AndoOperators(d, f, t, s, zero, zero),
-        "v and v_inv swapped": AndoOperators(d, f, t, s, ops.v_inv, ops.v),
-        "random v": AndoOperators(d, f, t, s, rand_matrix(rng, f, 4 * d), ops.v_inv),
-        "random v_inv": AndoOperators(d, f, t, s, ops.v, rand_matrix(rng, f, 4 * d)),
-        "T and S swapped": AndoOperators(d, f, s, t, ops.v, ops.v_inv),
+        "identity v": AndoOperators(t, s, eye, eye),
+        "zero v": AndoOperators(t, s, zero, zero),
+        "v and v_inv swapped": AndoOperators(t, s, ops.v_inv, ops.v),
+        "random v": AndoOperators(t, s, rand_matrix(rng, f, 4 * d), ops.v_inv),
+        "random v_inv": AndoOperators(t, s, ops.v, rand_matrix(rng, f, 4 * d)),
+        "T and S swapped": AndoOperators(s, t, ops.v, ops.v_inv),
     }
 
 
@@ -250,9 +254,12 @@ def test_check_ando_reads_supplied_truncations_at_any_higher_level():
     for level in (FAST.max_trunc + 1, FAST.max_trunc + 3):
         truncs = (truncated_matrix("U", ops, level), truncated_matrix("V", ops, level))
         assert check_ando(t, s, FAST, ops=ops, truncations=truncs).to_json() == want
+    # a level too low, or one row or column short of the level, is refused up front
     low = (truncated_matrix("U", ops, FAST.max_trunc), truncated_matrix("V", ops, FAST.max_trunc))
-    with pytest.raises(DimensionMismatch):
-        check_ando(t, s, FAST, ops=ops, truncations=low)
+    u, v = (truncated_matrix(tag, ops, FAST.max_trunc + 1) for tag in "UV")
+    for short in (low, (u.leading(u.rows - 1, u.cols), v), (u, v.leading(v.rows, v.cols - 1))):
+        with pytest.raises(DimensionMismatch, match="truncated at level 3 or higher"):
+            check_ando(t, s, FAST, ops=ops, truncations=short)
 
 
 def _scalar_view_log(monkeypatch):
@@ -439,6 +446,16 @@ def test_negative_record_skips_commuting_pair():
     assert rec.params == {"commutes": True, "skipped": True}
 
 
+def test_negative_record_fails_when_the_builder_accepts_a_noncommuting_pair(monkeypatch):
+    monkeypatch.setattr(verify_mod, "ando", lambda t, s: None)
+    t = mat(RATIONAL, [[0, 1], [0, 0]])
+    s = mat(RATIONAL, [[0, 0], [1, 0]])
+    rec = check_negative(t, s)
+    assert not rec.passed
+    assert rec.params == {"commutes": False, "skipped": False}
+    assert rec.counterexample == {"error": "builder accepted a non-commuting pair"}
+
+
 def test_negative_probe_never_reaches_construction(monkeypatch):
     def explode(*args, **kwargs):
         raise RuntimeError("construction must not run on non-commuting input")
@@ -490,7 +507,7 @@ def _bivariate_record_per_m(ops, params):
     counterexample = failures[min(failures)] if failures else None
     return CheckRecord("bivariate_dilation_equation",
                        {"max_power": n_max, "trials": params.trials, "seed": params.seed},
-                       counterexample is None, counterexample).to_dict()
+                       counterexample).to_dict()
 
 
 @pytest.mark.parametrize("field", (RATIONAL, GF7))
