@@ -17,7 +17,7 @@ import sys
 from functools import cache
 
 from ._jsontext import json_text
-from .dilation import NotCommuting, ando, level_block, truncated_matrix
+from .dilation import NotCommuting, ando, level_shape, truncated_matrix
 from .fields import RATIONAL, FieldSpec, ScalarTooLarge, gf
 from .pairs import RECIPE_KINDS, InvalidRecipe, PairRecipe, gen_pair
 from .problems import ProblemError, load_problem, mat_to_grid, problem_to_dict, resolve_pair
@@ -46,13 +46,14 @@ def _parse_field(text: str) -> FieldSpec:
 def _add_check_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--input", required=True, help="problem file (JSON)")
     sub.add_argument("--out", help="report destination (default: stdout)")
-    sub.add_argument("--max-power", type=int, default=4, metavar="N",
-                     help="largest exponent checked (default 4)")
-    sub.add_argument("--trunc", type=int, default=5, metavar="K",
-                     help="largest truncation level checked (default 5)")
-    sub.add_argument("--trials", type=int, default=8,
-                     help="random trial vectors per check (default 8)")
-    sub.add_argument("--seed", type=int, default=0, help="trial-vector seed (default 0)")
+    sub.add_argument("--max-power", type=int, default=CheckParams.max_power, metavar="N",
+                     help="largest exponent checked (default %(default)s)")
+    sub.add_argument("--trunc", type=int, default=CheckParams.max_trunc, metavar="K",
+                     help="largest truncation level checked (default %(default)s)")
+    sub.add_argument("--trials", type=int, default=CheckParams.trials,
+                     help="random trial vectors per check (default %(default)s)")
+    sub.add_argument("--seed", type=int, default=CheckParams.seed,
+                     help="trial-vector seed (default %(default)s)")
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
@@ -75,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", required=True, choices=RECIPE_KINDS)
     p_gen.add_argument("--dim", type=int, required=True)
     p_gen.add_argument("--field", default="rational", help="'rational' or 'gfP' (default rational)")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--degree", type=int, default=3)
-    p_gen.add_argument("--height", type=int, default=5)
+    p_gen.add_argument("--seed", type=int, default=PairRecipe.seed)
+    p_gen.add_argument("--degree", type=int, default=PairRecipe.degree)
+    p_gen.add_argument("--height", type=int, default=PairRecipe.height)
     p_gen.add_argument("--out", help="problem destination (default: stdout)")
     return parser
 
@@ -151,10 +152,12 @@ def _cmd_ando(args) -> int:
         # one build of U and V serves the audit and the dump: truncations nest
         top = max(params.max_trunc + 1, k)
         truncations = (truncated_matrix("U", ops, top), truncated_matrix("V", ops, top))
-    report = check_ando(t, s, params, recipe=problem.recipe, ops=ops, truncations=truncations)
+    report = check_ando(ops, params, recipe=problem.recipe, truncations=truncations)
     if k is None:
         return _emit(report, args)
-    u, v = (mat_to_grid(level_block(m, ops.d, k)) for m in truncations)
+    # level K is the leading block of the top build; fmt_ints writes each entry
+    # in lowest terms, so the text is that of the canonical level-K matrix
+    u, v = (ops.field.fmt_ints(m._grid(*level_shape(ops.d, k)), m.den) for m in truncations)
     dump = {"trunc": k, "U": u, "V": v, "v": mat_to_grid(ops.v)}
     return _emit(report, args, (json_text(dump), str(args.out) + ".operators.json"))
 

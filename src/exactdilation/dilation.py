@@ -73,7 +73,7 @@ __all__ = [
     "apply_batch",
     "OPERATOR_TAGS",
     "truncated_matrix",
-    "level_block",
+    "level_shape",
 ]
 
 
@@ -347,6 +347,11 @@ def apply_v(ops: AndoOperators, w: Batch) -> Batch:
 # -- truncated matrix realizations ------------------------------------------------
 
 
+def level_shape(d: int, k: int) -> tuple[int, int]:
+    """``(rows, cols)`` of the level-k truncated matrix: coordinates 0..4k+4 by 0..4k."""
+    return d * (4 * k + 5), d * (4 * k + 1)
+
+
 def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
     """Matrix of one operator from the truncation at level K into level K+1.
 
@@ -360,7 +365,7 @@ def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
     Truncations nest.  The image of coordinate n must lie below coordinate
     4k+5, where k = ceil(n/4) is the lowest level holding n; otherwise
     SupportOverflow is raised (read off the column's last row).  So for every
-    k <= K the level-k matrix is exactly the leading d(4k+5) x d(4k+1) block
+    k <= K the level-k matrix is exactly the leading ``level_shape(d, k)`` block
     of the level-K matrix, with zeros below it, and one build serves every
     lower level.
     """
@@ -385,13 +390,8 @@ def truncated_matrix(tag: str, ops, trunc: int) -> Mat:
         for n, x in img.blocks.items():
             _add_terms(terms, x.ints, n * d, den // x.den)
         for c, col in enumerate(terms):
-            if col and col[-1][0] >= d * (4 * level + 5):
+            if col and col[-1][0] >= level_shape(d, level)[0]:
                 raise SupportOverflow(f"{tag} pushed coordinate {coords[c // d]} to "
                                       f"{col[-1][0] // d}, past level {level + 1}")
         cols += terms
-    return Mat.from_col_terms(field, d * (4 * trunc + 5), d * (4 * trunc + 1), cols, den)
-
-
-def level_block(m: Mat, d: int, k: int) -> Mat:
-    """The level-k truncated matrix, read as the leading block of a higher level."""
-    return m.leading(d * (4 * k + 5), d * (4 * k + 1))
+    return Mat.from_col_terms(field, *level_shape(d, trunc), cols, den)

@@ -10,8 +10,9 @@ one form and the other is a view built when it is read.  The sparse
 truncated operators are built, ranked and multiplied by columns alone.
 Stacks, unit matrices and truncations are canonical as built, each by a
 lemma stated where it is built; every other matrix (a sum, a product, a
-leading block cut from a larger one) is brought to the form by
-``reduce_ints`` alone, through ``from_ints``.  The grid of field scalars,
+random draw) is brought to the form by ``reduce_ints`` alone, through
+``from_ints``.  Field scalars are read only at the public edge (``Mat``,
+``mat`` and ``from_cols`` take a grid of them), and their grid,
 ``entries``, is built only when it is read, for output.  One
 fraction-free elimination loop, ``_echelon``, serves rank, column ranks,
 basis completion, reduced row echelon form, kernels and inverses; it is
@@ -174,16 +175,6 @@ class Mat:
         """The int rows rescaled to the multiple ``den`` of the denominator."""
         s = den // self.den
         return self.ints if s == 1 else tuple([tuple([s * x for x in r]) for r in self.ints])
-
-    def leading(self, rows: int, cols: int) -> "Mat":
-        """The top-left ``rows x cols`` block: its integers, cut from the column terms,
-        over the denominator, brought to canonical form by ``from_ints``."""
-        if (rows, cols) == (self.rows, self.cols):
-            return self
-        if not (0 <= rows <= self.rows and 0 <= cols <= self.cols):
-            raise DimensionMismatch(
-                f"no {rows}x{cols} leading block in a {self.rows}x{self.cols} matrix")
-        return Mat.from_ints(self.field, rows, cols, self._grid(rows, cols), self.den)
 
     @cached_property
     def _col_terms(self) -> list:

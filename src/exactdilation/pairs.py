@@ -12,8 +12,8 @@ from typing import Sequence
 
 from ._record import Record
 from .fields import FieldSpec
-from .linalg import Mat, _require_shape, is_invertible, inverse, zeros
-from .rng import SplitMix64, rand_matrix, rand_scalar
+from .linalg import Mat, Singular, _require_shape, inverse, zeros
+from .rng import SplitMix64, rand_column, rand_ints, rand_matrix
 
 __all__ = ["PairRecipe", "InvalidRecipe", "RECIPE_KINDS", "gen_pair", "check_commute",
            "matrix_polynomial"]
@@ -69,63 +69,59 @@ class PairRecipe(Record):
 
 
 def matrix_polynomial(a: Mat, coeffs: Sequence) -> Mat:
-    """Evaluate sum(coeffs[k] * a^k) by Horner's rule; coeffs[0] is constant."""
+    """Evaluate sum(coeffs[k] * a^k) by Horner's rule; coeffs[0] is constant.  The
+    coefficients are read into integer form once."""
     field, n = a.field, a.rows
+    (ints,), den = field.to_ints([[field.coerce(c) for c in coeffs]])
     acc = zeros(field, n, n)
-    for c in reversed([field.coerce(c) for c in coeffs]):
+    for c in reversed(ints):
         acc = acc @ a
-        if c != 0:
-            acc = acc + _diagonal(field, [c] * n)
+        if c:
+            acc = acc + _diagonal(field, [c] * n, den)
     return acc
 
 
-def _diagonal(field: FieldSpec, diag: Sequence) -> Mat:
-    """The square matrix with the scalars ``diag`` on its diagonal."""
-    zero, n = field.zero(), len(diag)
-    return Mat(field, n, n, tuple(tuple(x if i == j else zero for j in range(n))
-                                  for i, x in enumerate(diag)))
-
-
-def _rand_poly(rng: SplitMix64, field: FieldSpec, degree: int, height: int) -> list:
-    return [rand_scalar(rng, field, height) for _ in range(degree + 1)]
+def _diagonal(field: FieldSpec, diag: Sequence[int], den: int = 1) -> Mat:
+    """The square matrix with the integers ``diag`` over ``den`` on its diagonal."""
+    n = len(diag)
+    return Mat.from_ints(field, n, n, [[x if i == j else 0 for j in range(n)]
+                                       for i, x in enumerate(diag)], den)
 
 
 def _rand_upper_triangular(rng: SplitMix64, field: FieldSpec, d: int, height: int) -> Mat:
-    zero = field.zero()
-    rows = tuple(
-        tuple(rand_scalar(rng, field, height) if j >= i else zero for j in range(d))
-        for i in range(d)
-    )
-    return Mat(field, d, d, rows)
+    """A random upper-triangular matrix, its d(d+1)/2 entries drawn row by row."""
+    ints, den = rand_ints(rng, field, d * (d + 1) // 2, height)
+    draws = iter(ints)
+    return Mat.from_ints(field, d, d, [[next(draws) if j >= i else 0 for j in range(d)]
+                                       for i in range(d)], den)
 
 
-def _rand_invertible(rng: SplitMix64, field: FieldSpec, d: int, height: int) -> Mat:
+def _rand_invertible(rng: SplitMix64, field: FieldSpec, d: int, height: int) -> tuple:
+    """A random invertible matrix and its inverse; a singular draw is drawn again."""
     for _ in range(1000):
         m = rand_matrix(rng, field, d, height)
-        if is_invertible(m):
-            return m
+        try:
+            return m, inverse(m)
+        except Singular:
+            pass
     raise InvalidRecipe("could not draw an invertible matrix")  # pragma: no cover
 
 
 def gen_pair(recipe: PairRecipe) -> tuple[Mat, Mat]:
     """Produce (T, S) from the recipe; reproducible from the seed alone."""
-    field, d = recipe.field, recipe.dim
+    field, d, height = recipe.field, recipe.dim, recipe.height
     rng = SplitMix64(recipe.seed)
     if recipe.kind in ("polynomial", "upper_triangular"):
         draw = rand_matrix if recipe.kind == "polynomial" else _rand_upper_triangular
-        a = draw(rng, field, d, recipe.height)
-        t = matrix_polynomial(a, _rand_poly(rng, field, recipe.degree, recipe.height))
-        s = matrix_polynomial(a, _rand_poly(rng, field, recipe.degree, recipe.height))
+        a = draw(rng, field, d, height)
+        t, s = (matrix_polynomial(a, rand_column(rng, field, recipe.degree + 1, height))
+                for _ in range(2))
     elif recipe.kind == "diagonal":
-        def diag():
-            return _diagonal(field, [rand_scalar(rng, field, recipe.height) for _ in range(d)])
-        t, s = diag(), diag()
-    else:  # idempotent
-        m = _rand_invertible(rng, field, d, recipe.height)
-        m_inv = inverse(m)
-        def projection():  # conjugate of a random 0/1 diagonal
-            return m @ _diagonal(field, [field.from_int(rng.below(2)) for _ in range(d)]) @ m_inv
-        t, s = projection(), projection()
+        t, s = (_diagonal(field, *rand_ints(rng, field, d, height)) for _ in range(2))
+    else:  # idempotent: two random 0/1 diagonals, conjugated by one invertible matrix
+        m, m_inv = _rand_invertible(rng, field, d, height)
+        t, s = (m @ _diagonal(field, [rng.below(2) for _ in range(d)]) @ m_inv
+                for _ in range(2))
     if not check_commute(t, s):  # a raise, not an assert, so that it survives python -O
         raise AssertionError("generated pair fails to commute")
     return t, s

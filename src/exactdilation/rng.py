@@ -5,15 +5,20 @@ generator of the xoshiro family).  It is tiny, fully specified by its two
 multiplier constants, and trivially portable, which is what matters here:
 test corpora must be reproducible from the seed alone, across machines and
 languages.  Statistical quality beyond that is irrelevant.
+
+Draws come in the integer form every matrix is held in (``rand_ints``), so
+a random matrix is built from its integers; only ``rand_column`` builds field
+scalars, for callers that want them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .fields import FieldSpec
+from .linalg import Mat
 
-__all__ = ["SplitMix64", "rand_scalar", "rand_column", "rand_matrix"]
+__all__ = ["SplitMix64", "rand_ints", "rand_column", "rand_matrix"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -42,19 +47,24 @@ class SplitMix64:
         return lo + self.below(hi - lo + 1)
 
 
-def rand_scalar(rng: SplitMix64, field: FieldSpec, height: int = 5):
-    """Random scalar; rationals have numerator and denominator of bounded height."""
-    if field.is_rational:
-        return Fraction(rng.randint(-height, height), rng.randint(1, height))
-    return rng.below(field.modulus)
+def rand_ints(rng: SplitMix64, field: FieldSpec, count: int, height: int = 5) -> tuple:
+    """``count`` random scalars as ``(ints, den)``: over Q each a numerator of height
+    at most ``height`` and then a positive denominator of at most ``height``, all over
+    the lcm of the denominators; over GF(p), residues over 1."""
+    if not field.is_rational:
+        return [rng.below(field.modulus) for _ in range(count)], 1
+    draws = [(rng.randint(-height, height), rng.randint(1, height)) for _ in range(count)]
+    den = lcm(*(q for _, q in draws))
+    return [n * (den // q) for n, q in draws], den
 
 
 def rand_column(rng: SplitMix64, field: FieldSpec, d: int, height: int = 5) -> tuple:
-    return tuple(rand_scalar(rng, field, height) for _ in range(d))
+    """``d`` random scalars, drawn as ``rand_ints`` draws them."""
+    ints, den = rand_ints(rng, field, d, height)
+    return field.from_ints([ints], den)[0]
 
 
-def rand_matrix(rng: SplitMix64, field: FieldSpec, d: int, height: int = 5):
-    from .linalg import Mat
-
-    rows = tuple(rand_column(rng, field, d, height) for _ in range(d))
-    return Mat(field, d, d, rows)
+def rand_matrix(rng: SplitMix64, field: FieldSpec, d: int, height: int = 5) -> Mat:
+    """A random d x d matrix, its entries drawn row by row."""
+    ints, den = rand_ints(rng, field, d * d, height)
+    return Mat.from_ints(field, d, d, [ints[i * d:(i + 1) * d] for i in range(d)], den)

@@ -24,6 +24,7 @@ from .dilation import (
     ando,
     apply_batch,
     build_generators,
+    level_shape,
     sznagy,
     truncated_matrix,
 )
@@ -33,14 +34,13 @@ from .linalg import (
     Mat,
     column_product,
     column_ranks,
-    from_cols,
     hstack,
     identity,
     kernel_basis,
     zeros,
 )
 from .pairs import PairRecipe, check_commute
-from .rng import SplitMix64, rand_column
+from .rng import SplitMix64, rand_ints
 from .sequences import Batch, side_by_side
 
 __all__ = ["CheckParams", "CheckRecord", "Report", "check_sznagy", "check_ando",
@@ -150,10 +150,10 @@ def _is_record(c) -> bool:
 
 def _trial_vectors(field: FieldSpec, d: int, params: CheckParams) -> Mat:
     """The matrix X of the trial vectors: the standard basis of F^d, then ``trials``
-    random columns drawn from ``seed``."""
-    rng = SplitMix64(params.seed)
-    return hstack(identity(field, d),
-                  from_cols(field, d, [rand_column(rng, field, d) for _ in range(params.trials)]))
+    random columns drawn from ``seed``, one after the other."""
+    ints, den = rand_ints(SplitMix64(params.seed), field, d * params.trials)
+    trials = Mat.from_ints(field, d, params.trials, [ints[i::d] for i in range(d)], den)
+    return hstack(identity(field, d), trials)
 
 
 def _meta(kind: str, field: FieldSpec, d: int, params: CheckParams,
@@ -204,11 +204,11 @@ def _dilation_record(name: str, tag: str, ops, t: Mat, w: Batch, tx: Mat, x: Mat
 def _injectivity_record(name: str, m: Mat, d: int, params: CheckParams) -> CheckRecord:
     """Full column rank at every level k <= max_trunc, read off ``m`` at a higher level."""
     levels = range(params.max_trunc + 1)
-    widths = [d * (4 * k + 1) for k in levels]
+    shapes = [level_shape(d, k) for k in levels]
     ranks = []
     counterexample = None
-    for k, cols, r in zip(levels, widths, column_ranks(m, widths)):
-        ranks.append({"trunc": k, "rows": d * (4 * k + 5), "cols": cols, "rank": r})
+    for k, (rows, cols), r in zip(levels, shapes, column_ranks(m, [c for _, c in shapes])):
+        ranks.append({"trunc": k, "rows": rows, "cols": cols, "rank": r})
         if r != cols and counterexample is None:
             counterexample = {"trunc": k, "cols": cols, "rank": r}
     return CheckRecord(name, {"max_trunc": params.max_trunc, "ranks": ranks}, counterexample)
@@ -269,13 +269,13 @@ def _commutation_record(ops: AndoOperators, params: CheckParams,
     order among that level's columns.
     """
     d = ops.d
-    width = d * (4 * params.max_trunc + 1)
+    width = level_shape(d, params.max_trunc)[1]
     uv, vu = column_product(u, v, width), column_product(v, u, width)
     counterexample = None
     first = next((j for j in range(width) if uv[j] != vu[j]), None)
     if first is not None:
         k = (first // d + 3) // 4
-        i, j = min((i, j) for j in range(first, d * (4 * k + 1))
+        i, j = min((i, j) for j in range(first, level_shape(d, k)[1])
                    for i in uv[j].keys() | vu[j].keys() if uv[j].get(i) != vu[j].get(i))
         texts = ops.field.fmt_ints([(uv[j].get(i, 0),), (vu[j].get(i, 0),)], u.den * v.den)
         counterexample = {"trunc": k, "row": i, "col": j, "uv": texts[0][0], "vu": texts[1][0]}
@@ -312,24 +312,21 @@ def _well_definedness_record(gens: Generators) -> CheckRecord:
     return CheckRecord("well_definedness", params, counterexample)
 
 
-def check_ando(t: Mat, s: Mat, params: CheckParams = CheckParams(),
-               recipe: Optional[PairRecipe] = None, completion: str = "forward",
-               ops: Optional[AndoOperators] = None,
+def check_ando(ops: AndoOperators, params: CheckParams = CheckParams(),
+               recipe: Optional[PairRecipe] = None,
                truncations: Optional[tuple] = None) -> Report:
-    """All claims of the two-map construction on one commuting pair.
+    """All claims of the two-map construction on the operators ``ops`` alone: those
+    ``ando`` builds, which refuses a pair that does not commute before any check
+    can run, or a deliberately tampered tuple.
 
-    Raises NotCommuting (from the builder) before any check runs when the
-    input pair does not commute.  ``ops`` may be supplied to audit a
-    pre-built or deliberately tampered operator tuple, and ``truncations``
-    the truncated matrices of its U and V at one level above ``max_trunc``
-    or higher, when the caller needs them too; every level is read off their
-    leading columns in place, and lower truncations raise DimensionMismatch.
+    ``truncations`` may supply the truncated matrices of U and V at one level
+    above ``max_trunc`` or higher, when the caller needs them too; every level
+    is read off their leading columns in place, and lower truncations raise
+    DimensionMismatch.
     """
-    if ops is None:
-        ops = ando(t, s, completion=completion)
     top = params.max_trunc + 1
     u, v = truncations or (truncated_matrix("U", ops, top), truncated_matrix("V", ops, top))
-    rows, cols = ops.d * (4 * top + 5), ops.d * (4 * top + 1)
+    rows, cols = level_shape(ops.d, top)
     if any(m.rows < rows or m.cols < cols for m in (u, v)):
         raise DimensionMismatch(f"U and V must be truncated at level {top} or higher")
     gens = build_generators(ops.T, ops.S)

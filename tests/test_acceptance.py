@@ -85,7 +85,7 @@ def test_criterion_2_ando_suite():
             pairs += [(ident, ident), (zero, zero), (t_special, t_special),
                       (t_special, t_special @ t_special), (zero, ident)]
             for idx, (t, s) in enumerate(pairs):
-                report = check_ando(t, s, params)
+                report = check_ando(ando(t, s), params)
                 if not report.passed:
                     failures.append((field.label(), d, idx,
                                      [r.name for r in report.checks if not r.passed]))
@@ -131,7 +131,7 @@ def test_criterion_4_extension_independence():
             pairs += [(ident, ident), (zero, zero), (t_special, t_special),
                       (t_special, t_special @ t_special), (zero, ident)]
             for idx, (t, s) in enumerate(pairs):
-                report = check_ando(t, s, params, completion="reverse")
+                report = check_ando(ando(t, s, completion="reverse"), params)
                 if not report.passed:
                     failures.append((field.label(), d, idx))
     _finish(4, "reversed-completion suite", failures, time.monotonic() - t0, 30.0)

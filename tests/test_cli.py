@@ -10,7 +10,7 @@ import exactdilation
 import exactdilation.cli as cli_mod
 import exactdilation.dilation as dilation_mod
 import exactdilation.linalg as linalg_mod
-from exactdilation.cli import main
+from exactdilation.cli import _params, build_parser, main
 from exactdilation.dilation import ando, truncated_matrix
 from exactdilation.fields import gf
 from exactdilation.problems import (
@@ -20,7 +20,8 @@ from exactdilation.problems import (
     parse_problem,
     resolve_pair,
 )
-from exactdilation.verify import report_from_json
+from exactdilation.pairs import PairRecipe
+from exactdilation.verify import CheckParams, report_from_json
 
 
 def write_problem(path, obj):
@@ -221,6 +222,22 @@ def test_ando_recipe_end_to_end_deterministic(tmp_path):
                                      "degree": 3, "height": 5}
 
 
+def test_flag_defaults_are_those_of_check_params_and_pair_recipe(capsys, monkeypatch):
+    parser = build_parser()
+    monkeypatch.setenv("COLUMNS", "200")  # one line per flag
+    for command in ("sznagy", "ando"):
+        assert _params(parser.parse_args([command, "--input", "p.json"])) == CheckParams()
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        for text in ("exponent checked (default 4)", "level checked (default 5)",
+                     "per check (default 8)", "seed (default 0)"):
+            assert text in out
+    args = parser.parse_args(["gen", "--kind", "diagonal", "--dim", "1"])
+    assert PairRecipe(args.kind, args.dim, gf(7), seed=args.seed, degree=args.degree,
+                      height=args.height) == PairRecipe("diagonal", 1, gf(7))
+
+
 def test_ando_dump_operators(tmp_path):
     problem = {"field": {"kind": "rational"}, "dim": 1, "T": [["2"]], "S": [["4"]]}
     path = write_problem(tmp_path / "p.json", problem)
@@ -368,7 +385,7 @@ def test_failing_report_exits_1(tmp_path, monkeypatch):
     # no honest input can fail the suite, so stub the checker
     from exactdilation.verify import CheckRecord, Report
 
-    def fake_check(t, s, params, recipe=None, ops=None, truncations=None):
+    def fake_check(ops, params, recipe=None, truncations=None):
         rec = CheckRecord("commutation", {}, {"trunc": 0})
         return Report({"kind": "ando"}, (rec,))
 

@@ -83,7 +83,7 @@ def _run_tampered() -> dict:
     rows = [list(r) for r in ops.v.entries]
     rows[1][0] += RATIONAL.parse("1/2")
     bad = ops.replace(v=Mat(RATIONAL, ops.v.rows, ops.v.cols, tuple(map(tuple, rows))))
-    report = check_ando(t, s, CheckParams(max_power=3, max_trunc=2), ops=bad)
+    report = check_ando(bad, CheckParams(max_power=3, max_trunc=2))
     return {"exit": None, "stderr": "", "files": {f"{TAMPERED_CASE}.report": report.to_json()}}
 
 

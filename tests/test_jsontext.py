@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from exactdilation._jsontext import json_text
 from exactdilation.cli import main
+from exactdilation.dilation import ando
 from exactdilation.fields import RATIONAL
 from exactdilation.pairs import PairRecipe, gen_pair
 from exactdilation.problems import mat_to_grid
@@ -48,7 +49,7 @@ def test_writer_edge_cases(obj):
 def test_writer_matches_json_dumps_on_reports_grids_and_problems(tmp_path):
     t, s = gen_pair(PairRecipe("polynomial", 3, RATIONAL, seed=4))
     params = CheckParams(max_power=2, max_trunc=2, trials=2)
-    for report in (check_ando(t, s, params), check_sznagy(t, params)):
+    for report in (check_ando(ando(t, s), params), check_sznagy(t, params)):
         assert report.to_json() == _reference(report.to_dict())
     grid = {"trunc": 1, "T": mat_to_grid(t), "S": mat_to_grid(s), "empty": []}
     assert json_text(grid) == _reference(grid)

@@ -1,13 +1,22 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import exactdilation.pairs as pairs_mod
 from exactdilation.fields import RATIONAL, gf
-from exactdilation.linalg import DimensionMismatch, identity, mat, zeros
+from exactdilation.linalg import (
+    DimensionMismatch,
+    Mat,
+    identity,
+    inverse,
+    is_invertible,
+    mat,
+    zeros,
+)
 from exactdilation.pairs import (
     InvalidRecipe,
     PairRecipe,
@@ -16,7 +25,8 @@ from exactdilation.pairs import (
     gen_pair,
     matrix_polynomial,
 )
-from exactdilation.rng import SplitMix64
+from exactdilation.rng import SplitMix64, rand_ints
+from exactdilation.verify import CheckParams, _trial_vectors
 
 GF7 = gf(7)
 FIELDS = (RATIONAL, GF7)
@@ -43,6 +53,88 @@ def test_splitmix64_helpers():
         r.below(0)
     assert SplitMix64(5).next_u64() == SplitMix64(5).next_u64()
     assert SplitMix64(2**64 + 5).next_u64() == SplitMix64(5).next_u64()  # masked seed
+
+
+def _scalar(rng, field, height):
+    """One random scalar drawn on its own: a numerator, then a denominator over Q;
+    one residue over GF(p)."""
+    if field.is_rational:
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+    return rng.below(field.modulus)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("height", (1, 5, 9))
+def test_rand_ints_draws_the_scalar_stream(field, height):
+    # the scalars a draw stands for, and the generator's state after it, are
+    # those of drawing each scalar on its own
+    for seed in range(20):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        for count in (0, 1, 4, 9):
+            ints, den = rand_ints(rng, field, count, height)
+            want = [_scalar(ref, field, height) for _ in range(count)]
+            assert [Fraction(x, den) for x in ints] == want
+            assert den >= 1 if field.is_rational else den == 1
+        assert rng.next_u64() == ref.next_u64()
+
+
+def test_draws_build_no_matrix_from_scalars(monkeypatch):
+    # every recipe kind and the trial vectors build their matrices from integers
+    def refuse(*args):
+        raise AssertionError("a Mat was built from a grid of scalars")
+
+    monkeypatch.setattr(Mat, "__init__", refuse)
+    for field in FIELDS:
+        for kind in RECIPE_KINDS:
+            for d in range(5):
+                gen_pair(PairRecipe(kind, d, field, seed=d))
+        for d in range(5):
+            assert _trial_vectors(field, d, CheckParams()).cols == d + CheckParams.trials
+
+
+def _scalar_gen_pair(recipe):
+    """The pair of ``recipe`` drawn scalar by scalar and built from grids of scalars,
+    p(A) as the sum of its terms."""
+    field, d, height = recipe.field, recipe.dim, recipe.height
+    rng = SplitMix64(recipe.seed)
+
+    def scalar():
+        return _scalar(rng, field, height)
+
+    def grid(upper=False):
+        return Mat(field, d, d, tuple(tuple(scalar() if j >= i or not upper else field.zero()
+                                            for j in range(d)) for i in range(d)))
+
+    def diag(xs):
+        return Mat(field, d, d, tuple(tuple(x if i == j else field.zero() for j in range(d))
+                                      for i, x in enumerate(xs)))
+
+    def poly(a, coeffs):
+        acc, power = zeros(field, d, d), identity(field, d)
+        for c in coeffs:
+            acc, power = acc + diag([c] * d) @ power, power @ a
+        return acc
+
+    if recipe.kind in ("polynomial", "upper_triangular"):
+        a = grid(recipe.kind == "upper_triangular")
+        return tuple(poly(a, [scalar() for _ in range(recipe.degree + 1)]) for _ in range(2))
+    if recipe.kind == "diagonal":
+        return tuple(diag([scalar() for _ in range(d)]) for _ in range(2))
+    m = grid()
+    while not is_invertible(m):
+        m = grid()
+    return tuple(m @ diag([field.from_int(rng.below(2)) for _ in range(d)]) @ inverse(m)
+                 for _ in range(2))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("kind", RECIPE_KINDS)
+def test_gen_pair_is_the_pair_of_the_scalar_draws(field, kind):
+    # drawing integers changes no draw and no generated matrix
+    for d in range(5):
+        for seed, degree, height in ((0, 3, 5), (d + 1, d % 4, 1), (7 * d, 2, 9)):
+            recipe = PairRecipe(kind, d, field, seed=seed, degree=degree, height=height)
+            assert gen_pair(recipe) == _scalar_gen_pair(recipe), recipe
 
 
 # -- recipes ----------------------------------------------------------------------------

@@ -17,9 +17,18 @@ from exactdilation.dilation import (
     truncated_matrix,
 )
 from exactdilation.fields import RATIONAL, FieldSpec, gf
-from exactdilation.linalg import DimensionMismatch, Mat, identity, mat, matvec, zeros
+from exactdilation.linalg import (
+    DimensionMismatch,
+    Mat,
+    from_cols,
+    hstack,
+    identity,
+    mat,
+    matvec,
+    zeros,
+)
 from exactdilation.pairs import PairRecipe, gen_pair
-from exactdilation.rng import SplitMix64, rand_matrix
+from exactdilation.rng import SplitMix64, rand_column, rand_matrix
 from exactdilation.sequences import Batch, embed, project
 from exactdilation.verify import (
     CheckParams,
@@ -108,17 +117,17 @@ ANDO_CHECK_NAMES = [
 @pytest.mark.parametrize("field", (RATIONAL, GF7))
 def test_ando_suite_trivial_pairs(field):
     ident = identity(field, 2)
-    report = check_ando(ident, ident, FAST)
+    report = check_ando(ando(ident, ident), FAST)
     assert report.passed
     assert [r.name for r in report.checks] == ANDO_CHECK_NAMES
 
     zero = zeros(field, 2, 2)
-    report = check_ando(zero, zero, FAST)
+    report = check_ando(ando(zero, zero), FAST)
     assert report.passed
 
 
 def test_ando_suite_derived_pair():
-    report = check_ando(JORDAN, JORDAN @ JORDAN,
+    report = check_ando(ando(JORDAN, JORDAN @ JORDAN),
                         CheckParams(max_power=3, max_trunc=4, trials=4, seed=2))
     assert report.passed
 
@@ -127,7 +136,7 @@ def test_ando_rejects_noncommuting():
     t = mat(RATIONAL, [[0, 1], [0, 0]])
     s = mat(RATIONAL, [[0, 0], [1, 0]])
     with pytest.raises(NotCommuting):
-        check_ando(t, s, FAST)
+        check_ando(ando(t, s), FAST)
 
 
 def test_tampered_operators_produce_counterexamples():
@@ -136,7 +145,7 @@ def test_tampered_operators_produce_counterexamples():
     # commutation and generator coherence
     t, s = JORDAN, JORDAN @ JORDAN
     bad_ops = AndoOperators(t, s, identity(RATIONAL, 8), identity(RATIONAL, 8))
-    report = check_ando(t, s, FAST, ops=bad_ops)
+    report = check_ando(bad_ops, FAST)
     assert not report.passed
     by_name = {r.name: r for r in report.checks}
     assert by_name["bivariate_dilation_equation"].passed
@@ -153,7 +162,7 @@ def test_tampered_operators_produce_counterexamples():
 def test_singular_exchange_map_breaks_injectivity():
     t, s = JORDAN, JORDAN @ JORDAN
     crushed = AndoOperators(t, s, zeros(RATIONAL, 8, 8), zeros(RATIONAL, 8, 8))
-    report = check_ando(t, s, FAST, ops=crushed)
+    report = check_ando(crushed, FAST)
     by_name = {r.name: r for r in report.checks}
     inj = by_name["injectivity_u"]
     assert not inj.passed
@@ -220,7 +229,7 @@ def test_windowed_records_match_per_level_reference(field):
             for label, ops in _tamperings(ando(t, s), rng).items():
                 for max_trunc in (0, 1, 3):
                     params = CheckParams(max_power=1, max_trunc=max_trunc, trials=1)
-                    got = {r.name: r.to_dict() for r in check_ando(t, s, params, ops=ops).checks}
+                    got = {r.name: r.to_dict() for r in check_ando(ops, params).checks}
                     want = _windowed_records_per_level(ops, max_trunc)
                     for name, rec in want.items():
                         assert got[name] == rec, (d, t, label, max_trunc, name)
@@ -241,25 +250,31 @@ def test_commutation_record_matches_per_level_reference(field, d):
     params = CheckParams(max_power=1, max_trunc=2, trials=1)
     failed = 0
     for label, ops in _tamperings(ando(t, s), rng).items():
-        got = {r.name: r.to_dict() for r in check_ando(t, s, params, ops=ops).checks}
+        got = {r.name: r.to_dict() for r in check_ando(ops, params).checks}
         assert got["commutation"] == _windowed_records_per_level(ops, 2)["commutation"], label
         failed += not got["commutation"]["pass"]
     assert failed if d else not failed
 
 
+def _dense_slice(m, rows, cols):
+    """The top-left ``rows x cols`` block of ``m``, cut from its integer grid."""
+    return Mat.from_ints(m.field, rows, cols, [r[:cols] for r in m.ints[:rows]], m.den)
+
+
 def test_check_ando_reads_supplied_truncations_at_any_higher_level():
     t, s = gen_pair(PairRecipe("polynomial", 2, GF7, seed=5))
     ops = ando(t, s)
-    want = check_ando(t, s, FAST, ops=ops).to_json()
+    want = check_ando(ops, FAST).to_json()
     for level in (FAST.max_trunc + 1, FAST.max_trunc + 3):
         truncs = (truncated_matrix("U", ops, level), truncated_matrix("V", ops, level))
-        assert check_ando(t, s, FAST, ops=ops, truncations=truncs).to_json() == want
+        assert check_ando(ops, FAST, truncations=truncs).to_json() == want
     # a level too low, or one row or column short of the level, is refused up front
     low = (truncated_matrix("U", ops, FAST.max_trunc), truncated_matrix("V", ops, FAST.max_trunc))
     u, v = (truncated_matrix(tag, ops, FAST.max_trunc + 1) for tag in "UV")
-    for short in (low, (u.leading(u.rows - 1, u.cols), v), (u, v.leading(v.rows, v.cols - 1))):
+    for short in (low, (_dense_slice(u, u.rows - 1, u.cols), v),
+                  (u, _dense_slice(v, v.rows, v.cols - 1))):
         with pytest.raises(DimensionMismatch, match="truncated at level 3 or higher"):
-            check_ando(t, s, FAST, ops=ops, truncations=short)
+            check_ando(ops, FAST, truncations=short)
 
 
 def _scalar_view_log(monkeypatch):
@@ -294,7 +309,7 @@ def test_passing_audits_read_truncations_only_in_integer_form(field, monkeypatch
     d = 3
     t, s = gen_pair(PairRecipe("polynomial", d, field, seed=11))
     for audit in (lambda: check_sznagy(t, CheckParams(max_power=16, max_trunc=14)),
-                  lambda: check_ando(t, s)):
+                  lambda: check_ando(ando(t, s))):
         log = _scalar_view_log(monkeypatch)
         assert audit().passed
         assert len(log["truncations"]) in (1, 2)  # U for sznagy; U and V for ando
@@ -302,6 +317,17 @@ def test_passing_audits_read_truncations_only_in_integer_form(field, monkeypatch
         assert all(m.rows <= 4 * d for m in log["products"])
         assert all(len(ints) <= 4 * d for ints in log["views"])
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field", [RATIONAL, GF7])
+def test_trial_vectors_are_the_basis_then_random_columns_in_draw_order(field):
+    # one draw laid out column by column: each trial vector is the next d scalars
+    for d in range(5):
+        for params in (CheckParams(), CheckParams(trials=3, seed=d)):
+            rng = SplitMix64(params.seed)
+            want = hstack(identity(field, d), from_cols(
+                field, d, [rand_column(rng, field, d) for _ in range(params.trials)]))
+            assert _trial_vectors(field, d, params) == want
 
 
 def _per_vector_dilation_records(ops, sops, params):
@@ -388,7 +414,7 @@ def test_batched_dilation_records_match_per_vector_reference(field, monkeypatch)
                 for label, ops in tampered.items():
                     params = CheckParams(max_power=3, trials=3, seed=rng.below(100))
                     bivariate, single = _per_vector_dilation_records(ops, sznagy(t), params)
-                    got = {r.name: r for r in check_ando(t, s, params, ops=ops).checks}
+                    got = {r.name: r for r in check_ando(ops, params).checks}
                     rec = got["bivariate_dilation_equation"]
                     assert (rec.passed, rec.counterexample) == (bivariate is None, bivariate), \
                         (d, label, bumped)
@@ -425,7 +451,7 @@ def test_well_definedness_record_counterexamples():
 
 
 def test_extension_strategy_flag():
-    report = check_ando(JORDAN, JORDAN @ JORDAN, FAST, completion="reverse")
+    report = check_ando(ando(JORDAN, JORDAN @ JORDAN, completion="reverse"), FAST)
     assert report.passed
 
 
@@ -469,7 +495,7 @@ def test_negative_probe_never_reaches_construction(monkeypatch):
 
 
 def test_negative_records_from_rejection_sampling():
-    from exactdilation.rng import SplitMix64, rand_matrix
+    from exactdilation.rng import SplitMix64, rand_column, rand_matrix
 
     rng = SplitMix64(1312)
     found = 0
@@ -547,7 +573,7 @@ def test_bivariate_record_applies_u_and_v_max_power_times(max_power, monkeypatch
     for tag, action in dict(dilation_mod._ACTIONS).items():
         monkeypatch.setitem(dilation_mod._ACTIONS, tag,
                             lambda o, b, _a=action, _t=tag: calls.append((_t, b.width)) or _a(o, b))
-    assert check_ando(t, s, params, ops=ops, truncations=truncs).passed
+    assert check_ando(ops, params, truncations=truncs).passed
     k = _trial_vectors(GF7, 3, params).cols
     assert calls == [("V", k)] * max_power + [("U", k * (max_power + 1))] * max_power
 
@@ -556,7 +582,7 @@ def test_bivariate_record_applies_u_and_v_max_power_times(max_power, monkeypatch
 
 
 def test_report_json_round_trip_is_fixed_point():
-    report = check_ando(JORDAN, JORDAN @ JORDAN, FAST,
+    report = check_ando(ando(JORDAN, JORDAN @ JORDAN), FAST,
                         recipe=PairRecipe("polynomial", 2, RATIONAL, seed=9))
     text = report.to_json()
     assert report_from_json(text).to_json() == text
@@ -569,13 +595,13 @@ def test_report_json_round_trip_is_fixed_point():
 
 
 def test_report_bytes_deterministic():
-    a = check_ando(JORDAN, JORDAN @ JORDAN, FAST).to_json()
-    b = check_ando(JORDAN, JORDAN @ JORDAN, FAST).to_json()
+    a = check_ando(ando(JORDAN, JORDAN @ JORDAN), FAST).to_json()
+    b = check_ando(ando(JORDAN, JORDAN @ JORDAN), FAST).to_json()
     assert a == b
 
 
 def test_report_checks_sorted_by_name():
-    report = check_ando(identity(GF7, 1), identity(GF7, 1), FAST)
+    report = check_ando(ando(identity(GF7, 1), identity(GF7, 1)), FAST)
     names = [r.name for r in report.checks]
     assert names == sorted(names)
 
@@ -628,6 +654,6 @@ def test_report_from_json_rejects_malformed_reports(spoil):
 def test_recipe_pair_report_passes_end_to_end():
     recipe = PairRecipe("idempotent", 3, GF7, seed=6)
     t, s = gen_pair(recipe)
-    report = check_ando(t, s, FAST, recipe=recipe)
+    report = check_ando(ando(t, s), FAST, recipe=recipe)
     assert report.passed
     assert report.meta["recipe"]["seed"] == 6
