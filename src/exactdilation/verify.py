@@ -283,11 +283,23 @@ def _commutation_record(ops: AndoOperators, params: CheckParams,
 
 
 def _coherence_record(ops: AndoOperators, gens: Generators) -> CheckRecord:
+    """The exchange map's two identities, ``v G = H`` and then ``v_inv v = I``; the
+    first failing cell is reported.
+
+    With ``TS = ST`` the two give ``UV = VU`` on all of W.  On the tail
+    (coordinates 1 and up) U is the half shift P by two coordinates, then v
+    on every 4-block group, and V is v_inv on every group, then P; so
+    ``UV = v P^2 v_inv = P^2 = VU`` there, as v commutes with the shift P^2
+    by one group.  For x at coordinate 0, ``UVx - VUx`` is ``(TS - ST)x``
+    at coordinate 0 and ``(vG - H)x`` on coordinates 1..4.  They also give
+    ``ker G = ker H``, v being invertible.  ``v_inv H = G`` follows, as
+    ``v_inv v G``, so it is not compared.  ``build_v`` computes v_inv apart
+    from v, so ``v_inv v = I`` compares two computations.
+    """
     counterexample = None
     for label, got, want in (("v*G", ops.v @ gens.G, gens.H),
-                             ("v_inv*H", ops.v_inv @ gens.H, gens.G)):
-        mism = _mismatches(got, want)
-        if mism:
+                             ("v_inv*v", ops.v_inv @ ops.v, identity(ops.field, 4 * ops.d))):
+        if mism := _mismatches(got, want):
             i, j = mism[0]
             counterexample = {"which": label, "row": i, "col": j,
                               "expected": _column_text(want, j, [i])[0],

@@ -71,6 +71,11 @@ def test_parse_problem_rejects(mutate):
         parse_problem(obj)
 
 
+def test_parse_problem_rejects_a_non_object():
+    with pytest.raises(ProblemError, match="must be a JSON object"):
+        parse_problem([IDENTITY2])
+
+
 def test_parse_recipe_rejects():
     with pytest.raises(ProblemError):
         parse_problem({"field": {"kind": "rational"},
@@ -81,9 +86,14 @@ def test_parse_recipe_rejects():
     with pytest.raises(ProblemError):
         parse_problem({"field": {"kind": "rational"},
                        "recipe": {"kind": "diagonal", "dim": 2}})
+    with pytest.raises(ProblemError, match="must be an object"):
+        parse_problem({"field": {"kind": "rational"}, "recipe": ["diagonal", 2, 0]})
+    with pytest.raises(ProblemError, match="unknown recipe keys"):
+        parse_problem({"field": {"kind": "rational"},
+                       "recipe": {"kind": "diagonal", "dim": 2, "seed": 0, "size": 2}})
 
 
-def test_load_problem_errors(tmp_path):
+def test_load_problem_errors(tmp_path, monkeypatch):
     missing = tmp_path / "missing.json"
     with pytest.raises(ProblemError):
         load_problem(str(missing))
@@ -91,6 +101,13 @@ def test_load_problem_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ProblemError):
         load_problem(str(bad))
+
+    def failing_load(fh):  # the file opens, but reading it fails
+        raise OSError("Input/output error")
+
+    monkeypatch.setattr(json, "load", failing_load)
+    with pytest.raises(ProblemError, match="cannot read .*Input/output error"):
+        load_problem(write_problem(tmp_path / "p.json", IDENTITY2))
 
 
 def test_path_with_nul_byte_cannot_be_read(tmp_path):
@@ -132,10 +149,11 @@ def test_gen_idempotent_kind_generates_idempotents(tmp_path):
 
 
 def test_gen_rejects_bad_field(tmp_path, capsys):
-    code = main(["gen", "--kind", "diagonal", "--dim", "2", "--field", "gf6",
-                 "--out", str(tmp_path / "x.json")])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    for field in ("gf6", "real"):  # not prime; no field of that name
+        code = main(["gen", "--kind", "diagonal", "--dim", "2", "--field", field,
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 # -- sznagy -------------------------------------------------------------------------------

@@ -576,13 +576,18 @@ def test_support_overflow_checks_each_column_at_its_own_level(monkeypatch):
             truncated_matrix("W", ops, k)
 
 
-def test_inverse_check_survives_python_O(tmp_path):
-    # v v_inv = I is checked nowhere but in ando(), so it must not be an assert
+def test_wrong_inverse_fails_v_coherence_under_python_O(tmp_path):
+    # v_inv v = I is checked by the v_coherence record alone, not by an assert
+    # that python -O strips: the audit fails it, and the CLI reports the failure
     script = tmp_path / "wrong_inverse.py"
     script.write_text(
+        "import json\n"
         "import exactdilation.dilation as dil\n"
+        "from exactdilation import cli\n"
         "from exactdilation.fields import RATIONAL\n"
         "from exactdilation.linalg import mat, zeros\n"
+        "from exactdilation.problems import problem_to_dict\n"
+        "from exactdilation.verify import CheckParams, check_ando\n"
         "if __debug__:\n"
         "    raise SystemExit('not running under -O')\n"
         "real_build_v = dil.build_v\n"
@@ -591,17 +596,25 @@ def test_inverse_check_survives_python_O(tmp_path):
         "    return v, zeros(v.field, v.rows, v.cols)\n"
         "dil.build_v = wrong_inverse\n"
         "t = mat(RATIONAL, [[1, 1], [0, 1]])\n"
-        "try:\n"
-        "    dil.ando(t, t @ t)\n"
-        "except dil.ExtensionFailure:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit('ando accepted a wrong inverse')\n",
+        "def coherence(report):\n"
+        "    return next(c for c in report['checks'] if c['name'] == 'v_coherence')\n"
+        "report = check_ando(dil.ando(t, t @ t), CheckParams(1, 1, 1)).to_dict()\n"
+        "if coherence(report).get('counterexample', {}).get('which') != 'v_inv*v':\n"
+        "    raise SystemExit('check_ando passed a wrong inverse')\n"
+        "with open('problem.json', 'w') as fh:\n"
+        "    json.dump(problem_to_dict(RATIONAL, t, t @ t), fh)\n"
+        "code = cli.main(['ando', '--input', 'problem.json', '--out', 'report.json',\n"
+        "                 '--max-power', '1', '--trunc', '1', '--trials', '1'])\n"
+        "with open('report.json') as fh:\n"
+        "    written = json.load(fh)\n"
+        "if code != 1 or coherence(written) != coherence(report):\n"
+        "    raise SystemExit(f'the CLI exited {code} without the v_inv*v failure')\n",
         encoding="utf-8")
     src_dir = Path(dilation_mod.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src_dir))
-    proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
+    proc = subprocess.run([sys.executable, "-O", str(script)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_truncated_matrix_argument_validation():

@@ -91,7 +91,7 @@ def test_rational_parse(text, num, den):
     assert x.numerator == num and x.denominator == den  # stored reduced
 
 
-@pytest.mark.parametrize("text", ["", " 1", "1 ", "+3", "1/0", "1/-2", "1/04", "3.5", "a", "1/ 2"])
+@pytest.mark.parametrize("text", ["", " 1", "1 ", "+3", "1/0", "1/-2", "1/04", "3.5", "a", "1/ 2", 3])
 def test_rational_parse_rejects(text):
     with pytest.raises(ValueError):
         RATIONAL.parse(text)
@@ -158,6 +158,8 @@ def test_coerce():
         for bad in (True, False, 0.1, 0.5, 2.0):
             with pytest.raises(TypeError):
                 field.coerce(bad)
+    with pytest.raises(TypeError):
+        GF7.coerce(Fraction(1, 2))
 
 
 def test_integer_form():

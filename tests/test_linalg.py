@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -106,6 +107,14 @@ def test_stack_and_access():
         hstack(a, identity(GF7, 2))
     with pytest.raises(DimensionMismatch):
         hstack(a, a, identity(RATIONAL, 3))
+    with pytest.raises(DimensionMismatch):
+        from_cols(RATIONAL, 2, [(1, 2), (1,)])
+    for other in (identity(GF7, 2), zeros(RATIONAL, 3, 2)):  # another field, another shape
+        for op in (operator.add, operator.sub, operator.matmul):
+            with pytest.raises(DimensionMismatch):
+                op(a, other)
+    with pytest.raises(DimensionMismatch):
+        column_product(a, identity(GF7, 2), 0)
 
 
 # -- products against the plain oracle ----------------------------------------------
@@ -541,6 +550,8 @@ def test_equal_mats_built_by_ints_or_by_column_terms_hash_alike(field):
     assert by_cols.__dict__["_hash"] == hash(by_cols) == hash(Mat.from_col_terms(
         field, 2, 3, terms, by_grid.den))
     assert {by_grid: 1}[by_cols] == 1
+    # a leading block cuts each column's terms at its last row
+    assert by_cols._grid(1, 3) == [list(by_grid.ints[0])]
 
 
 def test_from_ints_over_gf_divides_by_its_denominator():

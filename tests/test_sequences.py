@@ -89,6 +89,8 @@ def test_fsvec_validation():
         fsvec(RATIONAL, 2, {0: (1, 2, 3)})  # wrong height
     with pytest.raises(DimensionMismatch):
         fsvec(RATIONAL, 2, {0: (1,)})
+    with pytest.raises(DimensionMismatch):
+        from_coords(RATIONAL, 0, [1])  # no block holds a coordinate at dim 0
     # Batch.of checks every block against the batch's field and shape
     with pytest.raises(DimensionMismatch):
         Batch.of(RATIONAL, 2, 1, {0: from_cols(GF7, 2, [(1, 1)])})

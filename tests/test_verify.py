@@ -170,6 +170,19 @@ def test_singular_exchange_map_breaks_injectivity():
     assert inj.counterexample["rank"] < inj.counterexample["cols"]
 
 
+@pytest.mark.parametrize("field", (RATIONAL, GF7))
+@pytest.mark.parametrize("d", (1, 2))
+def test_v_coherence_fails_an_exchange_inverse_that_is_not_inverse(field, d):
+    # T = S = I gives G = H = 0, so v G = H holds and U, V commute and are
+    # injective for v = I and v_inv = 2I; only v_inv v = I can fail
+    eye = identity(field, 4 * d)
+    ops = AndoOperators(identity(field, d), identity(field, d), eye, eye + eye)
+    by_name = {r.name: r for r in check_ando(ops, FAST).checks}
+    assert by_name.pop("v_coherence").counterexample == {
+        "which": "v_inv*v", "row": 0, "col": 0, "expected": "1", "actual": "2"}
+    assert all(r.passed for r in by_name.values())
+
+
 def _windowed_records_per_level(ops, max_trunc):
     """Reference for the commutation and injectivity records: every level is
     built on its own, ranked on its own, and multiplied level by level."""
