@@ -7,7 +7,10 @@ All comparisons are exact; there is no tolerance anywhere.  The
 dilation-equation records step every trial vector at once, as one
 ``Batch``, and compare its coordinate 0 with the plain matrix products
 ``T^n X`` and ``T^n S^m X`` of the matrix ``X`` of trial vectors; the
-bivariate one steps every ``V^m X`` at once, side by side.
+bivariate one steps every ``V^m X`` at once, side by side.  Those products
+are asked of ``dilation._times``, which the head surgery of the action has
+just asked for the same operands while the record passes, so each step makes
+one product, shared by value.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .dilation import (
     AndoOperators,
     Generators,
     NotCommuting,
+    _times,
     ando,
     apply_batch,
     build_generators,
@@ -181,12 +185,19 @@ def _dilation_record(name: str, tag: str, ops, t: Mat, w: Batch, tx: Mat, x: Mat
     m.  A vector's failure is from its lowest failing m, at that column's
     first failing n: the first failure a vector-by-vector loop over m, then n,
     with early exit would meet.
+
+    ``t @ tx`` is asked of ``_times``, where the action's head surgery has just
+    put its own ``T x0``; ``_bivariate_record`` does the same for V's ``S x0``.
+    That shares a product and checks nothing less: the product is a pure
+    function of the operands' values, so a hit is the value ``t @ tx`` has,
+    and an action that goes wrong (a bumped T, a wrong head block) has
+    multiplied other operands, so the record makes its own product.
     """
     k, zero = x.cols, zeros(w.field, w.dim, w.width)
     first = {}  # column -> (n, expected, actual) at its first failing step
     for n in range(params.max_power + 1):
         if n:
-            w, tx = apply_batch(tag, ops, w), t @ tx
+            w, tx = apply_batch(tag, ops, w), _times(t, tx)
         got = w.blocks.get(0, zero)
         for _, c in _mismatches(got, tx):
             first.setdefault(c, (n, tx, got))
@@ -244,7 +255,7 @@ def _bivariate_record(ops: AndoOperators, params: CheckParams) -> CheckRecord:
     ws, sxs = [Batch.of(field, d, x.cols, {0: x})], [x]
     for _ in range(params.max_power):
         ws.append(apply_batch("V", ops, ws[-1]))
-        sxs.append(ops.S @ sxs[-1])
+        sxs.append(_times(ops.S, sxs[-1]))
     return _dilation_record("bivariate_dilation_equation", "U", ops, ops.T, side_by_side(ws),
                             hstack(*sxs), x, params)
 

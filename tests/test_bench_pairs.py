@@ -3,11 +3,13 @@ outside the package; its summary is checked here on canned run records, and
 no benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_PAIRS = ROOT / "tools" / "bench_pairs.py"
 END_TO_END = [{"name": "problems_per_s", "better": "higher", "bound": 0.15},
               {"name": "verdict_s_p50", "better": "lower", "bound": 0.25}]
 
@@ -82,3 +84,37 @@ def test_claim_needs_nine_wins_in_ten_and_a_gain_beyond_the_parents_spread(chang
     # for a lower-is-better metric the gain is the drop of the median
     lower = tool.claim(summary, "w", "verdict_s_p50", "lower")
     assert lower["median_gain"] == 0 and not lower["claim_met"]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_main_removes_its_checkouts_when_it_returns_or_a_run_fails(tmp_path, monkeypatch, fails):
+    # no git call and no benchmark: the checkouts are two empty directories
+    tool = load_tool()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    workdirs = []
+
+    def checkouts(parent, workdir):
+        workdirs.append(workdir)
+        for side in tool.SIDES:
+            (workdir / side).mkdir()
+        return {side: workdir / side for side in tool.SIDES}
+
+    def run_once(tree, workload, seed, seconds):
+        assert tree.is_dir()
+        if fails:
+            raise SystemExit(f"bench_pairs: {tree.name} {workload} seed {seed} exited 1")
+        return {"correct": True, "metrics": {name: {"value": float(seed)} for name in names}}
+
+    monkeypatch.setattr(tool, "_git", lambda *args: b"c0ffee\n")
+    monkeypatch.setattr(tool, "checkouts", checkouts)
+    monkeypatch.setattr(tool, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD", "--out", str(out), "--pairs", "2"]
+    if fails:
+        with pytest.raises(SystemExit, match="exited 1"):
+            tool.main(argv)
+        assert not out.exists()
+    else:
+        assert tool.main(argv) == 0
+        assert json.loads(out.read_text())["parent_commit"] == "c0ffee"
+    assert len(workdirs) == 1 and not workdirs[0].exists()

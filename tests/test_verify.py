@@ -591,6 +591,24 @@ def test_bivariate_record_applies_u_and_v_max_power_times(max_power, monkeypatch
     assert calls == [("V", k)] * max_power + [("U", k * (max_power + 1))] * max_power
 
 
+@pytest.mark.parametrize("field", (RATIONAL, GF7))
+def test_each_dilation_step_makes_one_product(field, monkeypatch):
+    # the head surgery makes T x0 (S x0 inside V) and the record's expected side
+    # asks for the same operands, so each step makes one product; check_sznagy
+    # makes one more, for coordinate 0 of its truncation
+    t, s = gen_pair(PairRecipe("polynomial", 3, field, seed=2))
+    params = CheckParams(max_power=5, max_trunc=2, trials=2)
+    ops = ando(t, s)
+    products, matmul = [], Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda a, b: products.append(a) or matmul(a, b))
+    for audit, count in ((lambda: check_sznagy(t, params), 6),
+                         (lambda: verify_mod._bivariate_record(ops, params), 10)):
+        dilation_mod._times.cache_clear()
+        products.clear()
+        assert audit().passed
+        assert len(products) == count
+
+
 # -- report serialization ------------------------------------------------------------------
 
 

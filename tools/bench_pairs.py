@@ -3,7 +3,8 @@ and write the comparison as one JSON file.
 
 The parent side is a ``git archive`` of ``--parent`` and the change side a
 copy of the working tree's files (tracked, or untracked and not ignored),
-each extracted into its own directory under a new temporary directory.  For
+each extracted into its own directory under a new temporary directory,
+which is removed when the runs end or one of them fails.  For
 pair ``i`` and each workload of ``BENCHMARK.json``, both sides run ``python3
 perfbench/run.py --workload W --seed S --seconds T``, with T the
 benchmark's ``run_seconds`` and seed ``--first-seed + i``, one after the other:
@@ -160,17 +161,18 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     parent = _git("rev-parse", args.parent).decode().strip()
-    dirs = checkouts(parent, Path(tempfile.mkdtemp(prefix="bench_pairs-")))
     runs = []
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        for workload in workloads:
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                result = run_once(dirs[side], workload, seed, seconds)
-                runs.append({"workload": workload, "seed": seed, "side": side,
-                             "result": result})
-                print(f"pair {i} {workload} {side}: problems_per_s "
-                      f"{result['metrics']['problems_per_s']['value']:.2f}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
+        dirs = checkouts(parent, Path(workdir))
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            for workload in workloads:
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    result = run_once(dirs[side], workload, seed, seconds)
+                    runs.append({"workload": workload, "seed": seed, "side": side,
+                                 "result": result})
+                    print(f"pair {i} {workload} {side}: problems_per_s "
+                          f"{result['metrics']['problems_per_s']['value']:.2f}", flush=True)
     summary = summarize(runs, spec["end_to_end"])
     seeds = f"{args.first_seed}-{args.first_seed + args.pairs - 1}"
     out = {"change": args.note, "parent_commit": parent,
