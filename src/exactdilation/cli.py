@@ -5,7 +5,9 @@ Commands: ``sznagy`` (single-map suite), ``ando`` (two-map suite), ``gen``
 check failed (report still written), 2 input error (among them an invalid
 recipe, an output scalar past Python's int-to-text digit limit, when nothing
 is written, and a destination that cannot be written), 3 non-commuting
-input.  Reports are byte-identical across runs on the same input and flags.
+input.  ``sznagy`` and ``ando`` refuse a bad flag (exit 2, one stderr line)
+before they read the problem file or generate its pair.  Reports are
+byte-identical across runs on the same input and flags.
 """
 
 from __future__ import annotations
@@ -84,6 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params(args) -> CheckParams:
+    """The check parameters; every flag of ``sznagy`` and ``ando`` is refused here,
+    before the problem file is read."""
+    k = getattr(args, "dump_operators", None)
+    if k is not None and args.out is None:
+        raise ProblemError("--dump-operators needs --out to name the dump file")
+    if k is not None and k < 0:
+        raise ProblemError("--dump-operators level must be >= 0")
     try:
         return CheckParams(max_power=args.max_power, max_trunc=args.trunc,
                            trials=args.trials, seed=args.seed)
@@ -124,10 +133,8 @@ def _emit(report: Report, args, *dump) -> int:
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_sznagy(args) -> int:
-    problem = load_problem(args.input)
-    t, s = resolve_pair(problem)
-    code = _emit(check_sznagy(t, _params(args), recipe=problem.recipe), args)
+def _cmd_sznagy(args, params: CheckParams, problem, t, s) -> int:
+    code = _emit(check_sznagy(t, params, recipe=problem.recipe), args)
     # warned once the report is written, so an exit-2 run writes its error line alone
     if problem.S is not None:
         print("warning: 'S' present in input is ignored by the single-map suite",
@@ -135,16 +142,9 @@ def _cmd_sznagy(args) -> int:
     return code
 
 
-def _cmd_ando(args) -> int:
-    problem = load_problem(args.input)
-    t, s = resolve_pair(problem)
+def _cmd_ando(args, params: CheckParams, problem, t, s) -> int:
     if s is None:
         raise ProblemError("the two-map suite needs both 'T' and 'S' (or a recipe)")
-    if args.dump_operators is not None and args.out is None:
-        raise ProblemError("--dump-operators needs --out to name the dump file")
-    if args.dump_operators is not None and args.dump_operators < 0:
-        raise ProblemError("--dump-operators level must be >= 0")
-    params = _params(args)
     ops = ando(t, s)
     k = args.dump_operators
     truncations = None
@@ -173,11 +173,13 @@ def _cmd_gen(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "sznagy":
-            return _cmd_sznagy(args)
-        if args.command == "ando":
-            return _cmd_ando(args)
-        return _cmd_gen(args)
+        if args.command == "gen":
+            return _cmd_gen(args)
+        # the one front door of both audits: flags first, then the input, read once
+        params = _params(args)
+        problem = load_problem(args.input)
+        command = _cmd_sznagy if args.command == "sznagy" else _cmd_ando
+        return command(args, params, problem, *resolve_pair(problem))
     except (ProblemError, InvalidRecipe, ScalarTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

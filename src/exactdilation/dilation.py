@@ -253,23 +253,24 @@ def _head_surgery(m: Mat, b: Batch, shift: int) -> Batch:
 
 
 @lru_cache(maxsize=2)  # a fixed size: the groups of one truncation level, which later levels repeat
-def _group_product(vmat: Mat, xs: tuple, width: int) -> tuple:
-    """vmat applied to one 4-block group of width-``width`` blocks: ``xs`` holds its
-    four blocks, None for a zero one, and the result the nonzero output blocks as
-    ``(k, block)`` pairs, k in 0..3.
+def _group_product(vmat: Mat, xs: tuple) -> tuple:
+    """vmat applied to one 4-block group: ``xs`` holds its four blocks, None for a
+    zero one and at least one present, and the result the nonzero output blocks
+    as ``(k, block)`` pairs, k in 0..3, as wide as the present blocks.
 
     The present blocks enter one integer product over the lcm of their
     denominators, each scaled inside the product.  Only output blocks with a
     nonzero integer grid are brought to canonical form, and over GF(p) one
     that vanishes mod p is dropped after it.  The result depends on the values
     of the arguments alone, so one product serves every equal group while it
-    stays in the cache.
+    stays in the cache; the width is read off the blocks, so it is no part of
+    the key.
     """
-    d, den = vmat.rows // 4, lcm(*(x.den for x in xs if x is not None))
+    present = [(k, x) for k, x in enumerate(xs) if x is not None]
+    d, den, width = vmat.rows // 4, lcm(*(x.den for _, x in present)), present[0][1].cols
     acc = [[0] * width for _ in range(4 * d)]
-    for k, x in enumerate(xs):
-        if x is not None:
-            int_product(vmat, x.ints, width, acc, k * d, den // x.den)
+    for k, x in present:
+        int_product(vmat, x.ints, width, acc, k * d, den // x.den)
     ys = [(k, Mat.from_ints(vmat.field, d, width, acc[k * d:(k + 1) * d], den * vmat.den))
           for k in range(4) if any(map(any, acc[k * d:(k + 1) * d]))]
     return tuple((k, y) for k, y in ys if not y.is_zero())
@@ -281,7 +282,7 @@ def _block_exchange(vmat: Mat, b: Batch) -> Batch:
     blocks = {0: b.blocks[0]} if 0 in b.blocks else {}
     for g in dict.fromkeys((n - 1) // 4 for n in b.blocks if n):
         xs = tuple(b.blocks.get(n) for n in range(4 * g + 1, 4 * g + 5))
-        blocks.update((4 * g + 1 + k, y) for k, y in _group_product(vmat, xs, b.width))
+        blocks.update((4 * g + 1 + k, y) for k, y in _group_product(vmat, xs))
     return Batch(b.field, b.dim, b.width, blocks)
 
 

@@ -160,9 +160,8 @@ def _trial_vectors(field: FieldSpec, d: int, params: CheckParams) -> Mat:
     return hstack(identity(field, d), trials)
 
 
-def _meta(kind: str, field: FieldSpec, d: int, params: CheckParams,
-          recipe: Optional[PairRecipe]) -> dict:
-    return {"kind": kind, "field": field.to_dict(), "dim": d,
+def _meta(kind: str, ops, params: CheckParams, recipe: Optional[PairRecipe]) -> dict:
+    return {"kind": kind, "field": ops.field.to_dict(), "dim": ops.d,
             "params": params.to_dict(),
             "recipe": recipe.to_dict() if recipe is not None else None}
 
@@ -173,11 +172,12 @@ def _column_text(m: Mat, j: int, rows=None) -> list:
     return [text for (text,) in m.field.fmt_ints([(m.ints[i][j],) for i in rows], m.den)]
 
 
-def _dilation_record(name: str, tag: str, ops, t: Mat, w: Batch, tx: Mat, x: Mat,
+def _dilation_record(name: str, tag: str, ops, w: Batch, tx: Mat, x: Mat,
                      params: CheckParams) -> CheckRecord:
-    """Step ``w`` by the operator ``tag`` and its expected coordinate 0, ``tx``, by
-    ``t``, ``max_power`` times, comparing the two in integer form at every step;
-    the record carries the failure of the first trial vector that has one.
+    """Step ``w`` by the operator ``tag`` of ``ops`` and its expected coordinate 0,
+    ``tx``, by ``ops.T``, ``max_power`` times, comparing the two in integer form at
+    every step; the record carries the failure of the first trial vector that has
+    one.  Both sides read T off the one ``ops``, so no caller hands in a second T.
 
     ``x`` is the matrix of the ``k`` trial vectors.  A ``w`` wider than ``x``
     holds ``V^m X`` for m = 0, 1, ... side by side: column ``c`` is trial
@@ -186,10 +186,10 @@ def _dilation_record(name: str, tag: str, ops, t: Mat, w: Batch, tx: Mat, x: Mat
     first failing n: the first failure a vector-by-vector loop over m, then n,
     with early exit would meet.
 
-    ``t @ tx`` is asked of ``_times``, where the action's head surgery has just
+    ``T @ tx`` is asked of ``_times``, where the action's head surgery has just
     put its own ``T x0``; ``_bivariate_record`` does the same for V's ``S x0``.
     That shares a product and checks nothing less: the product is a pure
-    function of the operands' values, so a hit is the value ``t @ tx`` has,
+    function of the operands' values, so a hit is the value ``T @ tx`` has,
     and an action that goes wrong (a bumped T, a wrong head block) has
     multiplied other operands, so the record makes its own product.
     """
@@ -197,7 +197,7 @@ def _dilation_record(name: str, tag: str, ops, t: Mat, w: Batch, tx: Mat, x: Mat
     first = {}  # column -> (n, expected, actual) at its first failing step
     for n in range(params.max_power + 1):
         if n:
-            w, tx = apply_batch(tag, ops, w), _times(t, tx)
+            w, tx = apply_batch(tag, ops, w), _times(ops.T, tx)
         got = w.blocks.get(0, zero)
         for _, c in _mismatches(got, tx):
             first.setdefault(c, (n, tx, got))
@@ -236,9 +236,9 @@ def check_sznagy(t: Mat, params: CheckParams = CheckParams(),
     x = _trial_vectors(field, d, params)
     b = Batch.of(field, d, x.cols, {0: x})
     top = truncated_matrix("SzNagyU", ops, params.max_trunc)
-    records = [_dilation_record("dilation_equation", "SzNagyU", ops, t, b, x, x, params),
+    records = [_dilation_record("dilation_equation", "SzNagyU", ops, b, x, x, params),
                _injectivity_record("injectivity_u", top, d, params)]
-    return _make_report(_meta("sznagy", field, d, params, recipe), records)
+    return _make_report(_meta("sznagy", ops, params, recipe), records)
 
 
 # -- two-map suite ------------------------------------------------------------------
@@ -256,7 +256,7 @@ def _bivariate_record(ops: AndoOperators, params: CheckParams) -> CheckRecord:
     for _ in range(params.max_power):
         ws.append(apply_batch("V", ops, ws[-1]))
         sxs.append(_times(ops.S, sxs[-1]))
-    return _dilation_record("bivariate_dilation_equation", "U", ops, ops.T, side_by_side(ws),
+    return _dilation_record("bivariate_dilation_equation", "U", ops, side_by_side(ws),
                             hstack(*sxs), x, params)
 
 
@@ -361,7 +361,7 @@ def check_ando(ops: AndoOperators, params: CheckParams = CheckParams(),
         _coherence_record(ops, gens),
         _well_definedness_record(gens),
     ]
-    return _make_report(_meta("ando", ops.field, ops.d, params, recipe), records)
+    return _make_report(_meta("ando", ops, params, recipe), records)
 
 
 def check_negative(t: Mat, s: Mat) -> CheckRecord:

@@ -304,11 +304,6 @@ def test_dump_and_audit_share_one_build_at_any_level(tmp_path, monkeypatch, trun
     assert dump["V"] == mat_to_grid(truncated_matrix("V", ops, level))
 
 
-def test_ando_dump_operators_needs_out(tmp_path):
-    path = write_problem(tmp_path / "p.json", IDENTITY2)
-    assert main(["ando", "--input", path, "--dump-operators", "1"]) == 2
-
-
 def _count_calls(monkeypatch, **owners):
     """Count calls of each named function, wherever a package module binds it."""
     counts = {}
@@ -325,6 +320,30 @@ def _count_calls(monkeypatch, **owners):
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, wrapper)
     return counts
+
+
+@pytest.mark.parametrize("command, flags, fragment", [
+    ("sznagy", ["--trunc", "-1"], "max_trunc must be >= 0"),
+    ("ando", ["--trunc", "-1"], "max_trunc must be >= 0"),
+    ("sznagy", ["--max-power", "0"], "max_power must be >= 1"),
+    ("ando", ["--max-power", "0"], "max_power must be >= 1"),
+    ("sznagy", ["--trials", "0"], "trials must be >= 1"),
+    ("ando", ["--trials", "0"], "trials must be >= 1"),
+    ("ando", ["--out", "{out}", "--dump-operators", "-1"], "level must be >= 0"),
+    ("ando", ["--dump-operators", "1"], "--dump-operators needs --out"),
+], ids=["sznagy-trunc", "ando-trunc", "sznagy-max-power", "ando-max-power", "sznagy-trials",
+        "ando-trials", "ando-dump-level", "ando-dump-without-out"])
+def test_bad_flags_are_refused_before_the_problem_is_read(tmp_path, capsys, monkeypatch,
+                                                          command, flags, fragment):
+    # the front door checks every flag first: a refused run neither reads the
+    # problem file nor generates its pair, and says why in one line
+    path = write_problem(tmp_path / "p.json", RECIPE_GF7)
+    counts = _count_calls(monkeypatch, load_problem=cli_mod, resolve_pair=cli_mod)
+    flags = [f.format(out=tmp_path / "report.json") for f in flags]
+    assert main([command, "--input", path] + flags) == 2
+    _assert_one_error_line(capsys, fragment)
+    assert counts == {"load_problem": 0, "resolve_pair": 0}
+    assert list(tmp_path.iterdir()) == [tmp_path / "p.json"]
 
 
 def test_each_fact_is_computed_once_per_run(tmp_path, monkeypatch):
@@ -345,13 +364,6 @@ def test_each_fact_is_computed_once_per_run(tmp_path, monkeypatch):
     counts.update(dict.fromkeys(counts, 0))
     assert main(["sznagy", "--input", path, "--out", str(out), "--trunc", "5"]) == 0
     assert counts["truncated_matrix"] == 1
-
-
-def test_ando_dump_operators_rejects_negative_level(tmp_path, capsys):
-    path = write_problem(tmp_path / "p.json", IDENTITY2)
-    out = tmp_path / "report.json"
-    assert main(["ando", "--input", path, "--out", str(out), "--dump-operators", "-1"]) == 2
-    assert capsys.readouterr().err.count("\n") == 1
 
 
 ONE_DIM = {"field": {"kind": "rational"}, "dim": 1, "T": [["1"]], "S": [["1"]]}

@@ -43,3 +43,17 @@ def test_counts_code_lines_without_docstrings_comments_or_blanks(tmp_path, capsy
     assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
         ["module", "code", "total"], ["sample.py", "6", total],
         ["code", "lines", "6"], ["total", "lines", total]]
+
+
+# ROADMAP item 7's ceiling.  A feature PR that states a code budget raises it by
+# exactly that budget, and says so in CHANGES.md.
+CODE_LINE_CEILING = 1480
+
+
+def test_package_stays_under_the_code_line_ceiling():
+    tool = _load_code_lines()
+    counts = {path.name: tool.code_lines(path.read_text(encoding="utf-8"))
+              for path in sorted(tool.PACKAGE.glob("*.py"))}
+    total = sum(counts.values())
+    assert total <= CODE_LINE_CEILING, "".join(
+        f"\n{name:<16} {n:>5}" for name, n in {**counts, "code lines": total}.items())

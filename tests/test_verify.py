@@ -12,6 +12,7 @@ from exactdilation.dilation import (
     apply_batch,
     apply_u,
     apply_v,
+    build_generators,
     sznagy,
     sznagy_apply_u,
     truncated_matrix,
@@ -181,6 +182,31 @@ def test_v_coherence_fails_an_exchange_inverse_that_is_not_inverse(field, d):
     assert by_name.pop("v_coherence").counterexample == {
         "which": "v_inv*v", "row": 0, "col": 0, "expected": "1", "actual": "2"}
     assert all(r.passed for r in by_name.values())
+
+
+@pytest.mark.parametrize("field", (RATIONAL, GF7))
+@pytest.mark.parametrize("kind", ("polynomial", "idempotent"))
+def test_v_coherence_fails_every_single_entry_change_of_v(field, kind):
+    # (v + E_ij) G - H is row j of G placed at row i, so the record fails at
+    # v*G in row i when that row of G is nonzero; otherwise v G = H still holds
+    # and v_inv (v + E_ij) - I is column i of v_inv, nonzero, placed at column j
+    seen = set()
+    for d in (1, 2, 3):
+        ops = ando(*gen_pair(PairRecipe(kind, d, field, seed=5)))
+        gens = build_generators(ops.T, ops.S)
+        n = 4 * d
+        for i in range(n):
+            for j in range(n):
+                bump = mat(field, [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+                tampered = AndoOperators(ops.T, ops.S, ops.v + bump, ops.v_inv)
+                cx = verify_mod._coherence_record(tampered, gens).counterexample
+                assert cx is not None, (d, i, j)
+                if any(gens.G.ints[j]):
+                    assert (cx["which"], cx["row"]) == ("v*G", i), (d, i, j, cx)
+                else:
+                    assert (cx["which"], cx["col"]) == ("v_inv*v", j), (d, i, j, cx)
+                seen.add(cx["which"])
+    assert seen == {"v*G", "v_inv*v"}
 
 
 def _windowed_records_per_level(ops, max_trunc):
