@@ -17,12 +17,10 @@ completing both column families to bases (greedy scan, direction selectable).
 Operators act lazily on finite-support sequences, which is exact and total.
 They act on a ``Batch`` of columns, whose coordinate blocks are canonical
 ``Mat``s; one sequence is the width-1 case.  The head surgery multiplies
-coordinate 0 alone and hands the tail blocks on unchanged.  Its product is
-kept by a one-entry cache keyed by the operands' values (``_times``), where
-the dilation records of ``verify`` find it: their expected side multiplies
-the same operands while the action is right.  The block
-exchange makes one integer product per distinct 4-block group, from the
-group's nonzero blocks alone, and builds only its nonzero output blocks.
+coordinate 0 alone and hands the tail blocks on unchanged; ``@`` keeps its
+product (see ``Mat.__matmul__``).  The block exchange makes one integer
+product per distinct 4-block group, from the group's nonzero blocks alone,
+and builds only its nonzero output blocks.
 That product depends on v and the group's blocks alone, so a small
 fixed-size cache keyed by their values (``_group_product``; a ``Mat`` keeps
 its hash) serves every repeat.  Matrices exist only as restrictions to
@@ -233,12 +231,6 @@ def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:
 # -- lazy actions on finite-support sequences -----------------------------------
 
 
-@lru_cache(maxsize=1)  # the dilation records ask for the product the head surgery just made
-def _times(m: Mat, x: Mat) -> Mat:
-    """``m @ x``, kept for the last operands asked: a pure function of their values."""
-    return m @ x
-
-
 def _head_surgery(m: Mat, b: Batch, shift: int) -> Batch:
     """(x_n) -> (M x0, (I-M) x0, then x1, x2, ... moved up by ``shift``), per column.
 
@@ -246,7 +238,7 @@ def _head_surgery(m: Mat, b: Batch, shift: int) -> Batch:
     head = {}
     x0 = b.blocks.get(0)
     if x0 is not None:
-        mx = _times(m, x0)
+        mx = m @ x0
         head = {n: y for n, y in ((0, mx), (1, x0 - mx)) if not y.is_zero()}
     return Batch(b.field, b.dim, b.width,
                  head | {n + shift: x for n, x in b.blocks.items() if n})

@@ -27,13 +27,17 @@ loop over column terms for both was tried and ran 23-35% fewer problems
 per second on the ``ando`` and ``sznagy-deep`` benchmark workloads:
 gathering the column terms of the dense blocks cost twice their products.
 Degenerate shapes (0 x n, n x 0) are legal with the obvious conventions.
-A ``Mat`` keeps its hash once taken; the block exchange keys a cache by it.
+Products are shared where they are made: ``@`` keeps its last two, keyed
+by the operands' values (see ``Mat.__matmul__``), so the dilation records
+find the product the lazy action has just made, and ``ando()``'s
+commutation test the two that ``gen_pair``'s self-check made.  A ``Mat``
+keeps its hash once taken; ``@`` and the block exchange key their memos by it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -154,7 +158,8 @@ class Mat:
 
     @cached_property
     def _hash(self) -> int:
-        """Hashed once: a ``Mat`` is never modified, and the lazy actions key a cache by it."""
+        """Hashed once: a ``Mat`` is never modified, and ``@`` and the block exchange key
+        their memos by it."""
         return hash((self.field, self.rows, self.cols, self.den, self.ints))
 
     def __repr__(self) -> str:
@@ -205,7 +210,20 @@ class Mat:
                 for ra, rb in zip(self.ints, other.ints)]
         return Mat.from_ints(self.field, self.rows, self.cols, sums, den)
 
+    @lru_cache(maxsize=2)
     def __matmul__(self, other: "Mat") -> "Mat":
+        """The product, kept for the last two operand pairs asked.
+
+        The memo is keyed by the operands' values: ``hash`` and ``==`` read
+        the canonical integer form, so a hit is exactly the product ``@``
+        would make, whichever equal matrices are asked.  Two entries, not one,
+        so the commutation test ``t @ s == s @ t`` finds both of its products
+        when it is asked again of the same pair.  Every ``@`` hashes both
+        operands, and hashing a matrix built by columns (a truncation) builds
+        its integer grid, so truncations are multiplied by ``column_product``,
+        never by ``@``.  The memo holds its two operand pairs and their
+        results alive.  A mismatch raises each time: errors are not kept.
+        """
         if self.field != other.field:
             raise DimensionMismatch("matrices over different fields")
         if self.cols != other.rows:

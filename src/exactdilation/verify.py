@@ -7,10 +7,7 @@ All comparisons are exact; there is no tolerance anywhere.  The
 dilation-equation records step every trial vector at once, as one
 ``Batch``, and compare its coordinate 0 with the plain matrix products
 ``T^n X`` and ``T^n S^m X`` of the matrix ``X`` of trial vectors; the
-bivariate one steps every ``V^m X`` at once, side by side.  Those products
-are asked of ``dilation._times``, which the head surgery of the action has
-just asked for the same operands while the record passes, so each step makes
-one product, shared by value.
+bivariate one steps every ``V^m X`` at once, side by side.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from .dilation import (
     AndoOperators,
     Generators,
     NotCommuting,
-    _times,
     ando,
     apply_batch,
     build_generators,
@@ -186,18 +182,17 @@ def _dilation_record(name: str, tag: str, ops, w: Batch, tx: Mat, x: Mat,
     first failing n: the first failure a vector-by-vector loop over m, then n,
     with early exit would meet.
 
-    ``T @ tx`` is asked of ``_times``, where the action's head surgery has just
-    put its own ``T x0``; ``_bivariate_record`` does the same for V's ``S x0``.
-    That shares a product and checks nothing less: the product is a pure
-    function of the operands' values, so a hit is the value ``T @ tx`` has,
-    and an action that goes wrong (a bumped T, a wrong head block) has
-    multiplied other operands, so the record makes its own product.
+    While the record passes, ``T @ tx`` is the product the action's head
+    surgery has just made, and ``@`` keeps it; ``_bivariate_record`` shares
+    V's ``S x0`` alike.  That checks nothing less: an action that goes wrong
+    (a bumped T, a wrong head block) has multiplied other operands, so the
+    record makes its own product.
     """
     k, zero = x.cols, zeros(w.field, w.dim, w.width)
     first = {}  # column -> (n, expected, actual) at its first failing step
     for n in range(params.max_power + 1):
         if n:
-            w, tx = apply_batch(tag, ops, w), _times(ops.T, tx)
+            w, tx = apply_batch(tag, ops, w), ops.T @ tx
         got = w.blocks.get(0, zero)
         for _, c in _mismatches(got, tx):
             first.setdefault(c, (n, tx, got))
@@ -255,7 +250,7 @@ def _bivariate_record(ops: AndoOperators, params: CheckParams) -> CheckRecord:
     ws, sxs = [Batch.of(field, d, x.cols, {0: x})], [x]
     for _ in range(params.max_power):
         ws.append(apply_batch("V", ops, ws[-1]))
-        sxs.append(_times(ops.S, sxs[-1]))
+        sxs.append(ops.S @ sxs[-1])
     return _dilation_record("bivariate_dilation_equation", "U", ops, side_by_side(ws),
                             hstack(*sxs), x, params)
 

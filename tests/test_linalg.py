@@ -133,6 +133,44 @@ def test_matmul_matches_oracle(field):
         assert got == want
 
 
+def _copy(m):
+    """A matrix equal to ``m`` but a distinct object, built from its integer form."""
+    return Mat.from_ints(m.field, m.rows, m.cols, m.ints, m.den)
+
+
+@pytest.mark.parametrize("field", (RATIONAL, GF7))
+def test_matmul_memo_is_keyed_by_value(field):
+    # @ keeps its last two products, keyed by the operands' values: over a seeded
+    # run of repeated pairs, swapped operands and equal but distinct copies, each
+    # product is the one an unkept product gives, and the memo hits exactly when
+    # the pair equals one of the last two pairs asked
+    rng, memo = SplitMix64(73), Mat.__matmul__
+    pool = [Mat(field, 2, 2, rand_grid(rng, field, 2, 2)) for _ in range(3)]
+    a, b = pool[0], pool[1]
+    memo.cache_clear()
+    kept = []  # the last two pairs asked, the latest last
+    for _ in range(200):
+        move = rng.below(4)
+        if move == 0:
+            a, b = pool[rng.below(3)], pool[rng.below(3)]
+        elif move == 1:
+            a, b = b, a
+        elif move == 2:
+            a, b = _copy(a), _copy(b)
+        hits = memo.cache_info().hits
+        assert a @ b == memo.__wrapped__(a, b)
+        assert memo.cache_info().hits == hits + ((a, b) in kept)
+        kept = [pair for pair in kept if pair != (a, b)][-1:] + [(a, b)]
+    # a mismatch is never kept: it raises on every repeat
+    other = GF7 if field.is_rational else RATIONAL
+    wide = Mat(field, 2, 3, rand_grid(rng, field, 2, 3))
+    alien = Mat(other, 2, 2, rand_grid(rng, other, 2, 2))
+    for x, y in ((wide, wide), (pool[0], alien), (alien, pool[0])):
+        for _ in range(3):
+            with pytest.raises(DimensionMismatch):
+                x @ y
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_matvec_matches_oracle(field):
     rng = SplitMix64(72)

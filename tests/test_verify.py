@@ -3,6 +3,7 @@ import json
 import pytest
 
 import exactdilation.dilation as dilation_mod
+import exactdilation.linalg as linalg_mod
 import exactdilation.verify as verify_mod
 from exactdilation.dilation import (
     AndoOperators,
@@ -28,7 +29,7 @@ from exactdilation.linalg import (
     matvec,
     zeros,
 )
-from exactdilation.pairs import PairRecipe, gen_pair
+from exactdilation.pairs import PairRecipe, check_commute, gen_pair
 from exactdilation.rng import SplitMix64, rand_column, rand_matrix
 from exactdilation.sequences import Batch, embed, project
 from exactdilation.verify import (
@@ -619,17 +620,27 @@ def test_bivariate_record_applies_u_and_v_max_power_times(max_power, monkeypatch
 
 @pytest.mark.parametrize("field", (RATIONAL, GF7))
 def test_each_dilation_step_makes_one_product(field, monkeypatch):
-    # the head surgery makes T x0 (S x0 inside V) and the record's expected side
-    # asks for the same operands, so each step makes one product; check_sznagy
-    # makes one more, for coordinate 0 of its truncation
+    # a real product is an int_product call of @, which passes no acc.  gen_pair's
+    # self-check leaves TS and ST in @'s memo, so commuting the pair again makes
+    # none.  The head surgery makes T x0 (S x0 inside V) and the record's expected
+    # side asks @ for the same operands, so each step makes one product;
+    # check_sznagy makes one more, for coordinate 0 of its truncation
+    products, real = [], linalg_mod.int_product
+
+    def counted(a, b, width, acc=None, *rest):
+        if acc is None:
+            products.append(a)
+        return real(a, b, width, acc, *rest)
+
+    monkeypatch.setattr(linalg_mod, "int_product", counted)
     t, s = gen_pair(PairRecipe("polynomial", 3, field, seed=2))
+    products.clear()
+    assert check_commute(t, s) and products == []
     params = CheckParams(max_power=5, max_trunc=2, trials=2)
     ops = ando(t, s)
-    products, matmul = [], Mat.__matmul__
-    monkeypatch.setattr(Mat, "__matmul__", lambda a, b: products.append(a) or matmul(a, b))
     for audit, count in ((lambda: check_sznagy(t, params), 6),
                          (lambda: verify_mod._bivariate_record(ops, params), 10)):
-        dilation_mod._times.cache_clear()
+        Mat.__matmul__.cache_clear()
         products.clear()
         assert audit().passed
         assert len(products) == count
