@@ -7,7 +7,8 @@ recipe, an output scalar past Python's int-to-text digit limit, when nothing
 is written, and a destination that cannot be written), 3 non-commuting
 input.  ``sznagy`` and ``ando`` refuse a bad flag (exit 2, one stderr line)
 before they read the problem file or generate its pair.  Reports are
-byte-identical across runs on the same input and flags.
+byte-identical across runs on the same input and flags.  The ``exactdilation``
+script and ``python -m exactdilation`` both call ``main``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .pairs import RECIPE_KINDS, InvalidRecipe, PairRecipe, gen_pair
 from .problems import ProblemError, load_problem, mat_to_grid, problem_to_dict, resolve_pair
 from .verify import CheckParams, Report, check_ando, check_sznagy
 
-__all__ = ["main", "entry"]
+__all__ = ["main"]
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -186,7 +187,3 @@ def main(argv=None) -> int:
     except NotCommuting as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_COMMUTING
-
-
-def entry():  # console-script hook
-    raise SystemExit(main())

@@ -164,18 +164,20 @@ def build_generators(t: Mat, s: Mat) -> Generators:
     return Generators(g, h)
 
 
-def _exchange(src: Mat, dst: Mat, pivots: list, lead: list, kept: list,
-              dst_kept: list) -> Mat:
+def _exchange(src: Mat, dst: Mat, pivots: list, leads: set, dst_leads: set) -> Mat:
     """The map sending the columns P = ``pivots`` of ``src`` to those of ``dst``, and
-    the unit vectors ``kept`` to ``dst_kept``, pairwise.
+    the unit vectors kept off ``leads`` to those kept off ``dst_leads``, pairwise in
+    ascending order.  Either scan lists both families' kept unit vectors in one order,
+    so the ascending pairing is the scan's: the scan enters only through the leads.
 
-    With L = ``lead`` the other coordinates, ascending, A = src[L, P] is r x r and
-    invertible, and x = src[:, P] a + E_kept b has a = A^-1 x[L] and
-    b = x[kept] - src[kept, P] a.  So the map is
-    (dst[:, P] - E_dst_kept src[kept, P]) A^-1 on the coordinates L, plus the
-    unit moves kept[i] -> dst_kept[i].
+    With L = ``leads`` ascending, A = src[L, P] is r x r and invertible, and
+    x = src[:, P] a + E_kept b has a = A^-1 x[L] and b = x[kept] - src[kept, P] a.
+    So the map is (dst[:, P] - E_dst_kept src[kept, P]) A^-1 on the coordinates L,
+    plus the unit moves kept[i] -> dst_kept[i].
     """
     field, n = src.field, src.rows
+    lead = sorted(leads)
+    kept, dst_kept = ([i for i in range(n) if i not in ls] for ls in (leads, dst_leads))
     den = lcm(src.den, dst.den)
     s_src, s_dst = den // src.den, den // dst.den
     m = [[s_dst * dst.ints[i][j] for j in pivots] for i in range(n)]
@@ -207,12 +209,8 @@ def build_v(gens: Generators, completion: str = "forward") -> tuple[Mat, Mat]:
     (pivots, g_leads), (h_pivots, h_leads) = _span(gens.G, forward), _span(gens.H, forward)
     if pivots != h_pivots:
         raise ExtensionFailure("the generators have different pivot columns")
-    # either scan lists both families' kept unit vectors in one order, so the
-    # ascending pairing is the scan's: the scan enters only through the leads
-    g_kept, h_kept = ([i for i in range(gens.G.rows) if i not in leads]
-                      for leads in (g_leads, h_leads))
-    return (_exchange(gens.G, gens.H, pivots, sorted(g_leads), g_kept, h_kept),
-            _exchange(gens.H, gens.G, pivots, sorted(h_leads), h_kept, g_kept))
+    return (_exchange(gens.G, gens.H, pivots, g_leads, h_leads),
+            _exchange(gens.H, gens.G, pivots, h_leads, g_leads))
 
 
 def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:

@@ -104,7 +104,7 @@ def _rand_invertible(rng: SplitMix64, field: FieldSpec, d: int, height: int) -> 
             return m, inverse(m)
         except Singular:
             pass
-    raise InvalidRecipe("could not draw an invertible matrix")  # pragma: no cover
+    raise InvalidRecipe("could not draw an invertible matrix")
 
 
 def gen_pair(recipe: PairRecipe) -> tuple[Mat, Mat]:

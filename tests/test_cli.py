@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -474,15 +475,20 @@ def test_text_renderer_failure_lines():
     assert rendered.rstrip().endswith("overall: FAIL")
 
 
-def test_module_invocation(tmp_path):
-    import sys
-
+def test_module_invocation(tmp_path, monkeypatch):
+    # python -m exactdilation, in a subprocess and then in this process, where
+    # __main__ hands cli.main's exit code to SystemExit
+    argv = ["gen", "--kind", "diagonal", "--dim", "2", "--seed", "3", "--out"]
     out = tmp_path / "m.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "exactdilation", "gen", "--kind", "diagonal",
-         "--dim", "2", "--seed", "3", "--out", str(out)],
-        capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "exactdilation", *argv, str(out)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["dim"] == 2
+    out = tmp_path / "in_process.json"
+    monkeypatch.setattr(sys, "argv", ["exactdilation", *argv, str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("exactdilation", run_name="__main__")
+    assert exit_info.value.code == 0
     assert json.loads(out.read_text(encoding="utf-8"))["dim"] == 2
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -46,8 +47,9 @@ from exactdilation.linalg import (
     rref,
     vstack,
     zeros,
+    _span,
 )
-from exactdilation.pairs import PairRecipe, gen_pair
+from exactdilation.pairs import RECIPE_KINDS, PairRecipe, gen_pair
 from exactdilation.rng import SplitMix64, rand_column, rand_matrix
 from exactdilation.sequences import (
     Batch,
@@ -58,6 +60,7 @@ from exactdilation.sequences import (
     to_coords,
     zero_fsvec,
 )
+from exactdilation.verify import CheckParams, check_ando
 
 from oracles import (
     col_to_plain,
@@ -342,6 +345,42 @@ def test_build_v_is_the_plain_change_of_basis(field, completion, kind, d, seed):
         v, v_inv = build_v(gens, completion=completion)
         assert v == target @ inverse(source)
         assert v_inv == inverse(v)
+
+
+def _mod(m, p):
+    """The reduction mod p of a Q matrix whose denominator p does not divide."""
+    return Mat.from_ints(gf(p), m.rows, m.cols, m.ints, m.den)
+
+
+def test_reduction_mod_p_commutes_with_the_construction():
+    # metamorphic relation: where p divides no denominator of T, S, v or v_inv and
+    # G and H span alike mod p, building over GF(p) and reducing the Q build agree
+    params = CheckParams(max_power=2, max_trunc=1, trials=2)
+    in_scope = 0
+    for kind, d, seed in itertools.product(RECIPE_KINDS, (1, 2, 3), range(3)):
+        t, s = gen_pair(PairRecipe(kind, d, RATIONAL, seed=seed))
+        ops, gens = ando(t, s), build_generators(t, s)
+        tops = tuple(truncated_matrix(tag, ops, 2) for tag in "UV")
+        for p in (3, 7, 101):
+            if any(m.den % p == 0 for m in (t, s, ops.v, ops.v_inv)):
+                continue
+            t_p, s_p = _mod(t, p), _mod(s, p)
+            gens_p = build_generators(t_p, s_p)
+            if any(_span(m, True) != _span(m_p, True)
+                   for m, m_p in ((gens.G, gens_p.G), (gens.H, gens_p.H))):
+                continue
+            in_scope += 1
+            ops_p = ando(t_p, s_p)
+            assert (ops_p.v, ops_p.v_inv) == (_mod(ops.v, p), _mod(ops.v_inv, p))
+            tops_p = tuple(truncated_matrix(tag, ops_p, 2) for tag in "UV")
+            assert tops_p == tuple(_mod(m, p) for m in tops)
+            reports = (check_ando(ops, params, truncations=tops),
+                       check_ando(ops_p, params, truncations=tops_p))
+            assert all(r.passed for r in reports)
+            ranks = [[c.params for c in r.checks if c.name.startswith("injectivity")]
+                     for r in reports]
+            assert ranks[0] == ranks[1]
+    assert in_scope >= 60
 
 
 def test_build_v_rejects_different_pivot_columns():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import exactdilation.pairs as pairs_mod
+from exactdilation.cli import main
 from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import (
     DimensionMismatch,
@@ -214,9 +215,13 @@ def test_polynomials_in_one_matrix_commute():
     assert matrix_polynomial(a, [0, 1]) == a
 
 
-def test_commutation_check_survives_python_O(tmp_path):
+def test_commutation_check_survives_python_O(tmp_path, monkeypatch):
     # gen_pair's own check that the pair commutes must not be an assert,
-    # which python -O strips
+    # which python -O strips; the same patched draw, first in this process
+    draws = iter([mat(RATIONAL, [[0, 1], [0, 0]]), mat(RATIONAL, [[0, 0], [1, 0]])])
+    monkeypatch.setattr(pairs_mod, "matrix_polynomial", lambda a, coeffs: next(draws))
+    with pytest.raises(AssertionError, match="generated pair fails to commute"):
+        gen_pair(PairRecipe("polynomial", 2, RATIONAL, seed=1))
     script = tmp_path / "noncommuting_generator.py"
     script.write_text(
         "import exactdilation.pairs as pairs\n"
@@ -237,6 +242,25 @@ def test_commutation_check_survives_python_O(tmp_path):
     proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_idempotent_recipe_gives_up_after_singular_draws(monkeypatch, capsys):
+    # with only singular draws the invertible-matrix search ends in an invalid
+    # recipe, from gen_pair and as one error line and exit 2 from gen
+    draws = []
+
+    def singular(rng, field, d, height=5):
+        draws.append(d)
+        return zeros(field, d, d)
+
+    monkeypatch.setattr(pairs_mod, "rand_matrix", singular)
+    with pytest.raises(InvalidRecipe, match="could not draw an invertible matrix"):
+        gen_pair(PairRecipe("idempotent", 2, RATIONAL, seed=1))
+    assert draws == [2] * 1000
+    assert main(["gen", "--kind", "idempotent", "--dim", "2", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: could not draw an invertible matrix\n"
 
 
 def test_invalid_recipes():
