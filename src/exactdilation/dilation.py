@@ -15,12 +15,14 @@ of the generator columns ((I-T)S e_i, 0, (I-S) e_i, 0) -- it must send them to
 completing both column families to bases (greedy scan, direction selectable).
 
 Operators act lazily on finite-support sequences, which is exact and total.
-They act on a ``Batch`` of columns, whose coordinate blocks are canonical
-``Mat``s; one sequence is the width-1 case.  The head surgery multiplies
-coordinate 0 alone and hands the tail blocks on unchanged; ``@`` keeps its
-product (see ``Mat.__matmul__``).  The block exchange makes one integer
-product per distinct 4-block group, from the group's nonzero blocks alone,
-and builds only its nonzero output blocks.
+The seven public functions (``apply_u`` .. ``sznagy_apply_u``) are the actions
+themselves, each written once; ``apply_batch`` looks one up by its tag, and the
+audit's applications go through it.  They act on a ``Batch`` of columns,
+whose coordinate blocks are canonical ``Mat``s; one sequence is the width-1
+case.  The head surgery multiplies coordinate 0 alone and hands the tail
+blocks on unchanged; ``@`` keeps its product (see ``Mat.__matmul__``).  The
+block exchange makes one integer product per distinct 4-block group, from
+the group's nonzero blocks alone, and builds only its nonzero output blocks.
 That product depends on v and the group's blocks alone, so a small
 fixed-size cache keyed by their values (``_group_product``; a ``Mat`` keeps
 its hash) serves every repeat.  Matrices exist only as restrictions to
@@ -276,67 +278,66 @@ def _block_exchange(vmat: Mat, b: Batch) -> Batch:
     return Batch(b.field, b.dim, b.width, blocks)
 
 
-# each operator as an action on a batch: U = W after W1, V = W2 after W^-1
-_ACTIONS = {
-    "U": lambda ops, b: _block_exchange(ops.v, _head_surgery(ops.T, b, 2)),
-    "V": lambda ops, b: _head_surgery(ops.S, _block_exchange(ops.v_inv, b), 2),
-    "W1": lambda ops, b: _head_surgery(ops.T, b, 2),
-    "W2": lambda ops, b: _head_surgery(ops.S, b, 2),
-    "W": lambda ops, b: _block_exchange(ops.v, b),
-    "Winv": lambda ops, b: _block_exchange(ops.v_inv, b),
-    "SzNagyU": lambda ops, b: _head_surgery(ops.T, b, 1),
-}
+def _operator(ops, kind: type, name: str, b: Batch) -> Mat:
+    """``ops.<name>``, once ``ops`` is a ``kind`` and ``b`` lies in the space it acts on.
+    Every action asks here before it reads an operand, so the wrong operator tuple
+    is a TypeError, never an AttributeError."""
+    if not isinstance(ops, kind):
+        raise TypeError(f"{name} is read off {kind.__name__}, not {type(ops).__name__}")
+    if b.dim != ops.d or b.field != ops.field:
+        raise DimensionMismatch(f"sequence over {b.field.label()}^{b.dim} fed to operators on "
+                                f"{ops.field.label()}^{ops.d}")
+    return getattr(ops, name)
+
+
+def sznagy_apply_u(ops: SzNagyOperators, w: Batch) -> Batch:
+    """(x_n) -> (T x0, (I-T) x0, x1, x2, ...)."""
+    return _head_surgery(_operator(ops, SzNagyOperators, "T", w), w, 1)
+
+
+def apply_w1(ops: AndoOperators, w: Batch) -> Batch:
+    """(x_n) -> (T x0, (I-T) x0, 0, x1, x2, ...)."""
+    return _head_surgery(_operator(ops, AndoOperators, "T", w), w, 2)
+
+
+def apply_w2(ops: AndoOperators, w: Batch) -> Batch:
+    """(x_n) -> (S x0, (I-S) x0, 0, x1, x2, ...)."""
+    return _head_surgery(_operator(ops, AndoOperators, "S", w), w, 2)
+
+
+def apply_w(ops: AndoOperators, w: Batch) -> Batch:
+    """v on each 4-block of coordinates past the head."""
+    return _block_exchange(_operator(ops, AndoOperators, "v", w), w)
+
+
+def apply_w_inv(ops: AndoOperators, w: Batch) -> Batch:
+    """v_inv on each 4-block of coordinates past the head."""
+    return _block_exchange(_operator(ops, AndoOperators, "v_inv", w), w)
+
+
+def apply_u(ops: AndoOperators, w: Batch) -> Batch:
+    """U = W after W1."""
+    return apply_w(ops, apply_w1(ops, w))
+
+
+def apply_v(ops: AndoOperators, w: Batch) -> Batch:
+    """V = W2 after the inverse of W."""
+    return apply_w2(ops, apply_w_inv(ops, w))
+
+
+# the operator of each tag is its public action, so every caller runs one definition
+_ACTIONS = {"U": apply_u, "V": apply_v, "W1": apply_w1, "W2": apply_w2, "W": apply_w,
+            "Winv": apply_w_inv, "SzNagyU": sznagy_apply_u}
 
 OPERATOR_TAGS = tuple(_ACTIONS)
 
 
 def apply_batch(tag: str, ops, b: Batch) -> Batch:
-    """The operator named ``tag`` (one of ``OPERATOR_TAGS``) applied to every column of ``b``;
-    every operator application goes through here."""
+    """The operator named ``tag`` (one of ``OPERATOR_TAGS``) applied to every column of ``b``.
+    The audit's applications go through here; the public functions are the actions."""
     if tag not in _ACTIONS:
         raise ValueError(f"unknown operator tag {tag!r}")
-    kind = SzNagyOperators if tag == "SzNagyU" else AndoOperators
-    if not isinstance(ops, kind):
-        raise TypeError(f"tag {tag!r} needs {kind.__name__}")
-    if b.dim != ops.d or b.field != ops.field:
-        raise DimensionMismatch(f"sequence over {b.field.label()}^{b.dim} fed to operators on "
-                                f"{ops.field.label()}^{ops.d}")
     return _ACTIONS[tag](ops, b)
-
-
-def sznagy_apply_u(ops: SzNagyOperators, w: Batch) -> Batch:
-    """(x_n) -> (T x0, (I-T) x0, x1, x2, ...)."""
-    return apply_batch("SzNagyU", ops, w)
-
-
-def apply_w1(ops: AndoOperators, w: Batch) -> Batch:
-    """(x_n) -> (T x0, (I-T) x0, 0, x1, x2, ...)."""
-    return apply_batch("W1", ops, w)
-
-
-def apply_w2(ops: AndoOperators, w: Batch) -> Batch:
-    """(x_n) -> (S x0, (I-S) x0, 0, x1, x2, ...)."""
-    return apply_batch("W2", ops, w)
-
-
-def apply_w(ops: AndoOperators, w: Batch) -> Batch:
-    """v on each 4-block of coordinates past the head."""
-    return apply_batch("W", ops, w)
-
-
-def apply_w_inv(ops: AndoOperators, w: Batch) -> Batch:
-    """v_inv on each 4-block of coordinates past the head."""
-    return apply_batch("Winv", ops, w)
-
-
-def apply_u(ops: AndoOperators, w: Batch) -> Batch:
-    """U = W after W1."""
-    return apply_batch("U", ops, w)
-
-
-def apply_v(ops: AndoOperators, w: Batch) -> Batch:
-    """V = W2 after the inverse of W."""
-    return apply_batch("V", ops, w)
 
 
 # -- truncated matrix realizations ------------------------------------------------

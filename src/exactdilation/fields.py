@@ -130,8 +130,7 @@ class FieldSpec(Record):
         if p is None:
             return tuple([tuple([Fraction(x, den) if x else _ZERO for x in row])
                           for row in ints])
-        s = pow(den, -1, p)
-        return tuple([tuple([x * s % p for x in row]) for row in ints])
+        return self.reduce_ints(ints, den)[0]
 
     def reduce_ints(self, rows, den: int) -> tuple:
         """The canonical form ``(int row tuples, den)`` of the grid ``rows / den``,

@@ -205,6 +205,26 @@ def test_every_action_rejects_wrong_dimension_or_field(tag):
                                   1: embed(GF7, (1, 1)).blocks[0]})
 
 
+@pytest.mark.parametrize("tag", OPERATOR_TAGS)
+def test_the_action_table_holds_the_public_actions(tag):
+    # one definition per operator: the audit, truncated_matrix and callers of the
+    # public names all run the same function
+    assert dilation_mod._ACTIONS[tag] is SINGLE_ACTIONS[tag]
+
+
+@pytest.mark.parametrize("tag", OPERATOR_TAGS)
+def test_every_action_refuses_the_other_kind_before_reading_it(tag):
+    # the kind is checked before any operand is read, so the wrong tuple is a
+    # TypeError through either entry, never an AttributeError
+    sops, ops = sznagy(identity(RATIONAL, 2)), _ando_identity(RATIONAL, 2)
+    wrong = ops if tag == "SzNagyU" else sops
+    for w in (embed(RATIONAL, (1, 2)), fsvec(RATIONAL, 2, {3: (1, 0), 6: (0, 1)})):
+        with pytest.raises(TypeError):
+            SINGLE_ACTIONS[tag](wrong, w)
+        with pytest.raises(TypeError):
+            apply_batch(tag, wrong, w)
+
+
 # -- generators --------------------------------------------------------------------------
 
 

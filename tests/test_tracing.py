@@ -54,6 +54,11 @@ def test_tracer_finds_every_layer_and_traces_one_call(tmp_path):
     assert agg["cli.calls"] == 1 and agg["verify.calls"] == 1
     assert agg["dilation.truncated_matrix.calls"] == 2
     assert agg["linalg.matmul.calls"] > 0 and agg["linalg.matmul_madds"] > 0
-    assert agg["dilation.apply.calls"] == 1
-    assert agg["dilation.support_max"] == image.max_support() > 0
+    # the action table holds the public actions, so the tracer sees the audit's
+    # applications too: 1 direct call, U and V on each of levels 0..2 of the one
+    # build that serves the audit (read at trunc + 1 = 2) and the level-1 dump,
+    # and 2 steps each of U and V in the bivariate record; the audit's highest
+    # coordinate is 10
+    assert agg["dilation.apply.calls"] == 11
+    assert agg["dilation.support_max"] == 10 > image.max_support() > 0
     assert agg["fields.v_max_bits"] > 0

@@ -11,11 +11,8 @@ from exactdilation.dilation import (
     NotCommuting,
     ando,
     apply_batch,
-    apply_u,
-    apply_v,
     build_generators,
     sznagy,
-    sznagy_apply_u,
     truncated_matrix,
 )
 from exactdilation.fields import RATIONAL, FieldSpec, gf
@@ -372,7 +369,8 @@ def test_trial_vectors_are_the_basis_then_random_columns_in_draw_order(field):
 
 def _per_vector_dilation_records(ops, sops, params):
     """Reference for the two dilation-equation records: each trial vector on
-    its own, one lazy application per step, stopping at the first failure."""
+    its own, one lazy application per step, stopping at the first failure.
+    Each step goes through ``apply_batch``, so ``_bump_actions`` bumps it too."""
     field = ops.field
     n_max = params.max_power
     x_mat = _trial_vectors(field, ops.d, params)
@@ -382,11 +380,11 @@ def _per_vector_dilation_records(ops, sops, params):
         wv, sx = embed(field, x), x
         for m in range(n_max + 1):
             if m:
-                wv, sx = apply_v(ops, wv), matvec(ops.S, sx)
+                wv, sx = apply_batch("V", ops, wv), matvec(ops.S, sx)
             w, tx = wv, sx
             for n in range(n_max + 1):
                 if n:
-                    w, tx = apply_u(ops, w), matvec(ops.T, tx)
+                    w, tx = apply_batch("U", ops, w), matvec(ops.T, tx)
                 if project(w) != tx:
                     bivariate = {"n": n, "m": m, "x": [str(a) for a in x],
                                  "expected": [str(a) for a in tx],
@@ -406,7 +404,7 @@ def _per_vector_dilation_records(ops, sops, params):
                           "actual": [str(a) for a in project(w)]}
                 break
             if n < n_max:
-                w, tx = sznagy_apply_u(sops, w), matvec(sops.T, tx)
+                w, tx = apply_batch("SzNagyU", sops, w), matvec(sops.T, tx)
         if single:
             break
     return bivariate, single
