@@ -218,7 +218,9 @@ def build_v(gens: Generators, completion: str = "forward") -> tuple[Mat, Mat]:
 def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:
     """Build the two-map dilation; rejects non-commuting input up front.
 
-    It only refuses and builds: ``v G = H`` and ``v_inv v = I`` are left to the
+    This is the package's one refusal of a pair that does not commute; the
+    self-check in ``gen_pair`` guards that generator, not this input.  It only
+    refuses and builds: ``v G = H`` and ``v_inv v = I`` are left to the
     ``v_coherence`` record of every two-map report, the one place either is
     checked.
     """

@@ -8,6 +8,9 @@ dilation-equation records step every trial vector at once, as one
 ``Batch``, and compare its coordinate 0 with the plain matrix products
 ``T^n X`` and ``T^n S^m X`` of the matrix ``X`` of trial vectors; the
 bivariate one steps every ``V^m X`` at once, side by side.
+
+The audit takes operators, built or tampered, and never calls ``ando()``:
+refusing a pair that does not commute is the builder's job, done once there.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from ._record import Record
 from .dilation import (
     AndoOperators,
     Generators,
-    NotCommuting,
-    ando,
     apply_batch,
     build_generators,
     level_shape,
@@ -39,12 +40,12 @@ from .linalg import (
     kernel_basis,
     zeros,
 )
-from .pairs import PairRecipe, check_commute
+from .pairs import PairRecipe
 from .rng import SplitMix64, rand_ints
 from .sequences import Batch, side_by_side
 
 __all__ = ["CheckParams", "CheckRecord", "Report", "check_sznagy", "check_ando",
-           "check_negative", "report_from_json"]
+           "report_from_json"]
 
 
 class CheckParams(Record):
@@ -358,14 +359,3 @@ def check_ando(ops: AndoOperators, params: CheckParams = CheckParams(),
     ]
     return _make_report(_meta("ando", ops, params, recipe), records)
 
-
-def check_negative(t: Mat, s: Mat) -> CheckRecord:
-    """Contrapositive probe: a non-commuting pair must be rejected up front."""
-    if check_commute(t, s):
-        return CheckRecord("noncommuting_rejection", {"commutes": True, "skipped": True})
-    try:
-        ando(t, s)
-    except NotCommuting:
-        return CheckRecord("noncommuting_rejection", {"commutes": False, "skipped": False})
-    return CheckRecord("noncommuting_rejection", {"commutes": False, "skipped": False},
-                       {"error": "builder accepted a non-commuting pair"})

@@ -37,7 +37,6 @@ from exactdilation.verify import (
     _trial_vectors,
     _well_definedness_record,
     check_ando,
-    check_negative,
     check_sznagy,
     report_from_json,
 )
@@ -491,61 +490,6 @@ def test_well_definedness_record_counterexamples():
 def test_extension_strategy_flag():
     report = check_ando(ando(JORDAN, JORDAN @ JORDAN, completion="reverse"), FAST)
     assert report.passed
-
-
-# -- negative probe ---------------------------------------------------------------------
-
-
-def test_negative_record_on_noncommuting_pair():
-    t = mat(RATIONAL, [[0, 1], [0, 0]])
-    s = mat(RATIONAL, [[0, 0], [1, 0]])
-    rec = check_negative(t, s)
-    assert rec.passed
-    assert rec.params == {"commutes": False, "skipped": False}
-
-
-def test_negative_record_skips_commuting_pair():
-    rec = check_negative(identity(RATIONAL, 2), identity(RATIONAL, 2))
-    assert rec.passed
-    assert rec.params == {"commutes": True, "skipped": True}
-
-
-def test_negative_record_fails_when_the_builder_accepts_a_noncommuting_pair(monkeypatch):
-    monkeypatch.setattr(verify_mod, "ando", lambda t, s: None)
-    t = mat(RATIONAL, [[0, 1], [0, 0]])
-    s = mat(RATIONAL, [[0, 0], [1, 0]])
-    rec = check_negative(t, s)
-    assert not rec.passed
-    assert rec.params == {"commutes": False, "skipped": False}
-    assert rec.counterexample == {"error": "builder accepted a non-commuting pair"}
-
-
-def test_negative_probe_never_reaches_construction(monkeypatch):
-    def explode(*args, **kwargs):
-        raise RuntimeError("construction must not run on non-commuting input")
-
-    monkeypatch.setattr(dilation_mod, "build_v", explode)
-    monkeypatch.setattr(dilation_mod, "build_generators", explode)
-    t = mat(RATIONAL, [[0, 1], [0, 0]])
-    s = mat(RATIONAL, [[0, 0], [1, 0]])
-    rec = check_negative(t, s)  # would raise RuntimeError if construction started
-    assert rec.passed
-
-
-def test_negative_records_from_rejection_sampling():
-    from exactdilation.rng import SplitMix64, rand_column, rand_matrix
-
-    rng = SplitMix64(1312)
-    found = 0
-    while found < 5:
-        t = rand_matrix(rng, RATIONAL, 3)
-        s = rand_matrix(rng, RATIONAL, 3)
-        from exactdilation.pairs import check_commute
-
-        if check_commute(t, s):
-            continue
-        found += 1
-        assert check_negative(t, s).passed
 
 
 def _bivariate_record_per_m(ops, params):
