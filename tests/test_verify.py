@@ -492,6 +492,34 @@ def test_extension_strategy_flag():
     assert report.passed
 
 
+# -- refusal of a non-commuting pair: ando() alone makes it ------------------------------
+
+
+def test_negative_probe_never_reaches_construction(monkeypatch):
+    def explode(*args, **kwargs):
+        raise RuntimeError("construction must not run on non-commuting input")
+
+    monkeypatch.setattr(dilation_mod, "build_v", explode)
+    monkeypatch.setattr(dilation_mod, "build_generators", explode)
+    t = mat(RATIONAL, [[0, 1], [0, 0]])
+    s = mat(RATIONAL, [[0, 0], [1, 0]])
+    with pytest.raises(NotCommuting):  # RuntimeError if construction started
+        ando(t, s)
+
+
+def test_negative_records_from_rejection_sampling():
+    rng = SplitMix64(1312)
+    found = 0
+    while found < 5:
+        t = rand_matrix(rng, RATIONAL, 3)
+        s = rand_matrix(rng, RATIONAL, 3)
+        if check_commute(t, s):
+            continue
+        found += 1
+        with pytest.raises(NotCommuting):
+            ando(t, s)
+
+
 def _bivariate_record_per_m(ops, params):
     """The bivariate record with one pass of U per exponent m: the loop the record
     ran before it laid every V^m X side by side, kept as its oracle.  Each
