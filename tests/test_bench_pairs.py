@@ -4,6 +4,7 @@ no benchmark is run."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -71,33 +72,39 @@ def test_summary_pairs_runs_by_seed_and_compares_medians():
     ([110, 111, 112, 113, 114, 115, 116, 117, 118, 100], True),  # 9 wins, gain 9 > IQR 4.5
     ([110, 111, 112, 113, 114, 115, 116, 117, 100, 100], False),  # 8 wins
     ([101, 102, 103, 104, 105, 106, 107, 108, 109, 110], False),  # 10 wins, gain 1 < IQR
+    ([100, 101, 102, 103, 104, 105, 106, 107, 108, 109], False),  # A/A: every pair a tie
 ])
 def test_claim_needs_nine_wins_in_ten_and_a_gain_beyond_the_parents_spread(change, met):
     tool = load_tool()
     parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
-    summary = tool.summarize(canned_runs("w", parent, change), END_TO_END)
-    block = tool.claim(summary, "w", "problems_per_s", "higher")
-    assert block["claim_met"] is met
-    assert block["parent_iqr"] == 4.5 and block["pairs"] == 10
-    assert block["median_gain"] == summary["w"]["metrics"]["problems_per_s"]["change"]["median"] \
-        - 104.5
-    # for a lower-is-better metric the gain is the drop of the median
-    lower = tool.claim(summary, "w", "verdict_s_p50", "lower")
-    assert lower["median_gain"] == 0 and not lower["claim_met"]
+    metrics = tool.summarize(canned_runs("w", parent, change), END_TO_END)["w"]["metrics"]
+    rate = metrics["problems_per_s"]
+    assert rate["claim_met"] is met
+    assert rate["change_wins"] == sum(c > p for p, c in zip(parent, change))
+    assert rate["parent_iqr"] == 4.5
+    assert rate["median_gain"] == rate["change"]["median"] - 104.5
+    # for a lower-is-better metric the gain is the drop of the median; equal p50s tie
+    lower = metrics["verdict_s_p50"]
+    assert (lower["change_wins"], lower["median_gain"], lower["claim_met"]) == (0, 0, False)
+
+
+def fake_checkouts(tool, workdirs):
+    """``checkouts`` without git: two empty directories in ``workdir``."""
+    def checkouts(parent, workdir):
+        workdirs.append(workdir)
+        for side in tool.SIDES:
+            (workdir / side).mkdir()
+        return {side: workdir / side for side in tool.SIDES}
+    return checkouts
 
 
 @pytest.mark.parametrize("fails", [False, True])
 def test_main_removes_its_checkouts_when_it_returns_or_a_run_fails(tmp_path, monkeypatch, fails):
     # no git call and no benchmark: the checkouts are two empty directories
     tool = load_tool()
-    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
     workdirs = []
-
-    def checkouts(parent, workdir):
-        workdirs.append(workdir)
-        for side in tool.SIDES:
-            (workdir / side).mkdir()
-        return {side: workdir / side for side in tool.SIDES}
 
     def run_once(tree, workload, seed, seconds):
         assert tree.is_dir()
@@ -106,7 +113,7 @@ def test_main_removes_its_checkouts_when_it_returns_or_a_run_fails(tmp_path, mon
         return {"correct": True, "metrics": {name: {"value": float(seed)} for name in names}}
 
     monkeypatch.setattr(tool, "_git", lambda *args: b"c0ffee\n")
-    monkeypatch.setattr(tool, "checkouts", checkouts)
+    monkeypatch.setattr(tool, "checkouts", fake_checkouts(tool, workdirs))
     monkeypatch.setattr(tool, "run_once", run_once)
     out = tmp_path / "bench.json"
     argv = ["--parent", "HEAD", "--out", str(out), "--pairs", "2"]
@@ -116,5 +123,51 @@ def test_main_removes_its_checkouts_when_it_returns_or_a_run_fails(tmp_path, mon
         assert not out.exists()
     else:
         assert tool.main(argv) == 0
-        assert json.loads(out.read_text())["parent_commit"] == "c0ffee"
+        written = json.loads(out.read_text())
+        assert written["parent_commit"] == "c0ffee" and "claimed" not in written
+        # the claim rule is applied to every workload and end-to-end metric
+        assert list(written["workloads"]) == [w["name"] for w in spec["workloads"]]
+        for workload in written["workloads"].values():
+            assert list(workload["metrics"]) == names
+            for m in workload["metrics"].values():
+                assert {"median_gain", "parent_iqr", "claim_met"} <= m.keys()
+                assert m["claim_met"] is False
+    assert len(workdirs) == 1 and not workdirs[0].exists()
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_main_refuses_fewer_than_two_pairs_before_any_checkout_or_run(tmp_path, monkeypatch,
+                                                                      capsys, pairs):
+    tool = load_tool()
+
+    def never(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(tool, "checkouts", never)
+    monkeypatch.setattr(tool, "run_once", never)
+    out = tmp_path / "bench.json"
+    assert tool.main(["--parent", "HEAD", "--out", str(out), "--pairs", pairs]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bench_pairs: ")
+    assert not out.exists()
+
+
+def test_a_run_past_its_timeout_exits_through_the_tool_and_removes_the_checkouts(
+        tmp_path, monkeypatch):
+    tool = load_tool()
+    workdirs, timeouts = [], []
+
+    def run(cmd, timeout=None, **kwargs):
+        timeouts.append(timeout)
+        raise subprocess.TimeoutExpired(cmd, timeout)
+
+    monkeypatch.setattr(tool, "_git", lambda *args: b"c0ffee\n")
+    monkeypatch.setattr(tool, "checkouts", fake_checkouts(tool, workdirs))
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    first = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"][0]["name"]
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit, match=f"^bench_pairs: parent {first} seed 1 timed out "
+                                         "after 600 s$"):
+        tool.main(["--parent", "HEAD", "--out", str(out)])
+    assert timeouts == [600] and not out.exists()
     assert len(workdirs) == 1 and not workdirs[0].exists()
