@@ -50,7 +50,7 @@ from .linalg import (
 )
 from .pairs import InvalidRecipe, PairRecipe, check_commute, gen_pair, matrix_polynomial
 from .rng import SplitMix64
-from .sequences import Batch, embed, from_coords, fsvec, project, to_coords, zero_fsvec
+from .sequences import Batch, embed, fsvec, project, to_coords
 from .verify import CheckParams, CheckRecord, Report, check_ando, check_sznagy
 
 __version__ = "0.1.0"

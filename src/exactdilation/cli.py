@@ -4,11 +4,11 @@ Commands: ``sznagy`` (single-map suite), ``ando`` (two-map suite), ``gen``
 (write a problem file from a recipe).  Exit codes: 0 all checks pass, 1 a
 check failed (report still written), 2 input error (among them an invalid
 recipe, an output scalar past Python's int-to-text digit limit, when nothing
-is written, and a destination that cannot be written), 3 non-commuting
-input.  ``sznagy`` and ``ando`` refuse a bad flag (exit 2, one stderr line)
-before they read the problem file or generate its pair.  Reports are
-byte-identical across runs on the same input and flags.  The ``exactdilation``
-script and ``python -m exactdilation`` both call ``main``.
+is written, and a destination that cannot be written, standard output among
+them), 3 non-commuting input.  ``sznagy`` and ``ando`` refuse a bad flag (exit
+2, one stderr line) before they read the problem file or generate its pair.
+Reports are byte-identical across runs on the same input and flags.  The
+``exactdilation`` script and ``python -m exactdilation`` both call ``main``.
 """
 
 from __future__ import annotations
@@ -116,14 +116,21 @@ def _render_text(report: Report) -> str:
 
 
 def _write(text: str, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-        return
+    """Write ``text`` to ``out_path``, or to standard output when it is None; a
+    destination that cannot be written, standard output among them, is an input
+    error."""
+    where = "standard output" if out_path is None else out_path
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if out_path is not None:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif sys.stdout is None:
+            raise OSError("it is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise ProblemError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+        raise ProblemError(f"cannot write {where}: {exc.strerror or exc}") from exc
 
 
 def _emit(report: Report, args, *dump) -> int:
@@ -181,9 +188,6 @@ def main(argv=None) -> int:
         problem = load_problem(args.input)
         command = _cmd_sznagy if args.command == "sznagy" else _cmd_ando
         return command(args, params, problem, *resolve_pair(problem))
-    except (ProblemError, InvalidRecipe, ScalarTooLarge) as exc:
+    except (ProblemError, InvalidRecipe, ScalarTooLarge, NotCommuting) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except NotCommuting as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_COMMUTING
+        return EXIT_NOT_COMMUTING if isinstance(exc, NotCommuting) else EXIT_INPUT_ERROR

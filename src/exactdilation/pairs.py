@@ -13,7 +13,7 @@ from typing import Sequence
 from ._record import Record
 from .fields import FieldSpec
 from .linalg import Mat, Singular, _require_shape, inverse, zeros
-from .rng import SplitMix64, rand_column, rand_ints, rand_matrix
+from .rng import SplitMix64, rand_ints, rand_matrix
 
 __all__ = ["PairRecipe", "InvalidRecipe", "RECIPE_KINDS", "gen_pair", "check_commute",
            "matrix_polynomial"]
@@ -71,8 +71,13 @@ class PairRecipe(Record):
 def matrix_polynomial(a: Mat, coeffs: Sequence) -> Mat:
     """Evaluate sum(coeffs[k] * a^k) by Horner's rule; coeffs[0] is constant.  The
     coefficients are read into integer form once."""
+    (ints,), den = a.field.to_ints([[a.field.coerce(c) for c in coeffs]])
+    return _int_polynomial(a, ints, den)
+
+
+def _int_polynomial(a: Mat, ints: Sequence[int], den: int) -> Mat:
+    """Evaluate sum(ints[k] / den * a^k) by Horner's rule; ints[0] is constant."""
     field, n = a.field, a.rows
-    (ints,), den = field.to_ints([[field.coerce(c) for c in coeffs]])
     acc = zeros(field, n, n)
     for c in reversed(ints):
         acc = acc @ a
@@ -114,7 +119,7 @@ def gen_pair(recipe: PairRecipe) -> tuple[Mat, Mat]:
     if recipe.kind in ("polynomial", "upper_triangular"):
         draw = rand_matrix if recipe.kind == "polynomial" else _rand_upper_triangular
         a = draw(rng, field, d, height)
-        t, s = (matrix_polynomial(a, rand_column(rng, field, recipe.degree + 1, height))
+        t, s = (_int_polynomial(a, *rand_ints(rng, field, recipe.degree + 1, height))
                 for _ in range(2))
     elif recipe.kind == "diagonal":
         t, s = (_diagonal(field, *rand_ints(rng, field, d, height)) for _ in range(2))

@@ -5,10 +5,10 @@ A ``Batch`` holds ``width`` such sequences side by side, the shape the lazy
 operators act on.  It stores only the coordinates where some column is
 nonzero, in increasing order, each as the ``dim x width`` ``Mat`` of the
 columns there, in canonical integer form; so ``==`` on the blocks is equality
-of the sequences.  One sequence is a batch of width 1: ``fsvec``, ``embed``
-and ``from_coords`` build one, and ``project``, ``block`` and ``to_coords``
-read one back as field scalars.  Coordinate 0 is the distinguished copy of
-F^d used by ``embed`` and ``project``.
+of the sequences.  One sequence is a batch of width 1: ``fsvec`` and
+``embed`` build one, and ``project`` and ``to_coords`` read one back as field
+scalars.  Coordinate 0 is the distinguished copy of F^d used by ``embed`` and
+``project``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .fields import FieldSpec
 from .linalg import DimensionMismatch, Mat, _unit_cols, from_cols, hstack, zeros
 
-__all__ = ["Batch", "side_by_side", "fsvec", "zero_fsvec", "embed", "project", "block",
-           "to_coords", "from_coords"]
+__all__ = ["Batch", "side_by_side", "fsvec", "embed", "project", "to_coords"]
 
 
 class Batch:
@@ -101,10 +100,6 @@ def fsvec(field: FieldSpec, dim: int, items: Mapping[int, Iterable] | Iterable) 
     return Batch.of(field, dim, 1, blocks)
 
 
-def zero_fsvec(field: FieldSpec, dim: int) -> Batch:
-    return Batch(field, dim, 1, {})
-
-
 def embed(field: FieldSpec, x: Iterable) -> Batch:
     """Place x in coordinate 0, nothing elsewhere."""
     x = tuple(x)
@@ -118,13 +113,8 @@ def _one_sequence(w: Batch):
 
 def project(w: Batch) -> tuple:
     """Read coordinate 0 back into F^d."""
-    return block(w, 0)
-
-
-def block(w: Batch, n: int) -> tuple:
-    """Coordinate ``n`` of one sequence, as field scalars."""
     _one_sequence(w)
-    m = w.blocks.get(n)
+    m = w.blocks.get(0)
     return tuple(w.field.zero() for _ in range(w.dim)) if m is None else m.col(0)
 
 
@@ -140,14 +130,3 @@ def to_coords(w: Batch, n_coords: int) -> tuple:
         out[n * w.dim:(n + 1) * w.dim] = m.col(0)
     return tuple(out)
 
-
-def from_coords(field: FieldSpec, dim: int, coords) -> Batch:
-    coords = tuple(coords)
-    if dim == 0:
-        if coords:
-            raise DimensionMismatch("nonempty coordinates with dim 0")
-        return zero_fsvec(field, dim)
-    if len(coords) % dim != 0:
-        raise DimensionMismatch(f"{len(coords)} coordinates do not split into blocks of {dim}")
-    return fsvec(field, dim,
-                 [(n, coords[n * dim:(n + 1) * dim]) for n in range(len(coords) // dim)])

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import runpy
@@ -535,6 +536,32 @@ def test_out_in_a_missing_directory_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(dest)]) == 2
     _assert_one_error_line(capsys, f"cannot write {dest}: ")
     assert not dest.parent.exists()
+
+
+class _FullStdout:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("stdout, fragment", [
+    (_FullStdout(), os.strerror(errno.ENOSPC)),
+    (None, "it is closed"),
+], ids=["full", "closed"])
+@pytest.mark.parametrize("argv", [
+    ["ando", "--input", "{problem}"],
+    ["sznagy", "--input", "{t_only}"],
+    ["gen", "--kind", "diagonal", "--dim", "2"],
+])
+def test_standard_output_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch,
+                                                         argv, stdout, fragment):
+    problem = write_problem(tmp_path / "p.json", IDENTITY2)
+    t_only = write_problem(tmp_path / "t.json", T_ONLY)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([a.format(problem=problem, t_only=t_only) for a in argv]) == 2
+    _assert_one_error_line(capsys, f"cannot write standard output: {fragment}")
 
 
 def test_sznagy_with_s_that_exits_2_writes_one_line(tmp_path, capsys):

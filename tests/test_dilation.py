@@ -58,7 +58,6 @@ from exactdilation.sequences import (
     project,
     side_by_side,
     to_coords,
-    zero_fsvec,
 )
 from exactdilation.verify import CheckParams, check_ando
 
@@ -194,7 +193,7 @@ def test_half_shift_dimension_mismatch():
 def test_every_action_rejects_wrong_dimension_or_field(tag):
     ops = sznagy(identity(RATIONAL, 2)) if tag == "SzNagyU" else _ando_identity(RATIONAL, 2)
     single = SINGLE_ACTIONS[tag]
-    for bad in (embed(RATIONAL, (1, 2, 3)), embed(GF7, (1, 1)), zero_fsvec(GF7, 2),
+    for bad in (embed(RATIONAL, (1, 2, 3)), embed(GF7, (1, 1)), fsvec(GF7, 2, {}),
                 side_by_side([embed(GF7, (1, 1)), embed(GF7, (0, 1))])):
         with pytest.raises(DimensionMismatch):
             single(ops, bad)
@@ -694,7 +693,7 @@ def test_truncated_matrix_argument_validation():
 def test_dimension_zero_everything_is_trivial():
     empty = mat(RATIONAL, [])
     ops = ando(empty, empty)
-    w = zero_fsvec(RATIONAL, 0)
+    w = fsvec(RATIONAL, 0, {})
     assert apply_u(ops, w) == w and apply_v(ops, w) == w
     assert project(apply_u(ops, embed(RATIONAL, ()))) == ()
     m = truncated_matrix("U", ops, 2)

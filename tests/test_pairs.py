@@ -8,7 +8,7 @@ import pytest
 
 import exactdilation.pairs as pairs_mod
 from exactdilation.cli import main
-from exactdilation.fields import RATIONAL, gf
+from exactdilation.fields import RATIONAL, FieldSpec, gf
 from exactdilation.linalg import (
     DimensionMismatch,
     Mat,
@@ -91,6 +91,20 @@ def test_draws_build_no_matrix_from_scalars(monkeypatch):
                 gen_pair(PairRecipe(kind, d, field, seed=d))
         for d in range(5):
             assert _trial_vectors(field, d, CheckParams()).cols == d + CheckParams.trials
+
+
+def test_draws_make_no_field_scalar(monkeypatch):
+    # the polynomial coefficients go from rand_ints to Horner's rule as integers
+    recipes = [PairRecipe(kind, d, field, seed=d) for field in FIELDS
+               for kind in RECIPE_KINDS for d in range(5)]
+    want = [gen_pair(r) for r in recipes]
+
+    def refuse(*args):
+        raise AssertionError("a field scalar was made")
+
+    monkeypatch.setattr(FieldSpec, "from_ints", refuse)
+    monkeypatch.setattr(FieldSpec, "coerce", refuse)
+    assert [gen_pair(r) for r in recipes] == want
 
 
 def _scalar_gen_pair(recipe):
@@ -219,7 +233,7 @@ def test_commutation_check_survives_python_O(tmp_path, monkeypatch):
     # gen_pair's own check that the pair commutes must not be an assert,
     # which python -O strips; the same patched draw, first in this process
     draws = iter([mat(RATIONAL, [[0, 1], [0, 0]]), mat(RATIONAL, [[0, 0], [1, 0]])])
-    monkeypatch.setattr(pairs_mod, "matrix_polynomial", lambda a, coeffs: next(draws))
+    monkeypatch.setattr(pairs_mod, "_int_polynomial", lambda a, ints, den: next(draws))
     with pytest.raises(AssertionError, match="generated pair fails to commute"):
         gen_pair(PairRecipe("polynomial", 2, RATIONAL, seed=1))
     script = tmp_path / "noncommuting_generator.py"
@@ -230,7 +244,7 @@ def test_commutation_check_survives_python_O(tmp_path, monkeypatch):
         "if __debug__:\n"
         "    raise SystemExit('not running under -O')\n"
         "draws = iter([mat(RATIONAL, [[0, 1], [0, 0]]), mat(RATIONAL, [[0, 0], [1, 0]])])\n"
-        "pairs.matrix_polynomial = lambda a, coeffs: next(draws)\n"
+        "pairs._int_polynomial = lambda a, ints, den: next(draws)\n"
         "try:\n"
         "    pairs.gen_pair(pairs.PairRecipe('polynomial', 2, RATIONAL, seed=1))\n"
         "except AssertionError:\n"

@@ -6,14 +6,11 @@ from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import DimensionMismatch, from_cols, mat, zeros
 from exactdilation.sequences import (
     Batch,
-    block,
     embed,
-    from_coords,
     fsvec,
     project,
     side_by_side,
     to_coords,
-    zero_fsvec,
 )
 
 from test_linalg import assert_canonical
@@ -23,7 +20,7 @@ GF7 = gf(7)
 
 def test_embed_zero_gives_empty():
     w = embed(RATIONAL, (0, 0))
-    assert w.blocks == {} and w == zero_fsvec(RATIONAL, 2)
+    assert w.blocks == {} and w == fsvec(RATIONAL, 2, {})
     assert (w.dim, w.width) == (2, 1)
     assert w.max_support() == -1
 
@@ -45,7 +42,7 @@ def test_project_reads_coordinate_zero_only():
     w = fsvec(RATIONAL, 1, {0: (5,), 3: (7,)})
     assert project(w) == (Fraction(5),)
     assert project(fsvec(RATIONAL, 2, {2: (1, 1)})) == (Fraction(0), Fraction(0))
-    assert project(zero_fsvec(RATIONAL, 2)) == (Fraction(0), Fraction(0))
+    assert project(fsvec(RATIONAL, 2, {})) == (Fraction(0), Fraction(0))
 
 
 def test_fsvec_canonicalizes():
@@ -55,8 +52,6 @@ def test_fsvec_canonicalizes():
     # equal sequences are equal however their entries are written
     assert fsvec(RATIONAL, 1, {0: ("2/4",)}) == embed(RATIONAL, ("1/2",))
     assert fsvec(RATIONAL, 1, {0: ("2/4",)}) != embed(RATIONAL, ("1/3",))
-    assert fsvec(RATIONAL, 2, {3: (2, 4), 1: ("1/3", 0)}) == from_coords(
-        RATIONAL, 2, (0, 0, "1/3", 0, 0, 0, 2, 4))
     for w in (fsvec(RATIONAL, 2, {1: ("2/4", "3/9"), 4: (6, 0)}), fsvec(GF7, 2, {0: (9, 14)})):
         for m in w.blocks.values():
             assert_canonical(m)
@@ -72,9 +67,10 @@ def test_batch_repr_and_comparison_with_other_types():
 
 def test_block_lookup():
     w = fsvec(RATIONAL, 1, {1: (2,), 4: (3,)})
-    assert block(w, 1) == (Fraction(2),)
-    assert block(w, 2) == (Fraction(0),)
-    assert block(w, 4) == (Fraction(3),)
+    flat = to_coords(w, 5)
+    assert flat[1:2] == (Fraction(2),)
+    assert flat[2:3] == (Fraction(0),)
+    assert flat[4:5] == (Fraction(3),)
     assert w.max_support() == 4
 
 
@@ -89,8 +85,6 @@ def test_fsvec_validation():
         fsvec(RATIONAL, 2, {0: (1, 2, 3)})  # wrong height
     with pytest.raises(DimensionMismatch):
         fsvec(RATIONAL, 2, {0: (1,)})
-    with pytest.raises(DimensionMismatch):
-        from_coords(RATIONAL, 0, [1])  # no block holds a coordinate at dim 0
     # Batch.of checks every block against the batch's field and shape
     with pytest.raises(DimensionMismatch):
         Batch.of(RATIONAL, 2, 1, {0: from_cols(GF7, 2, [(1, 1)])})
@@ -109,8 +103,6 @@ def test_one_sequence_readers_reject_other_widths():
         with pytest.raises(DimensionMismatch):
             project(w)
         with pytest.raises(DimensionMismatch):
-            block(w, 3)
-        with pytest.raises(DimensionMismatch):
             to_coords(w, 4)
 
 
@@ -120,7 +112,7 @@ def test_side_by_side_joins_columns_in_order_in_lowest_terms():
     a = fsvec(RATIONAL, 2, {0: ("1/2", 0), 2: (1, "2/5")})
     b = Batch.of(RATIONAL, 2, 2, {0: mat(RATIONAL, [["1/3", 0], [0, 1]]),
                                   3: mat(RATIONAL, [[4, 0], [0, 0]])})
-    w = side_by_side([a, b, zero_fsvec(RATIONAL, 2)])
+    w = side_by_side([a, b, fsvec(RATIONAL, 2, {})])
     assert (w.field, w.dim, w.width) == (RATIONAL, 2, 4)
     assert list(w.blocks) == [0, 2, 3]
     assert w.blocks[0] == mat(RATIONAL, [["1/2", "1/3", 0, 0], [0, 0, 1, 0]])
@@ -141,11 +133,8 @@ def test_coords_round_trip():
     assert len(flat) == 10
     assert flat[0:2] == (Fraction(1), Fraction(2))
     assert flat[6:8] == (Fraction(0), Fraction(5))
-    assert from_coords(RATIONAL, 2, flat) == w
     with pytest.raises(ValueError):
         to_coords(w, 3)  # support reaches coordinate 3
-    with pytest.raises(DimensionMismatch):
-        from_coords(RATIONAL, 2, (Fraction(1),) * 5)
 
 
 def test_dim_zero():
@@ -153,4 +142,3 @@ def test_dim_zero():
     assert w.dim == 0 and w.blocks == {}
     assert project(w) == ()
     assert to_coords(w, 4) == ()
-    assert from_coords(RATIONAL, 0, ()) == w
