@@ -1,4 +1,5 @@
-"""The one JSON writer of reports, problem files and operator dumps."""
+"""The one JSON writer of reports, problem files and operator dumps: a grid of
+scalar text is written by joins, every other value item by item."""
 
 import json
 from json.encoder import encode_basestring_ascii
@@ -24,10 +25,11 @@ def json_text(obj) -> str:
     ``indent`` the json module encodes in pure Python.
 
     ``obj`` nests dicts with string keys, lists and tuples.  Escaping stays
-    the json module's (``_leaf``).  A list of strings, such as a row of
-    scalar text, and a list of such lists, such as a grid, are written by
-    joins alone when every character of their strings is one that the
-    module's encoder writes as it is (``_PLAIN``), checked once for all.
+    the json module's (``_leaf``).  A list of lists of strings, such as a
+    grid of scalar text, is written by joins alone when every character of
+    its strings is one that the module's encoder writes as it is
+    (``_PLAIN``), checked once for all; any other list, a single row among
+    them, is written item by item.
     """
     return _write(obj, "\n") + "\n"
 
@@ -42,8 +44,6 @@ def _write(value, pad: str) -> str:
                  for k, v in sorted(value.items())]
         brackets = "{}"
     else:
-        if value and _plain(value):  # a row of scalar text
-            return _rows([value], pad)[0]
         if set(map(type, value)) <= {list, tuple} and _plain(map("".join, value)):  # a grid
             items = _rows(value, inner)
         else:

@@ -5,7 +5,7 @@ Commands: ``sznagy`` (single-map suite), ``ando`` (two-map suite), ``gen``
 check failed (report still written), 2 input error (among them an invalid
 recipe, an output scalar past Python's int-to-text digit limit, when nothing
 is written, and a destination that cannot be written, standard output among
-them), 3 non-commuting input.  ``sznagy`` and ``ando`` refuse a bad flag (exit
+them, help included), 3 non-commuting input.  ``sznagy`` and ``ando`` refuse a bad flag (exit
 2, one stderr line) before they read the problem file or generate its pair.
 Reports are byte-identical across runs on the same input and flags.  The
 ``exactdilation`` script and ``python -m exactdilation`` both call ``main``.
@@ -60,9 +60,17 @@ def _add_check_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and each of its subcommands', whose help is written by ``_write``:
+    help to a standard output that cannot be written is an input error."""
+
+    def print_help(self, file=None):
+        _write(self.format_help(), None)
+
+
 @cache  # built on the first call, then shared: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="exactdilation",
         description="Exact dilation of linear maps, with full verification reports.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -155,11 +163,9 @@ def _cmd_ando(args, params: CheckParams, problem, t, s) -> int:
         raise ProblemError("the two-map suite needs both 'T' and 'S' (or a recipe)")
     ops = ando(t, s)
     k = args.dump_operators
-    truncations = None
-    if k is not None:
-        # one build of U and V serves the audit and the dump: truncations nest
-        top = max(params.max_trunc + 1, k)
-        truncations = (truncated_matrix("U", ops, top), truncated_matrix("V", ops, top))
+    # one build of U and V serves the audit and any dump: truncations nest
+    top = max(params.max_trunc + 1, k or 0)
+    truncations = (truncated_matrix("U", ops, top), truncated_matrix("V", ops, top))
     report = check_ando(ops, params, recipe=problem.recipe, truncations=truncations)
     if k is None:
         return _emit(report, args)
@@ -179,8 +185,8 @@ def _cmd_gen(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "gen":
             return _cmd_gen(args)
         # the one front door of both audits: flags first, then the input, read once

@@ -153,8 +153,12 @@ def build_generators(t: Mat, s: Mat) -> Generators:
 
     ker G = ker H = ker(I-T) ∩ ker(I-S) for any square T and S, so the
     correspondence G e_i -> H e_i is always well defined: a kernel vector x of
-    G has (I-S)x = 0, hence (I-T)x = (I-T)Sx = 0, and likewise for H.  That
-    identity is not re-checked here; the ``well_definedness`` record of every
+    G has (I-S)x = 0, hence (I-T)x = (I-T)Sx = 0, and likewise for H.  As
+    polynomials in non-commuting t and s, with P = 1-t and Q = 1-s, that is
+    1-t = G1 + P G3, H3 = 1-t and H1 = G3 - Q(1-t), and the mirror with G and
+    H swapped: ``test_kernel_lemma_is_an_identity`` in ``tests/test_dilation.py``
+    checks these, and that the blocks built here are those polynomials.  The
+    lemma is not re-checked here; the ``well_definedness`` record of every
     two-map report checks it on the pair under audit.
     """
     _require_square_pair(t, s)

@@ -116,10 +116,13 @@ class FieldSpec(Record):
     # -- integer form: the edge of the kernels --------------------------------
 
     def to_ints(self, rows) -> tuple:
-        """``(ints, den)`` with ``rows == ints / den``: over Q ``den`` is the least
-        common denominator; over GF(p) ``rows`` itself comes back, uncopied, over 1."""
-        if self.modulus is not None:
-            return rows, 1
+        """``(ints, den)`` with ``rows == ints / den``, ``den`` the least common
+        denominator (over GF(p), 1).  The one way a grid of scalars enters integer
+        form: entries must be ``int`` or, over Q, ``Fraction``, else TypeError."""
+        kinds = {int, Fraction} if self.is_rational else {int}
+        bad = {type(x) for row in rows for x in row} - kinds
+        if bad:
+            raise TypeError(f"not {self.label()} scalars: {sorted(t.__name__ for t in bad)}")
         ratios = [[x.as_integer_ratio() for x in row] for row in rows]
         den = lcm(*{q for row in ratios for _, q in row})
         return tuple([tuple([n * (den // q) for n, q in row]) for row in ratios]), den
@@ -190,17 +193,14 @@ class FieldSpec(Record):
 
     def fmt_ints(self, ints, den: int = 1) -> list:
         """The text of every scalar of the grid ``ints / den``, row by row, written
-        from the integers without building scalars: over Q, for any positive
-        ``den``, ``x // g`` or ``x // g`` and ``den // g`` joined by ``/``, with
-        ``g = gcd(x, den)``; over GF(p), residues over 1.  Each distinct
-        integer is written once."""
+        from the integers without building scalars: for a positive ``den``,
+        ``x // g``, or ``x // g`` and ``den // g`` joined by ``/``, with
+        ``g = gcd(x, den)``.  Over GF(p) ``den`` is 1, so each residue is
+        written as it is.  Each distinct integer is written once."""
         values = set().union(*ints)
         try:
-            if self.modulus is not None or den == 1:
-                texts = {x: str(x) for x in values}
-            else:
-                texts = {x: str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
-                         for x in values}
+            texts = {x: str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
+                     for x in values}
         except ValueError as exc:  # past the int-to-text digit limit
             raise ScalarTooLarge(f"an output scalar is too large to write: {exc}") from None
         return [list(map(texts.__getitem__, row)) for row in ints]

@@ -370,15 +370,16 @@ def matvec(m: Mat, x: Sequence) -> tuple:
 
 def _cancel(row: dict, piv: dict, c: int, field: FieldSpec) -> dict:
     """``a*row - f*piv``, reduced by the field, with ``a = piv[c]`` and ``f = row[c]``
-    over their gcd, so column ``c`` cancels.  Over GF(p) pivots lead with 1, so
-    ``a = 1`` and this is one subtraction pass.  ``row`` may be consumed."""
+    over their gcd, so column ``c`` cancels; ``row`` is scaled only when ``a`` is
+    not 1.  Over GF(p) pivots lead with 1, so this is one subtraction pass.  Over
+    Q ``a`` is negative when the pivot leads negative, -1 included: only the
+    row's line matters to ``_echelon``, and ``rref`` divides each row by its
+    lead, so no result depends on its sign.  ``row`` may be consumed."""
     a, f = piv[c], row[c]
-    if f % a:
-        g = gcd(a, f)
-        a, f = a // g, f // g
+    g = gcd(a, f)
+    a, f = a // g, f // g
+    if a != 1:
         row = {j: a * x for j, x in row.items()}
-    else:
-        f //= a
     for j, x in piv.items():
         nx = row.get(j, 0) - f * x
         if nx:

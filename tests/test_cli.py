@@ -554,6 +554,9 @@ class _FullStdout:
     ["ando", "--input", "{problem}"],
     ["sznagy", "--input", "{t_only}"],
     ["gen", "--kind", "diagonal", "--dim", "2"],
+    ["--help"],
+    ["ando", "--help"],
+    ["gen", "-h"],
 ])
 def test_standard_output_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch,
                                                          argv, stdout, fragment):
@@ -562,6 +565,41 @@ def test_standard_output_that_cannot_be_written_exits_2(tmp_path, capsys, monkey
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main([a.format(problem=problem, t_only=t_only) for a in argv]) == 2
     _assert_one_error_line(capsys, f"cannot write standard output: {fragment}")
+
+
+def _run_script(argv, stdout, close_stdout=False):
+    """``python -m exactdilation argv`` in a new interpreter, with standard output
+    sent to ``stdout``, or closed before the interpreter starts."""
+    run = [sys.executable, "-m", "exactdilation", *argv]
+    if close_stdout:
+        run = [sys.executable, "-c",
+               "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])", *run]
+    src_dir = Path(cli_mod.__file__).resolve().parents[1]
+    return subprocess.run(run, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src_dir)), timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("closed", [False, True], ids=["full", "closed"])
+@pytest.mark.parametrize("argv", [["--help"], ["ando", "--help"], ["gen", "-h"]])
+def test_help_to_standard_output_that_cannot_be_written_exits_2(argv, closed):
+    # argparse alone swallows the failed write, or writes the help to stderr, and exits 0
+    with open(os.devnull if closed else "/dev/full", "w") as out:
+        proc = _run_script(argv, out, close_stdout=closed)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write standard output: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_help_and_usage_errors_keep_their_streams_and_exit_codes():
+    proc = _run_script(["ando", "--help"], subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: exactdilation ando ")
+    assert "--dump-operators K    also write truncated U, V" in proc.stdout
+    proc = _run_script(["ando"], subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: exactdilation ando ")
+    assert proc.stderr.endswith("error: the following arguments are required: --input\n")
 
 
 def test_sznagy_with_s_that_exits_2_writes_one_line(tmp_path, capsys):

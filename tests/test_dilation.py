@@ -306,6 +306,78 @@ def test_generator_kernels_agree_on_random_pairs(field):
     assert nontrivial >= 10 and noncommuting >= 5
 
 
+# Polynomials of the free algebra Z<t, s>, where ts != st: dicts from a word (a
+# string over "ts", read left to right as a product) to a nonzero int.
+
+
+def _poly_add(*polys):
+    out = {}
+    for p in polys:
+        for w, c in p.items():
+            out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def _poly_mul(*polys):
+    out = {"": 1}
+    for p in polys:
+        out = _poly_add(*({w + v: c * e} for w, c in out.items() for v, e in p.items()))
+    return out
+
+
+def _poly_neg(p):
+    return {w: -c for w, c in p.items()}
+
+
+_ONE, _T, _S = {"": 1}, {"t": 1}, {"s": 1}
+_P, _Q = _poly_add(_ONE, _poly_neg(_T)), _poly_add(_ONE, _poly_neg(_S))  # 1 - t, 1 - s
+# the four block rows of G and of H, as build_generators states them
+_G = [_poly_mul(_P, _S), {}, _Q, {}]
+_H = [_poly_mul(_Q, _T), {}, _P, {}]
+
+
+def test_kernel_lemma_is_an_identity():
+    # ker G = ker H for any square T and S: each block row of H is a left combination
+    # of the block rows of G, and back, in Z<t, s>, so with no commutation at all
+    assert _poly_mul(_T, _S) != _poly_mul(_S, _T)
+    one_minus_t = _poly_add(_G[0], _poly_mul(_P, _G[2]))
+    assert one_minus_t == _P
+    assert _H[2] == one_minus_t
+    assert _H[0] == _poly_add(_G[2], _poly_neg(_poly_mul(_Q, one_minus_t)))
+    one_minus_s = _poly_add(_H[0], _poly_mul(_Q, _H[2]))  # the mirror, G and H swapped
+    assert one_minus_s == _Q
+    assert _G[2] == one_minus_s
+    assert _G[0] == _poly_add(_H[2], _poly_neg(_poly_mul(_P, one_minus_s)))
+    assert [_H[1], _H[3], _G[1], _G[3]] == [{}] * 4
+
+
+def _at(p, t, s):
+    """The matrix p(T, S)."""
+    field, d = t.field, t.rows
+    out = zeros(field, d, d)
+    for w, c in p.items():
+        m = identity(field, d)
+        for letter in w:
+            m = m @ (t if letter == "t" else s)
+        out = out + Mat.from_ints(field, d, d, [[c * x for x in r] for r in m.ints], m.den)
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_kernel_lemma_polynomials_are_the_built_generators(field):
+    # the identity above is about the matrices build_generators makes: its block
+    # polynomials, evaluated at non-commuting pairs, are G and H
+    rng, pairs = SplitMix64(37), []
+    while len(pairs) < 4:
+        t, s = (rand_matrix(rng, field, 2 + len(pairs) % 3) for _ in range(2))
+        if t @ s != s @ t:
+            pairs.append((t, s))
+    for t, s in pairs:
+        gens = build_generators(t, s)
+        assert gens.G == vstack(*(_at(p, t, s) for p in _G))
+        assert gens.H == vstack(*(_at(p, t, s) for p in _H))
+
+
 def test_generators_shape_validation():
     with pytest.raises(DimensionMismatch):
         build_generators(identity(RATIONAL, 2), identity(RATIONAL, 3))

@@ -171,7 +171,7 @@ def test_integer_form():
     assert RATIONAL.from_ints(((4, -6),), -8) == ((Fraction(-1, 2), Fraction(3, 4)),)
     residues = ((3, 0), (6, 1))
     ints, den = GF7.to_ints(residues)
-    assert ints is residues and den == 1  # no copy over GF(p)
+    assert ints == residues and den == 1
     assert GF7.from_ints(((10, -1),)) == ((3, 6),)
     assert GF7.from_ints(((3, 1),), 2) == ((5, 4),)  # 2 * 4 = 1 mod 7
 

@@ -1,4 +1,5 @@
 import operator
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -83,6 +84,23 @@ def test_mat_coerces_entries():
     assert m.entries[0][1] == Fraction(1, 2)
     m = mat(GF7, [[-1, "9"]])
     assert m.entries[0] == (6, 2)
+
+
+@pytest.mark.parametrize("field, x", [
+    (RATIONAL, 0.1), (RATIONAL, True), (GF7, 0.5), (GF7, False), (GF7, Fraction(1, 2)),
+], ids=["q-float", "q-bool", "gf7-float", "gf7-bool", "gf7-fraction"])
+def test_grids_of_non_scalars_are_refused(field, x):
+    # Mat, from_cols and matvec take field scalars as they are, with no coerce: the
+    # integer form refuses what coerce would, a float that is no exact scalar among them
+    one = identity(field, 1).entries[0][0]
+    for build in (lambda: Mat(field, 1, 2, ((one, x),)),
+                  lambda: from_cols(field, 1, [(one,), (x,)]),
+                  lambda: matvec(identity(field, 1), (x,))):
+        with pytest.raises(TypeError, match=re.escape(
+                f"not {field.label()} scalars: ['{type(x).__name__}']")):
+            build()
+    with pytest.raises(TypeError):
+        field.coerce(x)
 
 
 def test_mat_shape_validation():

@@ -2,8 +2,10 @@
 package; its collector runs here on a small module, not on the whole suite."""
 
 import importlib.util
+import json
 import sys
 import threading
+import time
 from pathlib import Path
 
 LINE_TRACE = Path(__file__).resolve().parents[1] / "tools" / "line_trace.py"
@@ -57,3 +59,35 @@ def test_collector_finds_the_lines_a_run_never_reaches(tmp_path):
         'sample.py:6: never run: raise ValueError(',
         'sample.py:7: never run: "negative")',
         "sample.py:12: never run: return 1"]
+
+
+def test_corpus_mode_lists_the_lines_a_corpus_never_runs(tmp_path):
+    # one problem, with the flags of the ando-construct workload: the audit and the
+    # dump run, and the refusal of a bad flag is listed as never run
+    tool = _load("line_trace", LINE_TRACE)
+    flags = ("ando", "--max-power", "1", "--trunc", "0", "--trials", "1",
+             "--dump-operators", "1")
+    problem = ('{"field": {"kind": "gf", "modulus": 7}, '
+               '"recipe": {"kind": "polynomial", "dim": 2, "seed": 3}}')
+    start = time.perf_counter()
+    codes, hits = tool.run_traced(lambda: tool.run_corpus([(flags, problem)], tmp_path),
+                                  tool.PACKAGE)
+    assert time.perf_counter() - start < 2
+    assert codes == [0]
+    assert (tmp_path / "p0.report.json.operators.json").is_file()
+    cli = tool.PACKAGE / "cli.py"
+    unrun = tool.never_run([cli], hits)
+    refusal = 'raise ProblemError("--dump-operators level must be >= 0")'
+    built = 'truncations = (truncated_matrix("U", ops, top), truncated_matrix("V", ops, top))'
+    assert not any(line.endswith(f": never run: {built}") for line in unrun)
+    assert sum(line.endswith(f": never run: {refusal}") for line in unrun) == 1
+
+
+def test_corpus_cases_are_one_seed_1_pass_of_every_benchmark_workload():
+    tool = _load("line_trace", LINE_TRACE)
+    cases = tool.corpus_cases()
+    corpus = sys.modules["corpus"]  # perfbench/corpus.py, as the tool imports it
+    workloads = corpus.WORKLOADS.values()
+    assert len(cases) == sum(st.per_pass for w in workloads for st in w.strata)
+    assert {flags for flags, _ in cases} == {w.flags for w in workloads}
+    assert all(json.loads(text) for _, text in cases)
