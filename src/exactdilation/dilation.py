@@ -44,7 +44,6 @@ from .linalg import (
     Mat,
     _add_terms,
     _require_shape,
-    _scan_is_forward,
     _span,
     identity,
     int_product,
@@ -170,31 +169,28 @@ def build_generators(t: Mat, s: Mat) -> Generators:
     return Generators(g, h)
 
 
-def _exchange(src: Mat, dst: Mat, pivots: list, leads: set, dst_leads: set) -> Mat:
+def _exchange(src: Mat, dst: Mat, pivots: list, leads: list, kept: list, dst_kept: list) -> Mat:
     """The map sending the columns P = ``pivots`` of ``src`` to those of ``dst``, and
-    the unit vectors kept off ``leads`` to those kept off ``dst_leads``, pairwise in
-    ascending order.  Either scan lists both families' kept unit vectors in one order,
-    so the ascending pairing is the scan's: the scan enters only through the leads.
+    each unit vector of ``kept`` to the one at the same place in ``dst_kept``: the
+    two families' completions, in scan order, as ``_span`` gives them.
 
-    With L = ``leads`` ascending, A = src[L, P] is r x r and invertible, and
+    With L = ``leads`` (ascending), A = src[L, P] is r x r and invertible, and
     x = src[:, P] a + E_kept b has a = A^-1 x[L] and b = x[kept] - src[kept, P] a.
     So the map is (dst[:, P] - E_dst_kept src[kept, P]) A^-1 on the coordinates L,
     plus the unit moves kept[i] -> dst_kept[i].
     """
     field, n = src.field, src.rows
-    lead = sorted(leads)
-    kept, dst_kept = ([i for i in range(n) if i not in ls] for ls in (leads, dst_leads))
     den = lcm(src.den, dst.den)
     s_src, s_dst = den // src.den, den // dst.den
     m = [[s_dst * dst.ints[i][j] for j in pivots] for i in range(n)]
     for i, k in zip(kept, dst_kept):
         m[k] = [x - s_src * src.ints[i][j] for x, j in zip(m[k], pivots)]
-    a = Mat.from_ints(field, len(lead), len(pivots),
-                      [[src.ints[i][j] for j in pivots] for i in lead], src.den)
+    a = Mat.from_ints(field, len(leads), len(pivots),
+                      [[src.ints[i][j] for j in pivots] for i in leads], src.den)
     c = Mat.from_ints(field, n, len(pivots), m, den) @ inverse(a)
     grid = [[0] * n for _ in range(n)]
     for out, row in zip(grid, c.ints):
-        for i, x in zip(lead, row):
+        for i, x in zip(leads, row):
             out[i] = x
     for i, k in zip(kept, dst_kept):
         grid[k][i] = c.den
@@ -204,19 +200,20 @@ def _exchange(src: Mat, dst: Mat, pivots: list, leads: set, dst_leads: set) -> M
 def build_v(gens: Generators, completion: str = "forward") -> tuple[Mat, Mat]:
     """Extend the generator correspondence to an invertible map on F^(4d).
 
-    One elimination of G's columns and one of H's (``_span``) give each
-    family's pivot columns P, which must agree (else ExtensionFailure), and
-    its leads, whose complement completes the basis P of its span to one of
-    F^(4d), as ``complete_basis`` does.  v is the change of basis from G's
-    completed family to H's (``_exchange``); v_inv is the same construction
-    with G and H swapped, computed independently of v.  Returns (v, v_inv).
+    One elimination of G's columns and one of H's (``_span``, which owns the
+    completion rule) give each family's pivot columns P, which must agree (else
+    ExtensionFailure), its leads, and the unit vectors ``completion``'s scan
+    keeps to complete the basis P of its span to one of F^(4d).  v is the
+    change of basis from G's completed family to H's (``_exchange``); v_inv is
+    the same construction with G and H swapped, computed independently of v.
+    Returns (v, v_inv).
     """
-    forward = _scan_is_forward(completion)
-    (pivots, g_leads), (h_pivots, h_leads) = _span(gens.G, forward), _span(gens.H, forward)
+    (pivots, g_leads, g_kept), (h_pivots, h_leads, h_kept) = (
+        _span(gens.G, completion), _span(gens.H, completion))
     if pivots != h_pivots:
         raise ExtensionFailure("the generators have different pivot columns")
-    return (_exchange(gens.G, gens.H, pivots, g_leads, h_leads),
-            _exchange(gens.H, gens.G, pivots, h_leads, g_leads))
+    return (_exchange(gens.G, gens.H, pivots, g_leads, g_kept, h_kept),
+            _exchange(gens.H, gens.G, pivots, h_leads, h_kept, g_kept))
 
 
 def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:
@@ -240,7 +237,11 @@ def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:
 def _head_surgery(m: Mat, b: Batch, shift: int) -> Batch:
     """(x_n) -> (M x0, (I-M) x0, then x1, x2, ... moved up by ``shift``), per column.
 
-    The tail blocks are handed on as they are, only re-keyed."""
+    The tail blocks are handed on as they are, only re-keyed.  The map is
+    injective, as M x0 + (I-M) x0 = x0: ``test_head_surgery_is_injective_as_an_identity``
+    in ``tests/test_dilation.py`` checks t + (1-t) = 1, and
+    ``test_head_surgery_blocks_are_m_and_one_minus_m`` that these are the blocks
+    that ``SzNagyU``, ``W1`` and ``W2`` make."""
     head = {}
     x0 = b.blocks.get(0)
     if x0 is not None:

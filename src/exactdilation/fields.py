@@ -138,7 +138,14 @@ class FieldSpec(Record):
     def reduce_ints(self, rows, den: int) -> tuple:
         """The canonical form ``(int row tuples, den)`` of the grid ``rows / den``,
         for a positive ``den``: over Q, the gcd of ``den`` and every entry is 1,
-        so the form is unique; over GF(p), residues over 1."""
+        so the form is unique; over GF(p), residues over 1.
+
+        The GF(p) branch for ``den != 1`` multiplies by the inverse of ``den``
+        mod p.  No package path needs it: over GF(p) every product, stack,
+        rref and exchange map has ``den == 1``.  It is for a caller that
+        passes a rational grid to ``Mat.from_ints`` or ``FieldSpec.from_ints``
+        over GF(p), to reduce it mod p, as the tests do (``den`` prime to p).
+        """
         p = self.modulus
         if p is None:
             g = den

@@ -475,21 +475,27 @@ def kernel_basis(m: Mat) -> Mat:
     return Mat.from_ints(m.field, m.cols, len(free), rows, reduced.den)
 
 
-def _span(m: Mat, forward: bool) -> tuple[list, set]:
-    """One elimination of the columns of ``m``, in order: the columns that enlarge the
-    span (its pivot columns) and the span's leads, the i at which some vector of it
-    starts; for ``forward``, on flipped coordinates, the i at which one ends."""
-    top = m.rows - 1
+def _span(m: Mat, scan: str) -> tuple[list, list, list]:
+    """The greedy completion of the span of the columns of ``m``, by one elimination
+    of them in order: the columns that enlarge the span (its pivot columns), the
+    span's leads in ascending order, and ``kept``, the unit vectors that complete
+    it, in the order of ``scan``.  This is the one place the completion rule lives.
+
+    ``scan="forward"`` tries e_0, e_1, ... and ``scan="reverse"`` e_(n-1), ...,
+    e_0, each kept when it enlarges the span.  The forward scan skips e_i exactly
+    when some vector of the span ends at i, so it eliminates on flipped
+    coordinates; the reverse scan skips e_i when one starts at i.  Either way the
+    kept unit vectors are the complement of the leads.
+    """
+    if scan not in ("forward", "reverse"):
+        raise ValueError(f"unknown scan order {scan!r}")
+    top, forward = m.rows - 1, scan == "forward"
     cols = (({top - i: x for i, x in terms} for terms in m._col_terms) if forward
             else map(dict, m._col_terms))
     pivots, pivot_rows = _echelon(cols, m.field)
-    return pivots, {top - c for c in pivot_rows} if forward else set(pivot_rows)
-
-
-def _scan_is_forward(scan: str) -> bool:
-    if scan not in ("forward", "reverse"):
-        raise ValueError(f"unknown scan order {scan!r}")
-    return scan == "forward"
+    leads = {top - c for c in pivot_rows} if forward else set(pivot_rows)
+    order = range(m.rows) if forward else range(top, -1, -1)
+    return pivots, sorted(leads), [i for i in order if i not in leads]
 
 
 def complete_basis(basis_cols: Mat, ambient_dim: int, scan: str = "forward") -> Mat:
@@ -497,21 +503,17 @@ def complete_basis(basis_cols: Mat, ambient_dim: int, scan: str = "forward") -> 
 
     Scans standard basis vectors in index order (``scan="forward"``) or in
     reversed index order (``scan="reverse"``) and keeps each one that enlarges
-    the span.  Deterministic given the inputs and the scan direction.  The
-    forward scan skips e_i exactly when some vector of the span ends at i (the
-    reverse scan: starts at i), so it keeps all but the leads of ``_span``.
+    the span.  Deterministic given the inputs and the scan direction.  The kept
+    vectors, in scan order, are ``_span``'s, the rule's one owner.
     """
-    forward = _scan_is_forward(scan)
+    pivots, _, kept = _span(basis_cols, scan)
     if basis_cols.rows != ambient_dim:
         raise DimensionMismatch(
             f"columns of height {basis_cols.rows} cannot complete F^{ambient_dim}"
         )
-    pivots, leads = _span(basis_cols, forward)
     if len(pivots) < basis_cols.cols:
         j = next((j for j, p in enumerate(pivots) if j != p), len(pivots))
         raise NotIndependent(f"input column {j} depends on the previous ones")
-    order = range(ambient_dim) if forward else range(ambient_dim - 1, -1, -1)
-    kept = [i for i in order if i not in leads]
     return _unit_cols(basis_cols.field, ambient_dim, len(kept),
                       [(i, k) for k, i in enumerate(kept)])
 

@@ -307,7 +307,8 @@ def test_generator_kernels_agree_on_random_pairs(field):
 
 
 # Polynomials of the free algebra Z<t, s>, where ts != st: dicts from a word (a
-# string over "ts", read left to right as a product) to a nonzero int.
+# string over "ts", read left to right as a product) to a nonzero int.  Sorting
+# each word (``_commuted``) maps them onto Z[t, s], where ts = st.
 
 
 def _poly_add(*polys):
@@ -327,6 +328,18 @@ def _poly_mul(*polys):
 
 def _poly_neg(p):
     return {w: -c for w, c in p.items()}
+
+
+def _commuted(blocks):
+    """A block matrix of polynomials, as lists of rows, mapped onto Z[t, s]."""
+    return [[_poly_add(*({"".join(sorted(w)): c} for w, c in p.items())) for p in row]
+            for row in blocks]
+
+
+def _block_mul(a, b):
+    """The product of two block matrices of polynomials, as lists of rows."""
+    return [[_poly_add(*(_poly_mul(x, y) for x, y in zip(row, col))) for col in zip(*b)]
+            for row in a]
 
 
 _ONE, _T, _S = {"": 1}, {"t": 1}, {"s": 1}
@@ -376,6 +389,103 @@ def test_kernel_lemma_polynomials_are_the_built_generators(field):
         gens = build_generators(t, s)
         assert gens.G == vstack(*(_at(p, t, s) for p in _G))
         assert gens.H == vstack(*(_at(p, t, s) for p in _H))
+
+
+def test_head_surgery_is_injective_as_an_identity():
+    # SzNagyU, W1 and W2 send x0 to M x0 at coordinate 0 and (1 - M) x0 at
+    # coordinate 1, with M = t or s; the two sum to x0, so x0 is read back off
+    # the head, and the tail is handed on, re-keyed: each action is injective
+    for m in (_T, _S):
+        assert _poly_add(m, _poly_add(_ONE, _poly_neg(m))) == _ONE
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_head_surgery_blocks_are_m_and_one_minus_m(field):
+    # the identity above is about the actions the package runs: evaluated at
+    # non-commuting pairs, the head blocks are M and 1 - M, summing to I (a
+    # missing block reads as zero), and the tail blocks only move up; one pair at
+    # each d in 1..4, not commuting from d 2 on
+    rng, pairs = SplitMix64(10), []
+    while len(pairs) < 4:
+        t, s = (rand_matrix(rng, field, len(pairs) + 1) for _ in range(2))
+        if t.rows == 1 or t @ s != s @ t:
+            pairs.append((t, s))
+    for t, s in pairs:
+        d, eye = t.rows, identity(field, 4 * t.rows)
+        two_maps = AndoOperators(t, s, eye, eye)  # W1 and W2 read T and S alone
+        for tag, ops, m, shift in (("SzNagyU", sznagy(t), _T, 1), ("W1", two_maps, _T, 2),
+                                   ("W2", two_maps, _S, 2)):
+            image = apply_batch(tag, ops, Batch.basis(field, d, [0])).blocks
+            assert set(image) <= {0, 1}
+            head = [image.get(n, zeros(field, d, d)) for n in (0, 1)]
+            assert head == [_at(m, t, s), _at(_poly_add(_ONE, _poly_neg(m)), t, s)]
+            assert head[0] + head[1] == identity(field, d)
+            tail = Batch.basis(field, d, range(1, 5))
+            assert apply_batch(tag, ops, tail).blocks == {
+                n + shift: x for n, x in tail.blocks.items()}
+
+
+# A closed-form exchange map: with P = 1 - t and Q = 1 - s, v and v_inv are 4 x 4
+# block matrices of polynomials, rows over the four slots of a group, that need
+# no elimination.  Slot 4 is left alone.
+_Z, _MINUS_ONE = {}, {"": -1}
+_V = [[_Z, _MINUS_ONE, _T, _Z],
+      [_Q, _MINUS_ONE, _poly_neg(_poly_mul(_P, _S)), _Z],
+      [_ONE, _Z, _P, _Z],
+      [_Z, _Z, _Z, _ONE]]
+_V_INV = [[_poly_neg(_P), _P, _poly_add(_ONE, _poly_neg(_poly_mul(_P, _Q))), _Z],
+          [_poly_neg(_P), _poly_neg(_T), _poly_mul(_T, _Q), _Z],
+          [_ONE, _MINUS_ONE, _Q, _Z],
+          [_Z, _Z, _Z, _ONE]]
+_EYE = [[_ONE if i == j else _Z for j in range(4)] for i in range(4)]
+_CLOSED_FORM_PARAMS = CheckParams(3, 2, 3, 1)
+
+
+def test_closed_form_exchange_map_is_an_identity():
+    # v G = H, v v_inv = I and v_inv v = I hold in Z[t, s], so for every commuting
+    # pair over every field; each needs ts = st, and fails in Z<t, s>
+    claims = ((_block_mul(_V, [[g] for g in _G]), [[h] for h in _H]),
+              (_block_mul(_V, _V_INV), _EYE), (_block_mul(_V_INV, _V), _EYE))
+    for got, want in claims:
+        assert _commuted(got) == _commuted(want)
+        assert got != want
+    # a sign flipped in any nonzero block of v_inv breaks v v_inv = I
+    for i, j in itertools.product(range(4), repeat=2):
+        if _V_INV[i][j]:
+            flipped = [row[:] for row in _V_INV]
+            flipped[i][j] = _poly_neg(flipped[i][j])
+            assert _commuted(_block_mul(_V, flipped)) != _EYE
+
+
+def _closed_form(blocks, t, s):
+    """The block matrix of polynomials ``blocks`` evaluated at (T, S)."""
+    return vstack(*(hstack(*(_at(p, t, s) for p in row)) for row in blocks))
+
+
+@pytest.mark.parametrize("field", (RATIONAL, GF7, gf(2)))
+def test_closed_form_exchange_map_is_built_and_audited(field):
+    # the identities tied to the code: on commuting recipe pairs, the evaluated
+    # map sends build_generators' G to its H, v_inv is its inverse, and the
+    # tuple passes every record of check_ando
+    for kind, d, seed in itertools.product(RECIPE_KINDS, range(5), range(2)):
+        t, s = gen_pair(PairRecipe(kind, d, field, seed=seed))
+        v, v_inv = _closed_form(_V, t, s), _closed_form(_V_INV, t, s)
+        gens = build_generators(t, s)
+        assert v @ gens.G == gens.H
+        assert v @ v_inv == identity(field, 4 * d) == v_inv @ v
+        assert check_ando(AndoOperators(t, s, v, v_inv), _CLOSED_FORM_PARAMS).passed
+
+
+def test_closed_form_exchange_map_negative_controls():
+    # the audit tells the closed form from v = v_inv = I and from v and v_inv
+    # swapped, on the Q polynomial pairs (a swap can pass elsewhere, say over GF(2))
+    for d, seed in itertools.product(range(1, 5), range(2)):
+        t, s = gen_pair(PairRecipe("polynomial", d, RATIONAL, seed=seed))
+        v, v_inv = _closed_form(_V, t, s), _closed_form(_V_INV, t, s)
+        eye = identity(RATIONAL, 4 * d)
+        report = check_ando(AndoOperators(t, s, eye, eye), _CLOSED_FORM_PARAMS)
+        assert not {c.name: c for c in report.checks}["v_coherence"].passed
+        assert not check_ando(AndoOperators(t, s, v_inv, v), _CLOSED_FORM_PARAMS).passed
 
 
 def test_generators_shape_validation():
@@ -457,7 +567,7 @@ def test_reduction_mod_p_commutes_with_the_construction():
                 continue
             t_p, s_p = _mod(t, p), _mod(s, p)
             gens_p = build_generators(t_p, s_p)
-            if any(_span(m, True) != _span(m_p, True)
+            if any(_span(m, "forward") != _span(m_p, "forward")
                    for m, m_p in ((gens.G, gens_p.G), (gens.H, gens_p.H))):
                 continue
             in_scope += 1
