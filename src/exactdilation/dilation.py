@@ -257,22 +257,21 @@ def _group_product(vmat: Mat, xs: tuple) -> tuple:
     zero one and at least one present, and the result the nonzero output blocks
     as ``(k, block)`` pairs, k in 0..3, as wide as the present blocks.
 
-    The present blocks enter one integer product over the lcm of their
-    denominators, each scaled inside the product.  Only output blocks with a
-    nonzero integer grid are brought to canonical form, and over GF(p) one
-    that vanishes mod p is dropped after it.  The result depends on the values
-    of the arguments alone, so one product serves every equal group while it
-    stays in the cache; the width is read off the blocks, so it is no part of
-    the key.
+    The present blocks enter one ``int_product`` call, one part each, over the
+    lcm of their denominators, each scaled inside the product.  Over GF(p) the
+    product comes out as residues, the canonical form, so an output block
+    that vanishes mod p is never built; over Q only output blocks with a
+    nonzero integer grid are brought to canonical form.  The result depends on
+    the values of the arguments alone, so one product serves every equal group
+    while it stays in the cache; the width is read off the blocks, so it is no
+    part of the key.
     """
     present = [(k, x) for k, x in enumerate(xs) if x is not None]
     d, den, width = vmat.rows // 4, lcm(*(x.den for _, x in present)), present[0][1].cols
-    acc = [[0] * width for _ in range(4 * d)]
-    for k, x in present:
-        int_product(vmat, x.ints, width, acc, k * d, den // x.den)
-    ys = [(k, Mat.from_ints(vmat.field, d, width, acc[k * d:(k + 1) * d], den * vmat.den))
-          for k in range(4) if any(map(any, acc[k * d:(k + 1) * d]))]
-    return tuple((k, y) for k, y in ys if not y.is_zero())
+    grid = int_product(vmat, [(k * d, x.ints, den // x.den) for k, x in present], width)
+    return tuple((k, Mat.from_ints(vmat.field, d, width, grid[k * d:(k + 1) * d], den * vmat.den,
+                                   canonical=not vmat.field.is_rational))
+                 for k in range(4) if any(map(any, grid[k * d:(k + 1) * d])))
 
 
 def _block_exchange(vmat: Mat, b: Batch) -> Batch:

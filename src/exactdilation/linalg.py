@@ -9,8 +9,9 @@ The integers come as a grid, ``ints``, or by columns, ``_col_terms``, the
 one form and the other is a view built when it is read.  The sparse
 truncated operators are built, ranked and multiplied by columns alone.
 Stacks, unit matrices and truncations are canonical as built, each by a
-lemma stated where it is built; every other matrix (a sum, a product, a
-random draw) is brought to the form by ``reduce_ints`` alone, through
+lemma stated where it is built, and so are products over GF(p), whose loop
+leaves residues; every other matrix (a sum, a product over Q, a random
+draw) is brought to the form by ``reduce_ints`` alone, through
 ``from_ints``.  Field scalars are read only at the public edge (``Mat``,
 ``mat`` and ``from_cols`` take a grid of them), and their grid,
 ``entries``, is built only when it is read, for output.  One
@@ -19,13 +20,18 @@ basis completion, reduced row echelon form, kernels and inverses; it is
 fed rows or columns as each job needs.  Products keep two
 loops, each shaped for its operands: ``int_product`` multiplies a matrix
 into the small dense blocks of a batch, and ``column_product`` multiplies
-the column-sparse truncated operators.  ``int_product`` adds a scaled
-product of some of the matrix's columns into a given grid, so the block
-exchange feeds each nonzero block of a 4-block straight in, over the
-group's common denominator, with no zero rows and no rescaled copies.  One
-loop over column terms for both was tried and ran 23-35% fewer problems
-per second on the ``ando`` and ``sznagy-deep`` benchmark workloads:
-gathering the column terms of the dense blocks cost twice their products.
+the column-sparse truncated operators.  ``int_product`` sums, in one call,
+the products of several runs of the matrix's columns with their int rows,
+each scaled, so the block exchange feeds each nonzero block of a 4-block
+straight in, over the group's common denominator, with no zero rows and no
+rescaled copies.  Over GF(p), when the sums fit slots of at most 64 bits,
+it packs each row of residues into one int, so a column term costs one
+multiply-add for the whole row, and reduces each output row mod p once,
+every slot at a time; over Q, and for larger primes, it runs the plain
+scalar loop.  One loop over column terms for both was tried and ran 23-35%
+fewer problems per second on the ``ando`` and ``sznagy-deep`` benchmark
+workloads: gathering the column terms of the dense blocks cost twice their
+products.
 Degenerate shapes (0 x n, n x 0) are legal with the obvious conventions.
 Products are shared where they are made: ``@`` keeps its last two, keyed
 by the operands' values (see ``Mat.__matmul__``), so the dilation records
@@ -40,6 +46,7 @@ from bisect import bisect_left
 from functools import cached_property, lru_cache
 from itertools import compress
 from math import gcd, lcm
+from struct import Struct
 from typing import Iterable, Sequence
 
 from .fields import FieldSpec
@@ -231,7 +238,8 @@ class Mat:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         return Mat.from_ints(self.field, self.rows, other.cols,
-                             int_product(self, other.ints, other.cols), self.den * other.den)
+                             int_product(self, [(0, other.ints, 1)], other.cols),
+                             self.den * other.den, canonical=not self.field.is_rational)
 
 
 def _require_shape(name: str, m: Mat, field: FieldSpec, n: int):
@@ -311,27 +319,75 @@ def vstack(*mats: Mat) -> Mat:
 # -- vector ops --------------------------------------------------------------------
 
 
-def int_product(a: Mat, b: Sequence[Sequence[int]], width: int, acc: list | None = None,
-                first: int = 0, scale: int = 1) -> list:
-    """The integer grid ``acc + scale * A @ b``, for ``b`` with rows of ``width`` ints
-    and A the ``len(b)`` columns of ``a.ints`` from column ``first`` on; ``acc``, a
-    list of ``a.rows`` int lists, is added into in place, and is zeros if not given.
+@lru_cache(maxsize=64)
+def _packing(p: int | None, inner: int, width: int) -> tuple | None:
+    """How ``int_product`` packs a row of ``width`` residues mod p into one int, for a
+    product that sums ``inner`` right-operand rows: the ``Struct`` of a row and the
+    function that reduces a packed output row mod p and unpacks it, or None for
+    the plain loop (over Q, or when no slot of at most 64 bits holds the bound).
 
-    The product loop of ``@``, ``matvec`` and the lazy operators, whose right
-    operands are small dense grids.  It accumulates
+    Each output slot sums at most ``inner`` products of residues, so it stays
+    below 2**b, b the bit length of (p-1)**2 * inner.  The slot is the smallest
+    of 16, 32 and 64 bits that holds 2b + bits(p) + 1.  With k = b + bits(p) and
+    m = ceil(2**k / p) <= 2**(b+1), ``(z * m) >> k`` is ``z // p`` for every
+    z < 2**b (Granlund and Montgomery, PLDI 1994), and z * m < 2**(2b+1) fits a
+    slot.  So no carry crosses a slot, neither in the sums nor in ``z * m``, and
+    after the shift the low (slot - k) bits of each slot, the mask ``low``, hold
+    its exact quotient; the bits above them, the next slot's fraction bits, are
+    dropped.
+    """
+    if p is None:
+        return None
+    b = ((p - 1) ** 2 * inner).bit_length()
+    slot = next((s for s in (16, 32, 64) if s >= 2 * b + p.bit_length() + 1), None)
+    if slot is None:
+        return None
+    row, k = Struct(f"<{width}{'HIQ'[slot // 32]}"), b + p.bit_length()
+    m = -(-(1 << k) // p)
+    low = int.from_bytes(((1 << slot - k) - 1).to_bytes(slot // 8, "little") * width, "little")
+    return row, lambda z: row.unpack((z - p * ((z * m >> k) & low)).to_bytes(row.size, "little"))
+
+
+def int_product(a: Mat, parts: Sequence, width: int) -> list | tuple:
+    """The integer grid of the sum of ``scale * A @ b`` over the ``(first, b, scale)``
+    of ``parts``: ``b`` has rows of ``width`` ints, and A is the ``len(b)`` columns
+    of ``a.ints`` from column ``first`` on.  Over GF(p) the result is a tuple of
+    residue row tuples, the canonical form; there every denominator is 1, so
+    every scale is 1.
+
+    The product loop of ``@`` and the block exchange, whose right operands are
+    small dense grids.  Over GF(p), when ``_packing`` finds a slot, each row of
+    ``b`` is packed into one int and each column term ``(i, x)`` of A adds ``x``
+    times it to output row i's int: one multiply-add per term, not one per term
+    and entry.  Each output int is reduced mod p once, every slot at a time, and
+    unpacked once (Kronecker substitution with simultaneous modular reduction:
+    Dumas, Fousse and Salvy, J. Symbolic Comput. 46(7), 2011).  Otherwise, over
+    Q and for a prime past the 64-bit slot, the plain loop accumulates
     ``C[i][j] += A[i][k] * B[k][j]`` and skips zero entries of both sides.
     """
-    if acc is None:
+    p = a.field.modulus
+    packing = _packing(p, sum(len(b) for _, b, _ in parts), width)
+    if packing is None:
         acc = [[0] * width for _ in range(a.rows)]
-    index = range(width)
-    for colk, brow in zip(a._col_terms[first:], b):
-        if not colk:
-            continue
-        for j in compress(index, brow):
-            y = scale * brow[j]
-            for i, x in colk:
-                acc[i][j] += x * y
-    return acc
+        index = range(width)
+        for first, b, scale in parts:
+            for colk, brow in zip(a._col_terms[first:], b):
+                if not colk:
+                    continue
+                for j in compress(index, brow):
+                    y = scale * brow[j]
+                    for i, x in colk:
+                        acc[i][j] += x * y
+        return acc if p is None else tuple([tuple([x % p for x in r]) for r in acc])
+    row, reduce = packing
+    acc = [0] * a.rows
+    for first, b, _ in parts:
+        for colk, brow in zip(a._col_terms[first:], b):
+            if colk:
+                y = int.from_bytes(row.pack(*brow), "little")
+                for i, x in colk:
+                    acc[i] += x * y
+    return tuple(map(reduce, acc))
 
 
 def column_product(a: Mat, b: Mat, width: int) -> list:
@@ -449,12 +505,17 @@ def column_ranks(m: Mat, widths: Iterable[int]) -> list:
 
     ``widths`` must be nondecreasing; one elimination of the leading
     ``max(widths)`` columns, in order, gives the columns that enlarge the span,
-    and the rank at width ``w`` is the number of them before ``w``.
+    and the rank at width ``w`` is the number of them before ``w``.  It runs on
+    flipped coordinates, as ``_span``'s forward scan does: a column of a
+    truncated operator mostly ends one row lower than every column before it,
+    so it leads on a new pivot and inserts with no cancellation.  Ranks do not
+    depend on the pivot rule.
     """
     widths = list(widths)
     if any(a > b for a, b in zip([0] + widths, widths + [m.cols])):
         raise ValueError(f"widths must be nondecreasing, from 0 to at most {m.cols}")
-    kept, _ = _echelon(map(dict, m._col_terms[:max(widths, default=0)]), m.field)
+    top, width = m.rows - 1, max(widths, default=0)
+    kept, _ = _echelon(({top - i: x for i, x in terms} for terms in m._col_terms[:width]), m.field)
     return [bisect_left(kept, w) for w in widths]
 
 

@@ -1111,8 +1111,9 @@ def test_truncations_match_plain_oracle_level_by_level_with_group_cache(field, w
 @pytest.mark.parametrize("field, c", [(RATIONAL, -1), (GF7, 6)], ids=["zero", "zero-mod-7"])
 def test_block_exchange_stores_no_zero_block(field, c, monkeypatch):
     # v sends (x1, x2, x3, x4) to (x1 + c x2, x2, x3, x4): at x1 = x2 = 1 the first
-    # output block is 0, over GF(7) only once the integer product 7 is reduced mod 7;
-    # a zero integer grid is never brought to canonical form
+    # output block is 0, over GF(7) only once the integer product 7 is reduced mod 7,
+    # which the packed product does before any block is built: a zero block, over Q
+    # as integers and over GF(7) as residues, is never brought to canonical form
     v = mat(field, [[1, c, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     one = identity(field, 1)
     ops = AndoOperators(one, one, v, v)
@@ -1126,7 +1127,7 @@ def test_block_exchange_stores_no_zero_block(field, c, monkeypatch):
         grids.clear()
         out = apply_w(ops, b)
         assert list(out.blocks) == [2, 7]
-        assert len(grids) == 2 + bool(field.modulus)
+        assert len(grids) == 2
         assert all(any(map(any, g)) for g in grids)
         for tag in OPERATOR_TAGS[:-1]:
             assert all(not x.is_zero() for x in apply_batch(tag, ops, b).blocks.values()), tag

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exactdilation.linalg as linalg_mod
 from exactdilation.dilation import OPERATOR_TAGS, ando, sznagy, truncated_matrix
 from exactdilation.fields import RATIONAL, gf
 from exactdilation.linalg import (
@@ -21,6 +22,7 @@ from exactdilation.linalg import (
     from_cols,
     hstack,
     identity,
+    int_product,
     inverse,
     is_invertible,
     kernel_basis,
@@ -31,8 +33,10 @@ from exactdilation.linalg import (
     vstack,
     zeros,
 )
+from exactdilation.linalg import _packing
 from exactdilation.pairs import PairRecipe, gen_pair
 from exactdilation.rng import SplitMix64, rand_matrix
+from exactdilation.verify import CheckParams
 
 from oracles import (
     col_to_plain,
@@ -47,6 +51,8 @@ from oracles import (
 GF7 = gf(7)
 GF_M61 = gf(2**61 - 1)
 FIELDS = (RATIONAL, GF7, GF_M61)
+# the primes of the packed product's tests: slots of 16, 32 and 64 bits, and past them
+PRIMES = (2, 3, 7, 251, 65521, 2**31 - 1, 2**61 - 1)
 BIG = 2**64
 
 
@@ -138,7 +144,7 @@ def test_stack_and_access():
 # -- products against the plain oracle ----------------------------------------------
 
 
-@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("field", FIELDS + tuple(gf(p) for p in PRIMES if p not in (7, 2**61 - 1)))
 def test_matmul_matches_oracle(field):
     rng = SplitMix64(71)
     p = field.modulus
@@ -149,6 +155,82 @@ def test_matmul_matches_oracle(field):
         got = to_plain(a @ b)
         want = plain_mult(to_plain(a), to_plain(b), p, out_cols=m2)
         assert got == want
+
+
+def _slot(p, inner, width=1):
+    """The bits per slot of the packed product of ``inner`` rows mod p, 0 for the plain loop."""
+    packing = _packing(p, inner, width)
+    return 8 * packing[0].size // width if packing else 0
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_product_matches_plain_loop(p, monkeypatch):
+    # several parts at their column offsets, as the block exchange feeds a group:
+    # the packed loop against the plain one, at width 0, inner 0 and all-zero rows
+    field, rng = gf(p), SplitMix64(p % 1000)
+    cases = [(2, 0, [0]), (0, 3, [1, 2]), (3, 2, [0, 0]), (2, 3, [2, 0, 1])]
+    cases += [(rng.randint(0, 4), rng.randint(0, 5), [rng.randint(0, 3) for _ in range(3)])
+              for _ in range(30)]
+    products, packed = [], 0
+    for rows, width, sizes in cases:
+        a = Mat(field, rows, sum(sizes), rand_grid(rng, field, rows, sum(sizes)))
+        bs = [rand_grid(rng, field, n, width) if rng.below(3) else ((0,) * width,) * n
+              for n in sizes]
+        parts = [(sum(sizes[:i]), b, 1) for i, b in enumerate(bs)]
+        packed += _packing(p, sum(sizes), width) is not None
+        products.append((a, parts, width, int_product(a, parts, width)))
+    assert packed >= (4 if p <= 251 else 1)
+    monkeypatch.setattr(linalg_mod, "_packing", lambda *args: None)
+    for a, parts, width, got in products:
+        assert got == int_product(a, parts, width)
+        b = [r for _, rows, _ in parts for r in rows]
+        assert [list(r) for r in got] == plain_mult(to_plain(a), b, p, out_cols=width)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_product_is_exact_at_each_slot_bound(p):
+    # every entry p-1, at the largest inner whose bound 2b + bits(p) + 1 still fits
+    # each slot (b the bit length of (p-1)**2 * inner), and at one more: the sums of
+    # the slots carry into no neighbour, and the packed reduction is exact on the
+    # largest sum, on the largest sums below it that are 0 and -1 mod p, and on p - 1
+    field, width, below = gf(p), 4, -1
+    for slot in (16, 32, 64):
+        top = (slot - p.bit_length() - 1) // 2  # the largest b that fits the slot
+        largest = ((1 << top) - 1) // (p - 1) ** 2 if top >= 0 else -1
+        if largest == below:  # no inner takes this slot
+            continue
+        below = largest
+        assert _slot(p, largest) == slot and _slot(p, largest + 1) in (0, 2 * slot, 4 * slot)
+        for inner in (largest, largest + 1):
+            if not _slot(p, inner):
+                continue
+            row, reduce = _packing(p, inner, width)
+            z = inner * (p - 1) * int.from_bytes(row.pack(*[p - 1] * width), "little")
+            top_sum = (p - 1) ** 2 * inner
+            assert row.unpack(z.to_bytes(row.size, "little")) == (top_sum,) * width
+            assert reduce(z) == (top_sum % p,) * width
+            sums = (top_sum, top_sum - top_sum % p, max(top_sum - (top_sum + 1) % p, 0),
+                    min(p - 1, top_sum))
+            assert reduce(int.from_bytes(row.pack(*sums), "little")) == tuple(x % p for x in sums)
+            if inner <= 20000:
+                a = Mat.from_ints(field, 2, inner, ((p - 1,) * inner,) * 2, canonical=True)
+                b = Mat.from_ints(field, inner, width, ((p - 1,) * width,) * inner,
+                                  canonical=True)
+                assert (a @ b).ints == ((top_sum % p,) * width,) * 2
+
+
+def test_benchmark_shapes_take_the_packed_loop():
+    # the benchmark workloads and the acceptance corpus reach d <= 10, products that
+    # sum d to 4d rows (T x0, and one 4-block group of the exchange), and batches up
+    # to (max_power+1)(d+trials) columns at default windows: over GF(7) every one
+    # runs packed, over Q and GF(2**61-1) none does
+    params = CheckParams()
+    for d in range(1, 11):
+        for inner in range(d, 4 * d + 1):
+            for width in (1, (params.max_power + 1) * (d + params.trials)):
+                assert _packing(7, inner, width) is not None
+                assert _packing(None, inner, width) is None
+                assert _packing(2**61 - 1, inner, width) is None
 
 
 def _copy(m):

@@ -3,7 +3,6 @@ import json
 import pytest
 
 import exactdilation.dilation as dilation_mod
-import exactdilation.linalg as linalg_mod
 import exactdilation.verify as verify_mod
 from exactdilation.dilation import (
     AndoOperators,
@@ -589,31 +588,23 @@ def test_bivariate_record_applies_u_and_v_max_power_times(max_power, monkeypatch
 
 
 @pytest.mark.parametrize("field", (RATIONAL, GF7))
-def test_each_dilation_step_makes_one_product(field, monkeypatch):
-    # a real product is an int_product call of @, which passes no acc.  gen_pair's
-    # self-check leaves TS and ST in @'s memo, so commuting the pair again makes
-    # none.  The head surgery makes T x0 (S x0 inside V) and the record's expected
-    # side asks @ for the same operands, so each step makes one product;
-    # check_sznagy makes one more, for coordinate 0 of its truncation
-    products, real = [], linalg_mod.int_product
-
-    def counted(a, b, width, acc=None, *rest):
-        if acc is None:
-            products.append(a)
-        return real(a, b, width, acc, *rest)
-
-    monkeypatch.setattr(linalg_mod, "int_product", counted)
+def test_each_dilation_step_makes_one_product(field):
+    # a real product of @ is a miss of its memo.  gen_pair's self-check leaves TS
+    # and ST in @'s memo, so commuting the pair again makes none.  The head surgery
+    # makes T x0 (S x0 inside V) and the record's expected side asks @ for the same
+    # operands, so each step makes one product; check_sznagy makes one more, for
+    # coordinate 0 of its truncation
+    memo = Mat.__matmul__
     t, s = gen_pair(PairRecipe("polynomial", 3, field, seed=2))
-    products.clear()
-    assert check_commute(t, s) and products == []
+    misses = memo.cache_info().misses
+    assert check_commute(t, s) and memo.cache_info().misses == misses
     params = CheckParams(max_power=5, max_trunc=2, trials=2)
     ops = ando(t, s)
     for audit, count in ((lambda: check_sznagy(t, params), 6),
                          (lambda: verify_mod._bivariate_record(ops, params), 10)):
-        Mat.__matmul__.cache_clear()
-        products.clear()
+        memo.cache_clear()
         assert audit().passed
-        assert len(products) == count
+        assert memo.cache_info().misses == count
 
 
 # -- report serialization ------------------------------------------------------------------
