@@ -8,8 +8,10 @@ order, as annotations, each with its default, if any, as the class
 attribute; it gets positional and keyword construction, value ``==`` and
 ``hash``, a ``Name(field=value, ...)`` repr, ``replace`` and no assignment.
 ``_check`` validates every new instance, ``replace``'s too, by raising.
-Fields are set with ``object.__setattr__``, which keeps the instance's
-attributes as fast to read as a plain object's; the tuple of their values
+The arguments are bound in one pass over the fields: the positional values,
+then each remaining field from its keyword or else from its default.  The
+fields go into the instance's ``__dict__`` in one update, which keeps them
+as fast to read as a plain object's attributes; the tuple of their values
 is kept too, for ``==`` and ``hash``.
 
 The fields are read off the class's own annotations as the class is made.
@@ -31,20 +33,17 @@ class Record:
             raise TypeError(f"Record subclass {cls.__name__} annotates no fields")
 
     def __init__(self, *args, **kwargs):
-        cls, fields = type(self), self._fields
-        given = dict(zip(fields, args))
-        if len(args) > len(fields) or not given.keys().isdisjoint(kwargs):
+        cls, fields, n = type(self), self._fields, len(args)
+        if n > len(fields) or not kwargs.keys().isdisjoint(fields[:n]):
             raise TypeError(f"{cls.__name__}() takes {len(fields)} fields, each given once")
-        given.update(kwargs)
-        values = []
-        for name in fields:
-            if name not in given and name not in cls.__dict__:
+        values = list(args)
+        for name in fields[n:]:
+            if name not in kwargs and name not in cls.__dict__:
                 raise TypeError(f"{cls.__name__}() is missing the field {name!r}")
-            values.append(given.pop(name, cls.__dict__.get(name)))
-            object.__setattr__(self, name, values[-1])
-        if given:
-            raise TypeError(f"{cls.__name__}() has no field {sorted(given)[0]!r}")
-        object.__setattr__(self, "_values", tuple(values))
+            values.append(kwargs.pop(name) if name in kwargs else cls.__dict__[name])
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() has no field {sorted(kwargs)[0]!r}")
+        self.__dict__.update(zip(fields, values), _values=tuple(values))
         self._check()
 
     def _check(self):

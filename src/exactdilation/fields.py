@@ -138,7 +138,9 @@ class FieldSpec(Record):
     def reduce_ints(self, rows, den: int) -> tuple:
         """The canonical form ``(int row tuples, den)`` of the grid ``rows / den``,
         for a positive ``den``: over Q, the gcd of ``den`` and every entry is 1,
-        so the form is unique; over GF(p), residues over 1.
+        so the form is unique; over GF(p), residues over 1.  It is the one
+        place a grid is reduced mod p entry by entry, ``int_product``'s plain
+        loop included; its packed loop reduces whole packed rows instead.
 
         The GF(p) branch for ``den != 1`` multiplies by the inverse of ``den``
         mod p.  No package path needs it: over GF(p) every product, stack,

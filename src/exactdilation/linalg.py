@@ -9,8 +9,8 @@ The integers come as a grid, ``ints``, or by columns, ``_col_terms``, the
 one form and the other is a view built when it is read.  The sparse
 truncated operators are built, ranked and multiplied by columns alone.
 Stacks, unit matrices and truncations are canonical as built, each by a
-lemma stated where it is built, and so are products over GF(p), whose loop
-leaves residues; every other matrix (a sum, a product over Q, a random
+lemma stated where it is built, and so are products over GF(p), whose loops
+leave residues; every other matrix (a sum, a product over Q, a random
 draw) is brought to the form by ``reduce_ints`` alone, through
 ``from_ints``.  Field scalars are read only at the public edge (``Mat``,
 ``mat`` and ``from_cols`` take a grid of them), and their grid,
@@ -363,7 +363,8 @@ def int_product(a: Mat, parts: Sequence, width: int) -> list | tuple:
     unpacked once (Kronecker substitution with simultaneous modular reduction:
     Dumas, Fousse and Salvy, J. Symbolic Comput. 46(7), 2011).  Otherwise, over
     Q and for a prime past the 64-bit slot, the plain loop accumulates
-    ``C[i][j] += A[i][k] * B[k][j]`` and skips zero entries of both sides.
+    ``C[i][j] += A[i][k] * B[k][j]`` and skips zero entries of both sides; over
+    GF(p), ``FieldSpec.reduce_ints`` reduces its sums, as it does every grid.
     """
     p = a.field.modulus
     packing = _packing(p, sum(len(b) for _, b, _ in parts), width)
@@ -378,7 +379,7 @@ def int_product(a: Mat, parts: Sequence, width: int) -> list | tuple:
                     y = scale * brow[j]
                     for i, x in colk:
                         acc[i][j] += x * y
-        return acc if p is None else tuple([tuple([x % p for x in r]) for r in acc])
+        return acc if p is None else a.field.reduce_ints(acc, 1)[0]
     row, reduce = packing
     acc = [0] * a.rows
     for first, b, _ in parts:

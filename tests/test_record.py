@@ -90,17 +90,35 @@ def test_fields_in_order_with_their_defaults(cls):
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_bad_arguments_raise_type_error(cls):
+    # the binder's four messages, each checked ahead of the ones below it
     spec, values, _ = CASES[cls]
     names = [name for name, _ in spec]
-    with pytest.raises(TypeError):
-        cls(*values, values[0])  # one too many
-    with pytest.raises(TypeError):
-        cls(*values[:1], **{names[0]: values[0]})  # given twice
-    with pytest.raises(TypeError):
-        cls(*values, no_such_field=1)
+    name = cls.__name__
+    once = f"{name}() takes {len(names)} fields, each given once"
+    for args, kwargs in [((*values, values[0]), {}),  # one too many
+                         ((*values, values[0]), {"no_such_field": 1}),
+                         (values[:1], {names[0]: values[0]}),  # a positional field again
+                         (values, {names[-1]: values[-1]}),
+                         (values, {names[-1]: values[-1], "no_such_field": 1})]:
+        with pytest.raises(TypeError, match=re.escape(once)):
+            cls(*args, **kwargs)
+    required = [n for n, default in spec if default is REQUIRED]
+    if required:  # a missing field is reported before an unknown keyword
+        given = {n: v for n, v in zip(names, values) if n != required[-1]}
+        with pytest.raises(TypeError, match=re.escape(
+                f"{name}() is missing the field {required[-1]!r}")):
+            cls(**given, no_such_field=1)
+        with pytest.raises(TypeError, match=re.escape(
+                f"{name}() is missing the field {required[0]!r}")):
+            cls(zz=1)
     if spec[-1][1] is REQUIRED:
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=re.escape(
+                f"{name}() is missing the field {names[-1]!r}")):
             cls(*values[:-1])  # one missing
+    with pytest.raises(TypeError, match=re.escape(f"{name}() has no field 'no_such_field'")):
+        cls(*values, no_such_field=1)
+    with pytest.raises(TypeError, match=re.escape(f"{name}() has no field 'aa'")):
+        cls(**dict(zip(names, values)), zz=1, aa=2)  # the first unknown name, sorted
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

@@ -86,16 +86,17 @@ def never_run(paths, hits) -> list:
     return out
 
 
-def corpus_cases() -> list:
-    """``(flags, problem text)`` for each problem of one seed-1 pass of every workload
-    of ``BENCHMARK.json``."""
+def corpus_cases(seed: int = 1, workloads=None) -> list:
+    """``(flags, problem text)`` for each problem of one ``seed`` pass of each named
+    workload, by default every workload of ``BENCHMARK.json``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import corpus
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return [(workload.flags, problem.text)
-            for workload in (corpus.WORKLOADS[w["name"]] for w in spec["workloads"])
-            for problem in corpus.corpus(workload, 1)]
+    if workloads is None:
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        workloads = [w["name"] for w in spec["workloads"]]
+    return [(corpus.WORKLOADS[name].flags, problem.text) for name in workloads
+            for problem in corpus.corpus(corpus.WORKLOADS[name], seed)]
 
 
 def run_corpus(cases, workdir: Path) -> list:
