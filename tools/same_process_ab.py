@@ -104,7 +104,7 @@ def run_round(clis, cases, workdir: Path, label: str, offset: int) -> list:
     return totals
 
 
-def ab(packages, runs, rounds: int, workdir: Path, out=None) -> int:
+def ab(packages, runs, rounds: int, workdir: Path) -> int:
     """Time the ``cli`` of ``packages`` (the parent's directory, then the change's)
     on each ``(label, cases)`` of ``runs``; print every round's B/A, and their
     range and median over all rounds.  Returns 0, or 1 when the outputs of some problem differ."""
@@ -120,14 +120,14 @@ def ab(packages, runs, rounds: int, workdir: Path, out=None) -> int:
                     a, b = run_round(clis, cases, workdir, label, r)
                     ratios.append(b / a)
                     print(f"{label} round {r + 1}: parent {a:.3f} s, change {b:.3f} s, "
-                          f"B/A {b / a:.3f}", file=out, flush=True)
+                          f"B/A {b / a:.3f}", flush=True)
     except Mismatch as exc:
         print(f"same_process_ab: {exc}", file=sys.stderr)
         return 1
     if ratios:
         print(f"B/A {min(ratios):.3f}-{max(ratios):.3f}, median "
               f"{statistics.median(ratios):.3f}, over {len(ratios)} rounds; "
-              f"exit codes, reports and dumps identical on every problem", file=out)
+              f"exit codes, reports and dumps identical on every problem")
     return 0
 
 
