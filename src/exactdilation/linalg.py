@@ -17,7 +17,9 @@ draw) is brought to the form by ``reduce_ints`` alone, through
 ``entries``, is built only when it is read, for output.  One
 fraction-free elimination loop, ``_echelon``, serves rank, column ranks,
 basis completion, reduced row echelon form, kernels and inverses; it is
-fed rows or columns as each job needs.  Products keep two
+fed rows or columns as each job needs, with the dimension of their space,
+and stops once its pivots span it, since no later vector could enlarge the
+span.  Products keep two
 loops, each shaped for its operands: ``int_product`` multiplies a matrix
 into the small dense blocks of a batch, and ``column_product`` multiplies
 the column-sparse truncated operators.  ``int_product`` sums, in one call,
@@ -446,15 +448,17 @@ def _cancel(row: dict, piv: dict, c: int, field: FieldSpec) -> dict:
     return field.reduce_row(row)
 
 
-def _echelon(vectors: Iterable[dict], field: FieldSpec) -> tuple[list, dict]:
-    """One elimination of sparse integer vectors, in order: the positions of those that
-    enlarge the span, and the echelon set, leading index -> vector.
+def _echelon(vectors: Iterable[dict], field: FieldSpec, dim: int) -> tuple[list, dict]:
+    """One elimination of sparse integer vectors of F^dim, in order: the positions of
+    those that enlarge the span, and the echelon set, leading index -> vector.
 
-    Vectors are dicts index -> nonzero int, and each is consumed.  Each is
-    reduced against the set, and inserted at its lead unless it cancels to
-    zero; pivots are kept in the field's ``pivot_row`` form.  Only the line
-    through a vector matters, so those of a matrix may come over any common
-    denominator.
+    Vectors are dicts index -> nonzero int, with indices below ``dim``, and each
+    is consumed.  Each is reduced against the set, and inserted at its lead
+    unless it cancels to zero; pivots are kept in the field's ``pivot_row``
+    form.  Only the line through a vector matters, so those of a matrix may
+    come over any common denominator.  Once ``dim`` pivots span F^dim, no more
+    vectors are drawn: none could enlarge the span, so the result is a full
+    pass's.
     """
     pivot_rows: dict = {}
     kept = []
@@ -465,6 +469,8 @@ def _echelon(vectors: Iterable[dict], field: FieldSpec) -> tuple[list, dict]:
             if piv is None:
                 pivot_rows[lead] = field.pivot_row(row, lead)
                 kept.append(pos)
+                if len(kept) == dim:
+                    return kept, pivot_rows
                 break
             row = _cancel(row, piv, lead, field)
     return kept, pivot_rows
@@ -473,12 +479,17 @@ def _echelon(vectors: Iterable[dict], field: FieldSpec) -> tuple[list, dict]:
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns (strictly increasing).
 
-    The echelon set of the rows is back-substituted bottom up with the same
-    cancellation step; row i, divided by its lead, is then brought over the
-    lcm of the leads.
+    When every column is a pivot, the form is the unit block (identity over the
+    first ``cols`` rows, zeros below) with no back-substitution, as the reduced
+    form of a full-column-rank matrix is unique.  Otherwise the echelon set of
+    the rows is back-substituted bottom up with the same cancellation step; row
+    i, divided by its lead, is then brought over the lcm of the leads.
     """
     field = m.field
-    _, pivot_rows = _echelon(({j: x for j, x in enumerate(raw) if x} for raw in m.ints), field)
+    _, pivot_rows = _echelon(({j: x for j, x in enumerate(raw) if x} for raw in m.ints),
+                             field, m.cols)
+    if len(pivot_rows) == m.cols:
+        return _unit_cols(field, m.rows, m.cols, enumerate(range(m.cols))), tuple(range(m.cols))
     pivots = sorted(pivot_rows)
     for i in range(len(pivots) - 2, -1, -1):
         row = pivot_rows[pivots[i]]
@@ -498,7 +509,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 def rank(m: Mat) -> int:
     """Rank of ``m``: the number of its columns that enlarge the span of those before."""
-    return len(_echelon(map(dict, m._col_terms), m.field)[0])
+    return len(_echelon(map(dict, m._col_terms), m.field, m.rows)[0])
 
 
 def column_ranks(m: Mat, widths: Iterable[int]) -> list:
@@ -516,7 +527,8 @@ def column_ranks(m: Mat, widths: Iterable[int]) -> list:
     if any(a > b for a, b in zip([0] + widths, widths + [m.cols])):
         raise ValueError(f"widths must be nondecreasing, from 0 to at most {m.cols}")
     top, width = m.rows - 1, max(widths, default=0)
-    kept, _ = _echelon(({top - i: x for i, x in terms} for terms in m._col_terms[:width]), m.field)
+    kept, _ = _echelon(({top - i: x for i, x in terms} for terms in m._col_terms[:width]),
+                       m.field, m.rows)
     return [bisect_left(kept, w) for w in widths]
 
 
@@ -524,7 +536,9 @@ def kernel_basis(m: Mat) -> Mat:
     """Columns spanning ker(m); count is always cols(m) - rank(m).
 
     With R = rref(m) over its denominator r, the column for free column f is
-    r e_f minus R's column f placed at the pivot columns, over r.
+    r e_f minus R's column f placed at the pivot columns, over r.  Of a
+    full-column-rank matrix, ``rref`` reads only the pivot rows, so the empty
+    kernel costs only those.
     """
     reduced, pivots = rref(m)
     pivot_set = set(pivots)
@@ -554,7 +568,7 @@ def _span(m: Mat, scan: str) -> tuple[list, list, list]:
     top, forward = m.rows - 1, scan == "forward"
     cols = (({top - i: x for i, x in terms} for terms in m._col_terms) if forward
             else map(dict, m._col_terms))
-    pivots, pivot_rows = _echelon(cols, m.field)
+    pivots, pivot_rows = _echelon(cols, m.field, m.rows)
     leads = {top - c for c in pivot_rows} if forward else set(pivot_rows)
     order = range(m.rows) if forward else range(top, -1, -1)
     return pivots, sorted(leads), [i for i in order if i not in leads]

@@ -82,6 +82,21 @@ def random_mats(field, seed, count, max_rows=5, max_cols=6):
     return out
 
 
+def tall_mats(field, seed, count):
+    """Random matrices with c = 1..4 columns and c to 3c rows; every other one repeats
+    column 0 as its last column, so its rank is below its column count."""
+    rng = SplitMix64(seed)
+    out = []
+    for k in range(count):
+        c = 1 + rng.below(4)
+        r = c + rng.below(2 * c + 1)
+        grid = rand_grid(rng, field, r, c)
+        if k % 2 and c > 1:
+            grid = tuple(row[:-1] + row[:1] for row in grid)
+        out.append(Mat(field, r, c, grid))
+    return out
+
+
 # -- construction -----------------------------------------------------------------
 
 
@@ -314,7 +329,7 @@ def test_rref_hand_example():
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_rref_idempotent_and_preserves_row_space(field):
-    for m in random_mats(field, seed=101, count=40):
+    for m in random_mats(field, seed=101, count=40) + tall_mats(field, seed=102, count=20):
         r, pivots = rref(m)
         assert (to_plain(r), list(pivots)) == plain_rref(to_plain(m), field.modulus)
         r2, pivots2 = rref(r)
@@ -322,6 +337,65 @@ def test_rref_idempotent_and_preserves_row_space(field):
         assert list(pivots) == sorted(set(pivots))
         # same row space: stacking changes no rank
         assert rank(vstack(m, r)) == rank(m) == rank(r) == len(pivots)
+
+
+# -- the stop rule: an elimination ends once its pivots span the space ------------------
+
+
+@pytest.mark.parametrize("field", (RATIONAL, GF7))
+def test_rref_of_identity_over_any_rows_cancels_nothing(field, monkeypatch):
+    # the n identity rows span F^n, so no row of R is read and no back-substitution runs
+    cancels, inner = [], linalg_mod._cancel
+    monkeypatch.setattr(linalg_mod, "_cancel", lambda *args: cancels.append(args) or inner(*args))
+    rng = SplitMix64(41)
+    for n in range(1, 5):
+        k = 1 + rng.below(3 * n)
+        r, pivots = rref(vstack(identity(field, n), Mat(field, k, n, rand_grid(rng, field, k, n))))
+        assert r == vstack(identity(field, n), zeros(field, k, n))
+        assert pivots == tuple(range(n))
+    assert cancels == []
+
+
+def _drawn(vectors, draws):
+    """Yield each vector of ``vectors`` as a fresh dict, counting the draws in ``draws``."""
+    for v in vectors:
+        draws.append(v)
+        yield dict(v)
+
+
+@pytest.mark.parametrize("field", (RATIONAL, GF7))
+def test_echelon_draws_no_vector_once_its_pivots_span_dim(field):
+    rng = SplitMix64(42)
+    for dim in range(1, 6):
+        m = Mat(field, 3 * dim, dim, rand_grid(rng, field, 3 * dim, dim))
+        vectors = [{j: x for j, x in enumerate(row) if x} for row in m.ints]
+        plain = to_plain(m)
+        full = [i for i in range(len(plain))
+                if gauss_rank(plain[:i + 1], field.modulus) > gauss_rank(plain[:i], field.modulus)]
+        assert len(full) == dim and full[-1] < len(vectors) - 1  # spanned before the end
+        draws = []
+        kept, pivot_rows = linalg_mod._echelon(_drawn(vectors, draws), field, dim)
+        # the dim-th pivot is the last vector drawn, and the result is a full pass's
+        assert kept == full and len(draws) == full[-1] + 1
+        assert pivot_rows == linalg_mod._echelon(_drawn(vectors, []), field, dim + 1)[1]
+
+
+@pytest.mark.parametrize("field", (RATIONAL, GF7))
+def test_rank_deficient_tall_rref_reads_every_row(field, monkeypatch):
+    # column 2 repeats column 0, so the pivots never span F^3 and no row is skipped
+    draws = []
+    inner = linalg_mod._echelon
+    monkeypatch.setattr(linalg_mod, "_echelon",
+                        lambda vectors, *args: inner(_drawn(vectors, draws), *args))
+    rng = SplitMix64(43)
+    for rows in (3, 6, 9):
+        grid = tuple(row[:2] + row[:1] for row in rand_grid(rng, field, rows, 2))
+        m = Mat(field, rows, 3, grid)
+        draws.clear()
+        r, pivots = rref(m)
+        assert len(draws) == rows
+        assert (to_plain(r), list(pivots)) == plain_rref(to_plain(m), field.modulus)
+        assert len(pivots) < 3
 
 
 # -- rank --------------------------------------------------------------------------------
@@ -387,7 +461,7 @@ def test_kernel_trivial_cases():
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_kernel_and_rank_nullity(field):
-    for m in random_mats(field, seed=303, count=40):
+    for m in random_mats(field, seed=303, count=40) + tall_mats(field, seed=304, count=20):
         k = kernel_basis(m)
         assert rank(m) + k.cols == m.cols
         zero = _zero_col(field, m.rows)

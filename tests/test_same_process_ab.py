@@ -3,6 +3,7 @@ the package; its core is run here on two copies of the package, on two small
 problems, with no git checkout."""
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -13,6 +14,9 @@ CASES = [(("ando", "--max-power", "1", "--trunc", "0", "--trials", "1", "--dump-
           '"recipe": {"kind": "polynomial", "dim": 2, "seed": 3}}'),
          (("sznagy", "--max-power", "2", "--trunc", "1"),
           '{"field": {"kind": "rational"}, "dim": 2, "T": [["1/2", "1"], ["0", "-1"]]}')]
+# the same problems with corpus ids, ``workload/stratum/i``, as corpus_cases(ids=True) gives
+CASES_WITH_IDS = [(*CASES[0], "tiny/ando-d2/0"), (*CASES[1], "tiny/sznagy-d2/0")]
+STRATUM_LINE = re.compile(r"stratum (.+): B/A (\d+\.\d{3}), (\d+\.\d)% of the parent's time")
 
 
 def load_tool():
@@ -34,9 +38,18 @@ def packages(root: Path) -> list:
 def test_identical_sides_pass_and_one_report_byte_fails(tmp_path, capsys):
     tool = load_tool()
     same = packages(tmp_path / "same")
-    assert tool.ab(same, [("tiny seed 1", CASES)], 1, tmp_path / "same") == 0
-    out = capsys.readouterr().out
-    assert "tiny seed 1 round 1: parent " in out and "identical on every problem" in out
+    runs = [("tiny seed 1", CASES), ("tiny seed 2", CASES_WITH_IDS)]
+    assert tool.ab(same, runs, 2, tmp_path / "same") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "tiny seed 1 round 2: parent " in out[1] and "tiny seed 2 round 1: parent " in out[2]
+    assert "identical on every problem" in out[-1]
+    # one line per stratum, after the rounds: hand-built cases form one stratum named
+    # by their label, and corpus cases are grouped by the stratum of their id
+    strata = [STRATUM_LINE.fullmatch(line) for line in out[4:-1]]
+    assert all(strata) and len(strata) == 3
+    assert [m[1] for m in strata] == ["ando-d2", "sznagy-d2", "tiny seed 1"]
+    assert all(float(m[2]) > 0 for m in strata)
+    assert abs(sum(float(m[3]) for m in strata) - 100) <= 0.2
     # one byte of every report, on the change's side alone: "pass" becomes "Pass"
     changed = packages(tmp_path / "changed")
     verify = changed[1] / "verify.py"

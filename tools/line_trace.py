@@ -86,17 +86,18 @@ def never_run(paths, hits) -> list:
     return out
 
 
-def corpus_cases(seed: int = 1, workloads=None) -> list:
+def corpus_cases(seed: int = 1, workloads=None, ids: bool = False) -> list:
     """``(flags, problem text)`` for each problem of one ``seed`` pass of each named
-    workload, by default every workload of ``BENCHMARK.json``."""
+    workload, by default every workload of ``BENCHMARK.json``; with ``ids``, the
+    problem's id (``workload/stratum/i``) comes third."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import corpus
 
     if workloads is None:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
         workloads = [w["name"] for w in spec["workloads"]]
-    return [(corpus.WORKLOADS[name].flags, problem.text) for name in workloads
-            for problem in corpus.corpus(corpus.WORKLOADS[name], seed)]
+    return [(corpus.WORKLOADS[name].flags, problem.text) + ((problem.id,) if ids else ())
+            for name in workloads for problem in corpus.corpus(corpus.WORKLOADS[name], seed)]
 
 
 def run_corpus(cases, workdir: Path) -> list:

@@ -19,7 +19,11 @@ faster.  Every call's exit code, report bytes and dump bytes are compared
 between the sides.  The first difference ends the run with exit 1 and a
 message that names the problem as ``WORKLOAD seed S problem K``, K being its
 index in ``corpus_cases(S, [WORKLOAD])``.  Standard error of the calls is
-dropped.
+dropped.  After the rounds, one line per corpus stratum gives its B/A and its
+share of the parent's time, both summed over every round and seed, so that a
+tail metric can be traced to the strata it falls in.  A problem's stratum is
+read off its corpus id, ``workload/stratum/i``; cases built by hand, with no
+id, form one stratum named by their run's label.
 
 Usage::
 
@@ -86,44 +90,58 @@ def call(cli, flags, problem: Path, out: Path) -> tuple:
     return time.perf_counter() - start, (code, _read(out), _read(dump))
 
 
+def stratum(label: str, case) -> str:
+    """The stratum of a case: the middle part of its corpus id (``workload/stratum/i``),
+    or ``label`` for a case built by hand, which has no id."""
+    return case[2].split("/")[1] if len(case) > 2 else label
+
+
 def run_round(clis, cases, workdir: Path, label: str, offset: int) -> list:
-    """Every case on both sides, alternating which goes first; each side's total
-    seconds.  Raises Mismatch at the first case whose outputs differ."""
-    totals = [0.0, 0.0]
+    """Every case on both sides, alternating which goes first; each case's seconds,
+    parent's then change's.  Raises Mismatch at the first case whose outputs differ."""
+    times = []
     gc.collect()
-    for k, (flags, _) in enumerate(cases):
-        seen = [None, None]
+    for k, (flags, *_) in enumerate(cases):
+        seen, spent = [None, None], [0.0, 0.0]
         for side in (0, 1) if (k + offset) % 2 == 0 else (1, 0):
-            elapsed, seen[side] = call(clis[side], flags, workdir / f"p{k}.json",
-                                       workdir / f"p{k}.{SIDES[side]}.report.json")
-            totals[side] += elapsed
+            spent[side], seen[side] = call(clis[side], flags, workdir / f"p{k}.json",
+                                           workdir / f"p{k}.{SIDES[side]}.report.json")
         for what, a, b in zip(OUTPUTS, *seen):
             if a != b:
                 raise Mismatch(f"{label} problem {k}: {what} differ"
                                + (f" ({a!r} against {b!r})" if what == "exit code" else ""))
-    return totals
+        times.append(spent)
+    return times
 
 
 def ab(packages, runs, rounds: int, workdir: Path) -> int:
     """Time the ``cli`` of ``packages`` (the parent's directory, then the change's)
-    on each ``(label, cases)`` of ``runs``; print every round's B/A, and their
-    range and median over all rounds.  Returns 0, or 1 when the outputs of some problem differ."""
+    on each ``(label, cases)`` of ``runs``; print every round's B/A, each stratum's
+    B/A and share of the parent's time, and the rounds' range and median of B/A.
+    Returns 0, or 1 when the outputs of some problem differ."""
     clis = [import_cli(p) for p in packages]
-    ratios = []
+    ratios, strata = [], {}
     try:
         with open(os.devnull, "w") as devnull, contextlib.redirect_stderr(devnull):
             for label, cases in runs:
-                for k, (_, text) in enumerate(cases):
+                for k, (_, text, *_) in enumerate(cases):
                     (workdir / f"p{k}.json").write_text(text, encoding="utf-8")
                 run_round(clis, cases, workdir, label, 1)  # warm
                 for r in range(rounds):
-                    a, b = run_round(clis, cases, workdir, label, r)
+                    times = run_round(clis, cases, workdir, label, r)
+                    for case, spent in zip(cases, times):
+                        name = stratum(label, case)
+                        strata[name] = [x + y for x, y in zip(strata.get(name, (0, 0)), spent)]
+                    a, b = map(sum, zip(*times))
                     ratios.append(b / a)
                     print(f"{label} round {r + 1}: parent {a:.3f} s, change {b:.3f} s, "
                           f"B/A {b / a:.3f}", flush=True)
     except Mismatch as exc:
         print(f"same_process_ab: {exc}", file=sys.stderr)
         return 1
+    parent_total = sum(a for a, _ in strata.values())
+    for name, (a, b) in sorted(strata.items()):
+        print(f"stratum {name}: B/A {b / a:.3f}, {a / parent_total:.1%} of the parent's time")
     if ratios:
         print(f"B/A {min(ratios):.3f}-{max(ratios):.3f}, median "
               f"{statistics.median(ratios):.3f}, over {len(ratios)} rounds; "
@@ -143,7 +161,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     parent = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
-    runs = [(f"{args.workload} seed {s}", corpus_cases(s, [args.workload])) for s in args.seeds]
+    runs = [(f"{args.workload} seed {s}", corpus_cases(s, [args.workload], ids=True))
+            for s in args.seeds]
     with tempfile.TemporaryDirectory(prefix="same_process_ab-") as tmp:
         workdir = Path(tmp)
         trees = checkouts(parent, workdir)
