@@ -5,7 +5,9 @@ Commands: ``sznagy`` (single-map suite), ``ando`` (two-map suite), ``gen``
 check failed (report still written), 2 input error (among them an invalid
 recipe, an output scalar past Python's int-to-text digit limit, when nothing
 is written, and a destination that cannot be written, standard output among
-them, help included), 3 non-commuting input.  ``sznagy`` and ``ando`` refuse a bad flag (exit
+them, help included), 3 non-commuting input.  File outputs are moved into
+place only once every output is written, so a failed write leaves no partial
+file.  ``sznagy`` and ``ando`` refuse a bad flag (exit
 2, one stderr line) before they read the problem file or generate its pair.
 Reports are byte-identical across runs on the same input and flags.  The
 ``exactdilation`` script and ``python -m exactdilation`` both call ``main``.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import cache
@@ -65,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
     help to a standard output that cannot be written is an input error."""
 
     def print_help(self, file=None):
-        _write(self.format_help(), None)
+        _write((self.format_help(), None))
 
 
 @cache  # built on the first call, then shared: parsing leaves the parser as it was
@@ -123,29 +126,46 @@ def _render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(text: str, out_path):
-    """Write ``text`` to ``out_path``, or to standard output when it is None; a
-    destination that cannot be written, standard output among them, is an input
-    error."""
-    where = "standard output" if out_path is None else out_path
+def _write(*outputs):
+    """Write each ``(text, path)`` of ``outputs``, to standard output when ``path``
+    is None.  A new or regular file is written to a temporary file beside it,
+    and the temporary files are moved into place with ``os.replace`` only once
+    every write has succeeded, in reverse order, so the first output (the
+    report) lands last.  Any other destination (a symlink, ``/dev/null``, a
+    pipe) is written in place.  A destination that cannot be written or moved
+    into place, standard output among them, is an input error, and the
+    temporary files not yet moved are removed: after a failed write, no new
+    or regular file destination has changed."""
+    moves = []
     try:
-        if out_path is not None:
-            with open(out_path, "w", encoding="utf-8") as fh:
+        for text, where in outputs:
+            if where is None:
+                where = "standard output"
+                if sys.stdout is None:
+                    raise OSError("it is closed")
+                sys.stdout.write(text)
+                sys.stdout.flush()
+                continue
+            path = where
+            if not os.path.islink(where) and (os.path.isfile(where) or not os.path.exists(where)):
+                path = f"{where}.{os.getpid()}.tmp"
+                moves.append((path, where))
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        elif sys.stdout is None:
-            raise OSError("it is closed")
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+        for tmp, where in reversed(moves):
+            os.replace(tmp, where)
     except OSError as exc:
+        for tmp, _ in moves:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         raise ProblemError(f"cannot write {where}: {exc.strerror or exc}") from exc
 
 
 def _emit(report: Report, args, *dump) -> int:
-    """Write the report and, given ``(text, path)``, a dump; both are rendered first."""
+    """Write the report and, given ``(text, path)``, a dump; both are rendered first,
+    and neither file is in place unless both were written."""
     text = report.to_json() if args.format == "json" else _render_text(report)
-    for content, path in ((text, args.out), *dump):
-        _write(content, path)
+    _write((text, args.out), *dump)
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 
@@ -180,7 +200,7 @@ def _cmd_gen(args) -> int:
     field = _parse_field(args.field)
     t, s = gen_pair(PairRecipe(kind=args.kind, dim=args.dim, field=field, seed=args.seed,
                                degree=args.degree, height=args.height))
-    _write(json_text(problem_to_dict(field, t, s)), args.out)
+    _write((json_text(problem_to_dict(field, t, s)), args.out))
     return EXIT_PASS
 
 

@@ -28,8 +28,7 @@ from ._record import Record
 
 __all__ = ["FieldSpec", "RATIONAL", "gf", "MAX_MODULUS", "ScalarTooLarge"]
 
-_INTEGER_RE = re.compile(r"-?[0-9]+\Z")
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)\Z")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?\Z")
 _RESIDUE_RE = re.compile(r"[0-9]+\Z")
 
 _ZERO = Fraction(0)
@@ -186,15 +185,15 @@ class FieldSpec(Record):
     # -- text form ------------------------------------------------------------
 
     def parse(self, s: str):
-        """Parse a scalar from its text form, strictly per the grammar."""
+        """Parse a scalar from its text form, strictly per the grammar.  Over Q one
+        pattern reads both forms: an integer is a ratio whose ``/`` and
+        denominator are absent, and reads as over 1."""
         if not isinstance(s, str):
             raise ValueError(f"scalar text must be a string, got {s!r}")
         if self.is_rational:
             m = _RATIONAL_RE.match(s)
             if m:
-                return Fraction(int(m.group(1)), int(m.group(2)))
-            if _INTEGER_RE.match(s):
-                return Fraction(int(s))
+                return Fraction(int(m.group(1)), int(m.group(2) or 1))
             raise ValueError(f"not a rational scalar: {s!r}")
         if _RESIDUE_RE.match(s):
             return int(s) % self.modulus

@@ -255,12 +255,11 @@ def _require_shape(name: str, m: Mat, field: FieldSpec, n: int):
 
 
 def mat(field: FieldSpec, rows: Iterable[Iterable]) -> Mat:
-    """Build a Mat, coercing ints and scalar strings entry by entry."""
+    """Build a Mat, coercing ints and scalar strings entry by entry.  The shape is
+    ``Mat``'s to check: a ragged grid raises its ``ValueError``."""
     grid = tuple(tuple(field.coerce(x) for x in r) for r in rows)
     nrows = len(grid)
     ncols = len(grid[0]) if grid else 0
-    if any(len(r) != ncols for r in grid):
-        raise ValueError("ragged rows")
     return Mat(field, nrows, ncols, grid)
 
 

@@ -618,15 +618,94 @@ def test_sznagy_with_s_that_passes_warns_once(tmp_path, capsys):
 
 
 def test_dump_destination_that_is_a_directory_exits_2(tmp_path, capsys):
-    # the report is written before the dump, so it is there; the dump is not
+    # the report is written before the dump, but only to a temporary file, which
+    # the failed dump removes: neither output is there
     path = write_problem(tmp_path / "p.json", IDENTITY2)
     out = tmp_path / "report.json"
     dump = tmp_path / "report.json.operators.json"
     dump.mkdir()
     assert main(["ando", "--input", path, "--out", str(out), "--dump-operators", "1"]) == 2
     _assert_one_error_line(capsys, f"cannot write {dump}: ")
-    assert report_from_json(out.read_text(encoding="utf-8")).passed
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "p.json", dump]
     assert list(dump.iterdir()) == []
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_failed_dump_write_leaves_every_destination_as_it_was(tmp_path, capsys, monkeypatch,
+                                                              existed):
+    path = write_problem(tmp_path / "p.json", IDENTITY2)
+    out = tmp_path / "report.json"
+    dump = tmp_path / "report.json.operators.json"
+    if existed:
+        out.write_bytes(b"an earlier report")
+        dump.write_bytes(b"an earlier dump")
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = ["ando", "--input", path, "--out", str(out), "--dump-operators", "1"]
+    opened = []
+
+    def failing_open(file, *args, **kwargs):
+        # a dump write fails with EFBIG once 4,096 characters are on disk, as a
+        # file-size limit would make it
+        fh = open(file, *args, **kwargs)
+        if ".operators.json" in file:
+            def write(text):
+                fh.buffer.write(text[:4096].encode())
+                fh.buffer.flush()
+                raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+            fh.write = write
+        opened.append(Path(file).name)
+        return fh
+
+    monkeypatch.setattr(cli_mod, "open", failing_open, raising=False)
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, f"cannot write {dump}: File too large")
+    # the report's write, to a temporary file beside it, came first and succeeded
+    assert opened == [f"report.json.{os.getpid()}.tmp",
+                      f"report.json.operators.json.{os.getpid()}.tmp"]
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert report_from_json(out.read_text(encoding="utf-8")).passed
+    assert json.loads(dump.read_text(encoding="utf-8"))["trunc"] == 1
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "p.json", out, dump]
+
+
+def _limit_file_size():
+    import resource
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+def test_file_size_limit_leaves_no_partial_output(tmp_path):
+    # the report (about 2.5 kB) fits under the limit and the dump does not
+    problem = tmp_path / "p.json"
+    assert main(["gen", "--kind", "polynomial", "--dim", "3", "--out", str(problem)]) == 0
+    out = tmp_path / "r1.json"
+    src_dir = Path(cli_mod.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "exactdilation", "ando", "--input", str(problem),
+         "--dump-operators", "2", "--out", str(out)],
+        capture_output=True, text=True, preexec_fn=_limit_file_size, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src_dir), PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: cannot write {out}.operators.json: File too large\n"
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == [problem]
+
+
+def test_out_to_a_device_or_a_symlink_is_written_in_place(tmp_path, capsys):
+    path = write_problem(tmp_path / "t.json", T_ONLY)
+    assert main(["sznagy", "--input", path, "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+    assert list(tmp_path.iterdir()) == [tmp_path / "t.json"]
+    # a symlink stays one, and its target holds the report
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"")
+    link.symlink_to(target)
+    assert main(["sznagy", "--input", path, "--out", str(link)]) == 0
+    assert link.is_symlink() and report_from_json(target.read_text(encoding="utf-8")).passed
+    assert sorted(tmp_path.iterdir()) == [link, tmp_path / "t.json", target]
 
 
 @pytest.mark.parametrize("command", ["ando", "sznagy"])

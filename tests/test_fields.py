@@ -1,5 +1,7 @@
+import re
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,59 @@ def test_rational_parse(text, num, den):
 def test_rational_parse_rejects(text):
     with pytest.raises(ValueError):
         RATIONAL.parse(text)
+
+
+_TWO_PATTERN_RATIONAL = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)\Z")
+_TWO_PATTERN_INTEGER = re.compile(r"-?[0-9]+\Z")
+
+
+def _two_pattern_parse(s):
+    """The rational reader that ``RATIONAL.parse``'s one pattern replaced: a ratio
+    pattern, then an integer pattern, each with its own branch."""
+    m = _TWO_PATTERN_RATIONAL.match(s)
+    if m:
+        return Fraction(int(m.group(1)), int(m.group(2)))
+    if _TWO_PATTERN_INTEGER.match(s):
+        return Fraction(int(s))
+    raise ValueError(f"not a rational scalar: {s!r}")
+
+
+def _outcome(read, text):
+    """The value read, with its type and stored terms, or the error message."""
+    try:
+        x = read(text)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return x, type(x), x.numerator, x.denominator
+
+
+_GRAMMAR_ALPHABET = "-0159/"
+
+
+def test_rational_parse_agrees_with_the_two_pattern_reader_on_short_strings():
+    texts = ["".join(chars) for n in range(6) for chars in product(_GRAMMAR_ALPHABET, repeat=n)]
+    assert len(texts) == 9331
+    for text in texts:
+        assert _outcome(RATIONAL.parse, text) == _outcome(_two_pattern_parse, text), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=_GRAMMAR_ALPHABET, max_size=16))
+def test_rational_parse_agrees_with_the_two_pattern_reader(text):
+    assert _outcome(RATIONAL.parse, text) == _outcome(_two_pattern_parse, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_parse_reads_back_the_text_fmt_ints_writes(data):
+    for field in (RATIONAL, GF7, gf(MERSENNE_61)):
+        if field.is_rational:
+            scalars = st.fractions(-10**9, 10**9, max_denominator=10**12)
+        else:
+            scalars = st.integers(0, field.modulus - 1)
+        row = data.draw(st.lists(scalars, min_size=1, max_size=5))
+        texts = field.fmt_ints(*field.to_ints([row]))
+        assert [field.parse(text) for text in texts[0]] == row
 
 
 def test_residue_parse():

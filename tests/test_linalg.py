@@ -125,8 +125,11 @@ def test_grids_of_non_scalars_are_refused(field, x):
 
 
 def test_mat_shape_validation():
-    with pytest.raises(ValueError):
-        mat(RATIONAL, [[1, 2], [3]])
+    # Mat alone checks the shape: mat hands it the coerced grid as it is
+    for field in (RATIONAL, GF7):
+        for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
+            with pytest.raises(ValueError, match="^entry grid does not match declared shape$"):
+                mat(field, ragged)
     with pytest.raises(ValueError):
         Mat(RATIONAL, 2, 2, ((Fraction(1),),))
 
