@@ -135,7 +135,8 @@ def _write(*outputs):
     pipe) is written in place.  A destination that cannot be written or moved
     into place, standard output among them, is an input error, and the
     temporary files not yet moved are removed: after a failed write, no new
-    or regular file destination has changed."""
+    or regular file destination has changed.  A replaced file keeps its mode,
+    and one the user may not write is refused."""
     moves = []
     try:
         for text, where in outputs:
@@ -150,9 +151,12 @@ def _write(*outputs):
             if not os.path.islink(where) and (os.path.isfile(where) or not os.path.exists(where)):
                 path = f"{where}.{os.getpid()}.tmp"
                 moves.append((path, where))
+                if os.path.exists(where) and not os.access(where, os.W_OK):
+                    raise OSError("Permission denied")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         for tmp, where in reversed(moves):
+            os.chmod(tmp, os.stat(where if os.path.exists(where) else tmp).st_mode)
             os.replace(tmp, where)
     except OSError as exc:
         for tmp, _ in moves:

@@ -362,7 +362,8 @@ def int_product(a: Mat, parts: Sequence, width: int) -> list | tuple:
     times it to output row i's int: one multiply-add per term, not one per term
     and entry.  Each output int is reduced mod p once, every slot at a time, and
     unpacked once (Kronecker substitution with simultaneous modular reduction:
-    Dumas, Fousse and Salvy, J. Symbolic Comput. 46(7), 2011).  Otherwise, over
+    Dumas, Fousse and Salvy, J. Symbolic Comput. 46(7), 2011).  A zero sum is
+    neither: its row is the one zero tuple the call shares.  Otherwise, over
     Q and for a prime past the 64-bit slot, the plain loop accumulates
     ``C[i][j] += A[i][k] * B[k][j]`` and skips zero entries of both sides; over
     GF(p), ``FieldSpec.reduce_ints`` reduces its sums, as it does every grid.
@@ -389,7 +390,9 @@ def int_product(a: Mat, parts: Sequence, width: int) -> list | tuple:
                 y = int.from_bytes(row.pack(*brow), "little")
                 for i, x in colk:
                     acc[i] += x * y
-    return tuple(map(reduce, acc))
+    zero = (0,) * width
+    # built from a list: a tuple grown from a generator keeps ando-gf7's peak 0.6 MB higher
+    return tuple([reduce(z) if z else zero for z in acc])
 
 
 def column_product(a: Mat, b: Mat, width: int) -> list:

@@ -670,6 +670,32 @@ def test_failed_dump_write_leaves_every_destination_as_it_was(tmp_path, capsys, 
     assert sorted(tmp_path.iterdir()) == [tmp_path / "p.json", out, dump]
 
 
+def test_a_replaced_output_keeps_its_mode(tmp_path):
+    path = write_problem(tmp_path / "p.json", IDENTITY2)
+    out = tmp_path / "report.json"
+    dump = tmp_path / "report.json.operators.json"
+    argv = ["ando", "--input", path, "--out", str(out), "--dump-operators", "1"]
+    assert main(argv) == 0
+    out.chmod(0o600)
+    dump.chmod(0o640)
+    assert main(argv) == 0
+    assert (out.stat().st_mode & 0o7777, dump.stat().st_mode & 0o7777) == (0o600, 0o640)
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "p.json", out, dump]
+
+
+def test_an_output_the_user_may_not_write_is_refused(tmp_path, capsys, monkeypatch):
+    # tests may run as root, who may write any file, so os.access is made to refuse
+    path = write_problem(tmp_path / "t.json", T_ONLY)
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report")
+    out.chmod(0o444)
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    assert main(["sznagy", "--input", path, "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, f"cannot write {out}: Permission denied")
+    assert out.read_bytes() == b"an earlier report" and out.stat().st_mode & 0o7777 == 0o444
+    assert sorted(tmp_path.iterdir()) == [out, tmp_path / "t.json"]
+
+
 def _limit_file_size():
     import resource
     resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))

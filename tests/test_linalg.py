@@ -189,15 +189,24 @@ def test_packed_product_matches_plain_loop(p, monkeypatch):
     cases = [(2, 0, [0]), (0, 3, [1, 2]), (3, 2, [0, 0]), (2, 3, [2, 0, 1])]
     cases += [(rng.randint(0, 4), rng.randint(0, 5), [rng.randint(0, 3) for _ in range(3)])
               for _ in range(30)]
-    products, packed = [], 0
+    products, packed, shared = [], 0, 0
     for rows, width, sizes in cases:
         a = Mat(field, rows, sum(sizes), rand_grid(rng, field, rows, sum(sizes)))
         bs = [rand_grid(rng, field, n, width) if rng.below(3) else ((0,) * width,) * n
               for n in sizes]
         parts = [(sum(sizes[:i]), b, 1) for i, b in enumerate(bs)]
-        packed += _packing(p, sum(sizes), width) is not None
-        products.append((a, parts, width, int_product(a, parts, width)))
-    assert packed >= (4 if p <= 251 else 1)
+        got = int_product(a, parts, width)
+        if _packing(p, sum(sizes), width) is not None:
+            packed += 1
+            # the rows whose sum is 0 (no nonzero term of A meets a nonzero row of b)
+            # are one shared tuple; a nonzero sum that is 0 mod p is reduced as usual
+            zero_sums = [got[i] for i in range(rows) if not any(
+                a.ints[i][first + k] and any(brow)
+                for first, b, _ in parts for k, brow in enumerate(b))]
+            assert all(r is zero_sums[0] and len(r) == width for r in zero_sums)
+            shared += width > 0 and len(zero_sums) >= 2
+        products.append((a, parts, width, got))
+    assert packed >= (4 if p <= 251 else 1) and shared >= 1
     monkeypatch.setattr(linalg_mod, "_packing", lambda *args: None)
     for a, parts, width, got in products:
         assert got == int_product(a, parts, width)

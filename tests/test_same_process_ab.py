@@ -7,6 +7,8 @@ import re
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "exactdilation"
 CASES = [(("ando", "--max-power", "1", "--trunc", "0", "--trials", "1", "--dump-operators", "1"),
@@ -61,3 +63,19 @@ def test_identical_sides_pass_and_one_report_byte_fails(tmp_path, capsys):
     assert tool.ab(changed, [("tiny seed 1", CASES)], 1, tmp_path / "changed") == 1
     err = capsys.readouterr().err
     assert err == "same_process_ab: tiny seed 1 problem 0: report bytes differ\n"
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_main_refuses_fewer_than_one_round_before_any_checkout(capsys, monkeypatch, rounds):
+    tool = load_tool()
+
+    def never(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(tool, "checkouts", never)
+    monkeypatch.setattr(tool, "corpus_cases", never)
+    monkeypatch.setattr(tool.subprocess, "run", never)
+    assert tool.main(["--parent", "HEAD", "--workload", "ando-gf7", "--rounds", rounds]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("same_process_ab: ")

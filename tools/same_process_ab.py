@@ -25,6 +25,9 @@ tail metric can be traced to the strata it falls in.  A problem's stratum is
 read off its corpus id, ``workload/stratum/i``; cases built by hand, with no
 id, form one stratum named by their run's label.
 
+``--rounds`` below 1 exits 2 with one ``same_process_ab:`` line, before any
+checkout.
+
 Usage::
 
     python tools/same_process_ab.py --parent REV --workload W [--seeds 1,2] [--rounds 5]
@@ -159,6 +162,9 @@ def main(argv=None) -> int:
                         type=lambda text: [int(s) for s in text.split(",")])
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        print(f"same_process_ab: --rounds must be at least 1, got {args.rounds}", file=sys.stderr)
+        return 2
     parent = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
     runs = [(f"{args.workload} seed {s}", corpus_cases(s, [args.workload], ids=True))
