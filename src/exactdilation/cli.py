@@ -5,9 +5,9 @@ Commands: ``sznagy`` (single-map suite), ``ando`` (two-map suite), ``gen``
 check failed (report still written), 2 input error (among them an invalid
 recipe, an output scalar past Python's int-to-text digit limit, when nothing
 is written, and a destination that cannot be written, standard output among
-them, help included), 3 non-commuting input.  File outputs are moved into
-place only once every output is written, so a failed write leaves no partial
-file.  ``sznagy`` and ``ando`` refuse a bad flag (exit
+them, help included), 3 non-commuting input.  File outputs in a writable
+directory are moved into place only once every output is written, so a failed
+write leaves no partial file.  ``sznagy`` and ``ando`` refuse a bad flag (exit
 2, one stderr line) before they read the problem file or generate its pair.
 Reports are byte-identical across runs on the same input and flags.  The
 ``exactdilation`` script and ``python -m exactdilation`` both call ``main``.
@@ -132,11 +132,12 @@ def _write(*outputs):
     and the temporary files are moved into place with ``os.replace`` only once
     every write has succeeded, in reverse order, so the first output (the
     report) lands last.  Any other destination (a symlink, ``/dev/null``, a
-    pipe) is written in place.  A destination that cannot be written or moved
-    into place, standard output among them, is an input error, and the
-    temporary files not yet moved are removed: after a failed write, no new
-    or regular file destination has changed.  A replaced file keeps its mode,
-    and one the user may not write is refused."""
+    pipe), and a file in a directory the user may not write, is written in
+    place.  A destination that cannot be written or moved into place,
+    standard output among them, is an input error, and the temporary files
+    not yet moved are removed: after a failed write, no temporary file's
+    destination has changed.  A replaced file keeps its mode, and one the
+    user may not write is refused."""
     moves = []
     try:
         for text, where in outputs:
@@ -149,10 +150,11 @@ def _write(*outputs):
                 continue
             path = where
             if not os.path.islink(where) and (os.path.isfile(where) or not os.path.exists(where)):
-                path = f"{where}.{os.getpid()}.tmp"
-                moves.append((path, where))
                 if os.path.exists(where) and not os.access(where, os.W_OK):
                     raise OSError("Permission denied")
+                if os.access(os.path.dirname(os.path.abspath(where)), os.W_OK):
+                    path = f"{where}.{os.getpid()}.tmp"
+                    moves.append((path, where))
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         for tmp, where in reversed(moves):

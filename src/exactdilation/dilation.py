@@ -56,7 +56,6 @@ from .sequences import Batch
 
 __all__ = [
     "NotCommuting",
-    "ExtensionFailure",
     "SupportOverflow",
     "SzNagyOperators",
     "AndoOperators",
@@ -81,10 +80,6 @@ __all__ = [
 
 class NotCommuting(ValueError):
     """The two-map construction requires T S = S T exactly."""
-
-
-class ExtensionFailure(AssertionError):
-    """The exchange map cannot extend to a bijection."""
 
 
 class SupportOverflow(AssertionError):
@@ -197,21 +192,23 @@ def _exchange(src: Mat, dst: Mat, pivots: list, leads: list, kept: list, dst_kep
     return Mat.from_ints(field, n, n, grid, c.den)
 
 
-def build_v(gens: Generators, completion: str = "forward") -> tuple[Mat, Mat]:
-    """Extend the generator correspondence to an invertible map on F^(4d).
+def build_v(t: Mat, s: Mat, completion: str = "forward") -> tuple[Mat, Mat]:
+    """Extend the generator correspondence of the pair (T, S) to an invertible map
+    on F^(4d).
 
     One elimination of G's columns and one of H's (``_span``, which owns the
-    completion rule) give each family's pivot columns P, which must agree (else
-    ExtensionFailure), its leads, and the unit vectors ``completion``'s scan
-    keeps to complete the basis P of its span to one of F^(4d).  v is the
-    change of basis from G's completed family to H's (``_exchange``); v_inv is
-    the same construction with G and H swapped, computed independently of v.
+    completion rule) give each family's pivot columns P, its leads, and the unit
+    vectors ``completion``'s scan keeps to complete the basis P of its span to
+    one of F^(4d).  The two P agree: a column is a pivot exactly when no kernel
+    vector ends at it, and ker G = ker H (``test_kernel_lemma_is_an_identity``,
+    ``test_generator_kernels_agree_on_random_pairs``).  v is the change of basis
+    from G's completed family to H's (``_exchange``); v_inv is the same
+    construction with G and H swapped, computed independently of v.
     Returns (v, v_inv).
     """
-    (pivots, g_leads, g_kept), (h_pivots, h_leads, h_kept) = (
+    gens = build_generators(t, s)
+    (pivots, g_leads, g_kept), (_, h_leads, h_kept) = (
         _span(gens.G, completion), _span(gens.H, completion))
-    if pivots != h_pivots:
-        raise ExtensionFailure("the generators have different pivot columns")
     return (_exchange(gens.G, gens.H, pivots, g_leads, g_kept, h_kept),
             _exchange(gens.H, gens.G, pivots, h_leads, h_kept, g_kept))
 
@@ -227,7 +224,7 @@ def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:
     """
     if not check_commute(t, s):
         raise NotCommuting("T and S do not commute; no dilation is constructed")
-    v, v_inv = build_v(build_generators(t, s), completion=completion)
+    v, v_inv = build_v(t, s, completion=completion)
     return AndoOperators(t, s, v, v_inv)
 
 

@@ -293,7 +293,8 @@ def _coherence_record(ops: AndoOperators, gens: Generators) -> CheckRecord:
     """The exchange map's two identities, ``v G = H`` and then ``v_inv v = I``; the
     first failing cell is reported.
 
-    With ``TS = ST`` the two give ``UV = VU`` on all of W.  On the tail
+    With ``TS = ST`` the two give ``UV = VU`` on all of W, as
+    ``test_reduction_lemma_is_an_identity`` checks.  On the tail
     (coordinates 1 and up) U is the half shift P by two coordinates, then v
     on every 4-block group, and V is v_inv on every group, then P; so
     ``UV = v P^2 v_inv = P^2 = VU`` there, as v commutes with the shift P^2

@@ -696,6 +696,25 @@ def test_an_output_the_user_may_not_write_is_refused(tmp_path, capsys, monkeypat
     assert sorted(tmp_path.iterdir()) == [out, tmp_path / "t.json"]
 
 
+def test_an_output_in_a_directory_the_user_may_not_write_is_written_in_place(tmp_path,
+                                                                             monkeypatch):
+    # tests may run as root, who may write any directory, so os.access is made to
+    # refuse the directory alone: no temporary file can be made beside the report
+    path = write_problem(tmp_path / "t.json", T_ONLY)
+    fresh = tmp_path / "fresh.json"
+    assert main(["sznagy", "--input", path, "--out", str(fresh)]) == 0
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = locked / "report.json"
+    out.write_bytes(b"an earlier report")
+    inode, real_access = out.stat().st_ino, os.access
+    monkeypatch.setattr(os, "access", lambda where, mode: (
+        os.path.abspath(where) != str(locked) and real_access(where, mode)))
+    assert main(["sznagy", "--input", path, "--out", str(out)]) == 0
+    assert out.stat().st_ino == inode and out.read_bytes() == fresh.read_bytes()
+    assert list(locked.iterdir()) == [out]
+
+
 def _limit_file_size():
     import resource
     resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import exactdilation.dilation as dilation_mod
 from exactdilation.dilation import (
     AndoOperators,
-    ExtensionFailure,
     Generators,
     NotCommuting,
     OPERATOR_TAGS,
@@ -285,7 +284,9 @@ def _pairs_with_common_fixed_vectors(field, rng, d):
 @pytest.mark.parametrize("field", FIELDS)
 def test_generator_kernels_agree_on_random_pairs(field):
     # ker G = ker H = ker(I-T) ∩ ker(I-S) for every square pair, commuting or
-    # not, which is why build_generators needs no kernel tripwire
+    # not, which is why build_generators needs no kernel tripwire; a column is a
+    # pivot exactly when no kernel vector ends at it, so G and H share their pivot
+    # columns in either scan, and build_v extends G e_i -> H e_i on every pair
     rng = SplitMix64(31)
     pairs = [gen_pair(PairRecipe(kind, d, field, seed=seed))
              for kind in ("polynomial", "idempotent", "diagonal")
@@ -301,6 +302,11 @@ def test_generator_kernels_agree_on_random_pairs(field):
         gens = build_generators(t, s)
         assert _same_span(kernel_basis(gens.G), fixed)
         assert _same_span(kernel_basis(gens.H), fixed)
+        for scan in ("forward", "reverse"):
+            assert _span(gens.G, scan)[0] == _span(gens.H, scan)[0]
+            v, v_inv = build_v(t, s, completion=scan)
+            assert v @ gens.G == gens.H
+            assert v_inv @ v == identity(field, 4 * t.rows)
         nontrivial += fixed.cols > 0
         noncommuting += t @ s != s @ t
     assert nontrivial >= 10 and noncommuting >= 5
@@ -364,14 +370,15 @@ def test_kernel_lemma_is_an_identity():
     assert [_H[1], _H[3], _G[1], _G[3]] == [{}] * 4
 
 
-def _at(p, t, s):
-    """The matrix p(T, S)."""
+def _at(p, t, s, blocks=None):
+    """The matrix p(T, S), each further letter read as its d x d matrix in ``blocks``."""
     field, d = t.field, t.rows
+    letters = {"t": t, "s": s, **(blocks or {})}
     out = zeros(field, d, d)
     for w, c in p.items():
         m = identity(field, d)
         for letter in w:
-            m = m @ (t if letter == "t" else s)
+            m = m @ letters[letter]
         out = out + Mat.from_ints(field, d, d, [[c * x for x in r] for r in m.ints], m.den)
     return out
 
@@ -488,6 +495,123 @@ def test_closed_form_exchange_map_negative_controls():
         assert not check_ando(AndoOperators(t, s, v_inv, v), _CLOSED_FORM_PARAMS).passed
 
 
+# The reduction lemma.  The 16 blocks of v are the letters a-p and those of v_inv
+# the letters A-P, row by row, so no two of the 34 letters commute.  The actions
+# below are the package's, written once more on sequences of polynomials: dicts
+# from a coordinate to its nonzero block, applied to the unit block x.
+_VB = [[{chr(ord("a") + 4 * i + j): 1} for j in range(4)] for i in range(4)]
+_VB_INV = [[{chr(ord("A") + 4 * i + j): 1} for j in range(4)] for i in range(4)]
+
+
+def _seq_add(*seqs):
+    out = {}
+    for q in seqs:
+        for n, p in q.items():
+            out[n] = _poly_add(out.get(n, {}), p)
+    return {n: p for n, p in out.items() if p}
+
+
+def _seq_neg(q):
+    return {n: _poly_neg(p) for n, p in q.items()}
+
+
+def _sym_head(m, x):
+    """W1 (m = t) or W2 (m = s): the head surgery, and the tail moved up two."""
+    one_minus_m = _poly_add(_ONE, _poly_neg(m))
+    head = {0: _poly_mul(m, x[0]), 1: _poly_mul(one_minus_m, x[0])} if 0 in x else {}
+    return _seq_add(head, {n + 2: p for n, p in x.items() if n})
+
+
+def _sym_exchange(blocks, x):
+    """W (``_VB``) or W_inv (``_VB_INV``) on every 4-block group past the head."""
+    out = {0: x[0]} if 0 in x else {}
+    for g in {(n - 1) // 4 for n in x if n}:
+        image = _block_mul(blocks, [[x.get(4 * g + 1 + j, {})] for j in range(4)])
+        out = _seq_add(out, {4 * g + 1 + k: p for k, (p,) in enumerate(image)})
+    return out
+
+
+def _sym_u(x):
+    return _sym_exchange(_VB, _sym_head(_T, x))
+
+
+def _sym_v(x):
+    return _sym_head(_S, _sym_exchange(_VB_INV, x))
+
+
+def _minus_eye(blocks):
+    return [[_poly_add(p, _poly_neg(e)) for p, e in zip(row, eye)]
+            for row, eye in zip(blocks, _EYE)]
+
+
+def _defect_terms(n):
+    """UV - VU on the unit block at coordinate n, as four terms: TS - ST at 0 and
+    vG - H on 1..4, for n = 0 alone; column j of v v_inv - I on group g + 1, for
+    n = 4g + j + 1; and minus v_inv v - I applied to the group W1 puts x in,
+    moved up two coordinates: slot j' of group g' for n + 2 = 4g' + j' + 1, or
+    (1 - t) at slot 0 of group 0 for n = 0."""
+    terms = [{}, {}, {}, {}]
+    if n == 0:
+        terms[0] = {0: _poly_add(_poly_mul(_T, _S), _poly_neg(_poly_mul(_S, _T)))}
+        vg = _block_mul(_VB, [[g] for g in _G])
+        terms[1] = {1 + k: _poly_add(p, _poly_neg(h)) for k, ((p,), h) in enumerate(zip(vg, _H))}
+    else:
+        g, j = divmod(n - 1, 4)
+        vvi = _minus_eye(_block_mul(_VB, _VB_INV))
+        terms[3] = {4 * g + 5 + k: vvi[k][j] for k in range(4)}
+    g, j = divmod(n + 1, 4) if n else (0, 0)
+    viv = _minus_eye(_block_mul(_VB_INV, _VB))
+    c = _ONE if n else _P
+    terms[2] = {4 * g + 3 + k: _poly_neg(_poly_mul(viv[k][j], c)) for k in range(4)}
+    return [_seq_add(term) for term in terms]
+
+
+def test_reduction_lemma_is_an_identity():
+    # UV - VU is exactly the four defect terms in Z<t, s, a..p, A..P>, at every slot
+    # of the first three groups; TS = ST, vG = H and v_inv v = I zero each term (v
+    # v_inv = I follows over a field, v being square), so they give UV = VU on all
+    # of W.  Dropping or negating any one term breaks the identity.
+    needed = set()
+    for n in range(13):
+        x = {n: _ONE}
+        commutator = _seq_add(_sym_u(_sym_v(x)), _seq_neg(_sym_v(_sym_u(x))))
+        terms = _defect_terms(n)
+        assert commutator == _seq_add(*terms)
+        for i, term in enumerate(terms):
+            if term:
+                needed.add(i)
+                for changed in ({}, _seq_neg(term)):
+                    assert commutator != _seq_add(*terms[:i], changed, *terms[i + 1:])
+    assert needed == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_reduction_lemma_terms_are_the_lazy_commutator(field, d):
+    # the identity above is about the actions the package runs: at T and S that do
+    # not commute (from d 2 on) and v and v_inv that are not inverse, the four
+    # terms, evaluated through Mat, are UV - VU as apply_batch makes it, on the
+    # unit block at every slot of the first groups and of a group far out
+    rng = SplitMix64(150 + d)
+    while True:
+        t, s = (rand_matrix(rng, field, d) for _ in range(2))
+        vb, vb_inv = ([[rand_matrix(rng, field, d) for _ in range(4)] for _ in range(4)]
+                      for _ in range(2))
+        v, v_inv = (vstack(*(hstack(*row) for row in b)) for b in (vb, vb_inv))
+        if (d == 1 or t @ s != s @ t) and v_inv @ v != identity(field, 4 * d):
+            break
+    blocks = {chr(ord(first) + 4 * i + j): b[i][j] for first, b in (("a", vb), ("A", vb_inv))
+              for i, j in itertools.product(range(4), repeat=2)}
+    ops, zero = AndoOperators(t, s, v, v_inv), zeros(field, d, d)
+    for n in [*range(9), *range(2**40, 2**40 + 4)]:
+        unit = Batch.basis(field, d, [n])
+        uv, vu = (apply_batch(a, ops, apply_batch(b, ops, unit)).blocks for a, b in ("UV", "VU"))
+        got = {k: uv.get(k, zero) - vu.get(k, zero) for k in uv.keys() | vu.keys()}
+        want = {k: _at(p, t, s, blocks) for k, p in _seq_add(*_defect_terms(n)).items()}
+        assert {k: m for k, m in got.items() if not m.is_zero()} == {
+            k: m for k, m in want.items() if not m.is_zero()} != {}
+
+
 def test_generators_shape_validation():
     with pytest.raises(DimensionMismatch):
         build_generators(identity(RATIONAL, 2), identity(RATIONAL, 3))
@@ -502,7 +626,7 @@ def test_generators_shape_validation():
 
 def test_build_v_identity_pair_gives_identity():
     ident = identity(RATIONAL, 2)
-    v, v_inv = build_v(build_generators(ident, ident))
+    v, v_inv = build_v(ident, ident)
     assert v == identity(RATIONAL, 8)
     assert v_inv == identity(RATIONAL, 8)
 
@@ -510,7 +634,7 @@ def test_build_v_identity_pair_gives_identity():
 def test_build_v_fixes_generators_when_equal():
     t = JORDAN
     gens = build_generators(t, t)  # G == H, so v must fix every generator column
-    v, _ = build_v(gens)
+    v, _ = build_v(t, t)
     assert v @ gens.G == gens.G
 
 
@@ -520,7 +644,7 @@ def test_build_v_coherent_and_invertible(field, completion):
     t = mat(field, [[1, 1], [0, 1]])
     s = t @ t
     gens = build_generators(t, s)
-    v, v_inv = build_v(gens, completion=completion)
+    v, v_inv = build_v(t, s, completion=completion)
     assert v @ gens.G == gens.H
     assert v_inv @ gens.H == gens.G
     assert v @ v_inv == identity(field, 8)
@@ -543,7 +667,7 @@ def test_build_v_is_the_plain_change_of_basis(field, completion, kind, d, seed):
             [int(i == k) for i in range(4 * d)] for k in plain_complete_basis(
                 cols, 4 * d, field.modulus, reverse=completion == "reverse")])
             for cols in ([m.col(j) for j in pivots] for m in (gens.G, gens.H)))
-        v, v_inv = build_v(gens, completion=completion)
+        v, v_inv = build_v(t, s, completion=completion)
         assert v == target @ inverse(source)
         assert v_inv == inverse(v)
 
@@ -584,16 +708,6 @@ def test_reduction_mod_p_commutes_with_the_construction():
     assert in_scope >= 60
 
 
-def test_build_v_rejects_different_pivot_columns():
-    # equal ranks, different pivot columns (unreachable via build_generators,
-    # which forces equal kernels): no v carries G's columns to H's
-    g = mat(RATIONAL, [[0, 1], [0, 0], [0, 0], [0, 0]])
-    h = mat(RATIONAL, [[0, 0], [1, 1], [0, 0], [0, 0]])
-    for completion in ("forward", "reverse"):
-        with pytest.raises(ExtensionFailure):
-            build_v(Generators(g, h), completion=completion)
-
-
 def test_generators_of_different_shapes_or_fields_rejected():
     g = mat(RATIONAL, [[1], [0], [0], [0]])
     for h in (mat(RATIONAL, [[1]] + [[0]] * 7), mat(GF7, [[1], [0], [0], [0]]),
@@ -604,17 +718,7 @@ def test_generators_of_different_shapes_or_fields_rejected():
 
 def test_build_v_rejects_an_unknown_completion():
     with pytest.raises(ValueError):
-        build_v(build_generators(JORDAN, JORDAN), completion="sideways")
-
-
-def test_build_v_rank_mismatch_rejected():
-    # handcrafted generator matrices with different ranks (unreachable via
-    # build_generators, which forces equal kernels)
-    zero4 = tuple(Fraction(0) for _ in range(4))
-    e0 = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    gens = Generators(from_cols(RATIONAL, 4, [e0]), from_cols(RATIONAL, 4, [zero4]))
-    with pytest.raises(ExtensionFailure):
-        build_v(gens)
+        build_v(JORDAN, JORDAN, completion="sideways")
 
 
 def test_ando_rejects_noncommuting_input():
@@ -831,8 +935,8 @@ def test_wrong_inverse_fails_v_coherence_under_python_O(tmp_path):
         "if __debug__:\n"
         "    raise SystemExit('not running under -O')\n"
         "real_build_v = dil.build_v\n"
-        "def wrong_inverse(gens, completion='forward'):\n"
-        "    v, _ = real_build_v(gens, completion)\n"
+        "def wrong_inverse(t, s, completion='forward'):\n"
+        "    v, _ = real_build_v(t, s, completion)\n"
         "    return v, zeros(v.field, v.rows, v.cols)\n"
         "dil.build_v = wrong_inverse\n"
         "t = mat(RATIONAL, [[1, 1], [0, 1]])\n"

@@ -53,7 +53,7 @@ def test_exhaustive_audit_catches_a_wrong_exchange_map(monkeypatch):
     # negative control: with v = v_inv = I the builder's inverse check passes, and
     # v G = H fails on some pair, which the failure names
     ident = identity(GF2, 8)
-    monkeypatch.setattr(dilation_mod, "build_v", lambda gens, completion="forward": (ident, ident))
+    monkeypatch.setattr(dilation_mod, "build_v", lambda t, s, completion="forward": (ident, ident))
     commuting, _ = _every_pair(GF2, 2)
     with pytest.raises(AssertionError, match=r"^forward: T=\(\(.*\)\) S=\(\(.*\)\) fails "
                                              r"\[.*'v_coherence'.*\]"):
