@@ -8,7 +8,6 @@ prime field, and every claimed identity is checkable through ``verify``.
 
 from .dilation import (
     AndoOperators,
-    Generators,
     NotCommuting,
     SupportOverflow,
     SzNagyOperators,

@@ -59,7 +59,6 @@ __all__ = [
     "SupportOverflow",
     "SzNagyOperators",
     "AndoOperators",
-    "Generators",
     "sznagy",
     "ando",
     "build_generators",
@@ -122,28 +121,17 @@ class AndoOperators(_ShapeOfT, Record):
             _require_shape(name, getattr(self, name), self.field, n)
 
 
-class Generators(Record):
-    """Generator columns of the two spans the exchange map must match up.
-
-    Column i of G is ((I-T)S e_i, 0, (I-S) e_i, 0); column i of H is
-    ((I-S)T e_i, 0, (I-T) e_i, 0).  Both are 4d x d.
-    """
-
-    G: Mat
-    H: Mat
-
-    def _check(self):
-        if (self.G.field, self.G.rows, self.G.cols) != (self.H.field, self.H.rows, self.H.cols):
-            raise DimensionMismatch("G and H need one shape over one field")
-
-
 def sznagy(t: Mat) -> SzNagyOperators:
     return SzNagyOperators(t)
 
 
 @lru_cache(maxsize=1)  # ando() and the audit of its operators ask for the same pair
-def build_generators(t: Mat, s: Mat) -> Generators:
-    """Generator columns G and H of the pair (T, S), kept for the last pair asked.
+def build_generators(t: Mat, s: Mat) -> tuple[Mat, Mat]:
+    """The generator columns (G, H) of the pair (T, S), kept for the last pair asked.
+
+    Column i of G is ((I-T)S e_i, 0, (I-S) e_i, 0), and of H ((I-S)T e_i, 0,
+    (I-T) e_i, 0).  Their top blocks S - TS and T - ST are read off the two
+    products that ``check_commute`` has just made and ``@`` keeps.
 
     ker G = ker H = ker(I-T) ∩ ker(I-S) for any square T and S, so the
     correspondence G e_i -> H e_i is always well defined: a kernel vector x of
@@ -156,12 +144,9 @@ def build_generators(t: Mat, s: Mat) -> Generators:
     two-map report checks it on the pair under audit.
     """
     _require_square_pair(t, s)
-    d = t.rows
-    ident = identity(t.field, d)
-    pad = zeros(t.field, d, d)
-    g = vstack((ident - t) @ s, pad, ident - s, pad)
-    h = vstack((ident - s) @ t, pad, ident - t, pad)
-    return Generators(g, h)
+    ident, pad = identity(t.field, t.rows), zeros(t.field, t.rows, t.rows)
+    return (vstack(s - t @ s, pad, ident - s, pad),
+            vstack(t - s @ t, pad, ident - t, pad))
 
 
 def _exchange(src: Mat, dst: Mat, pivots: list, leads: list, kept: list, dst_kept: list) -> Mat:
@@ -206,11 +191,10 @@ def build_v(t: Mat, s: Mat, completion: str = "forward") -> tuple[Mat, Mat]:
     construction with G and H swapped, computed independently of v.
     Returns (v, v_inv).
     """
-    gens = build_generators(t, s)
-    (pivots, g_leads, g_kept), (_, h_leads, h_kept) = (
-        _span(gens.G, completion), _span(gens.H, completion))
-    return (_exchange(gens.G, gens.H, pivots, g_leads, g_kept, h_kept),
-            _exchange(gens.H, gens.G, pivots, h_leads, h_kept, g_kept))
+    g, h = build_generators(t, s)
+    (pivots, g_leads, g_kept), (_, h_leads, h_kept) = _span(g, completion), _span(h, completion)
+    return (_exchange(g, h, pivots, g_leads, g_kept, h_kept),
+            _exchange(h, g, pivots, h_leads, h_kept, g_kept))
 
 
 def ando(t: Mat, s: Mat, completion: str = "forward") -> AndoOperators:

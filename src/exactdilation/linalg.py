@@ -37,9 +37,10 @@ products.
 Degenerate shapes (0 x n, n x 0) are legal with the obvious conventions.
 Products are shared where they are made: ``@`` keeps its last two, keyed
 by the operands' values (see ``Mat.__matmul__``), so the dilation records
-find the product the lazy action has just made, and ``ando()``'s
-commutation test the two that ``gen_pair``'s self-check made.  A ``Mat``
-keeps its hash once taken; ``@`` and the block exchange key their memos by it.
+find the product the lazy action has just made, ``ando()``'s commutation
+test the two that ``gen_pair``'s self-check made, and ``build_generators``
+the two of that test.  A ``Mat`` keeps its hash once taken; ``@`` and the
+block exchange key their memos by it.
 """
 
 from __future__ import annotations
@@ -141,12 +142,11 @@ class Mat:
 
     def _grid(self, rows: int, cols: int) -> list:
         """The top-left ``rows x cols`` block of the integers, as row lists, cut from
-        the column terms."""
+        the column terms.  Every term of the first ``cols`` columns must lie above row
+        ``rows``: in a truncation's level-k block, nesting and ``SupportOverflow`` see to it."""
         grid = [[0] * cols for _ in range(rows)]
         for j, terms in zip(range(cols), self._col_terms):
             for i, x in terms:
-                if i >= rows:
-                    break
                 grid[i][j] = x
         return grid
 
@@ -278,7 +278,7 @@ def _unit_cols(field: FieldSpec, rows: int, cols: int, units: Iterable) -> Mat:
     grid = [[0] * cols for _ in range(rows)]
     for i, j in units:
         grid[i][j] = 1
-    return Mat.from_ints(field, rows, cols, tuple(map(tuple, grid)), 1, canonical=True)
+    return Mat.from_ints(field, rows, cols, tuple([*map(tuple, grid)]), 1, canonical=True)
 
 
 def identity(field: FieldSpec, n: int) -> Mat:

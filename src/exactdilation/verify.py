@@ -22,7 +22,6 @@ from ._jsontext import json_text
 from ._record import Record
 from .dilation import (
     AndoOperators,
-    Generators,
     apply_batch,
     build_generators,
     level_shape,
@@ -289,7 +288,7 @@ def _commutation_record(ops: AndoOperators, params: CheckParams,
     return CheckRecord("commutation", {"max_trunc": params.max_trunc}, counterexample)
 
 
-def _coherence_record(ops: AndoOperators, gens: Generators) -> CheckRecord:
+def _coherence_record(ops: AndoOperators, g: Mat, h: Mat) -> CheckRecord:
     """The exchange map's two identities, ``v G = H`` and then ``v_inv v = I``; the
     first failing cell is reported.
 
@@ -305,7 +304,7 @@ def _coherence_record(ops: AndoOperators, gens: Generators) -> CheckRecord:
     from v, so ``v_inv v = I`` compares two computations.
     """
     counterexample = None
-    for label, got, want in (("v*G", ops.v @ gens.G, gens.H),
+    for label, got, want in (("v*G", ops.v @ g, h),
                              ("v_inv*v", ops.v_inv @ ops.v, identity(ops.field, 4 * ops.d))):
         if mism := _mismatches(got, want):
             i, j = mism[0]
@@ -316,15 +315,15 @@ def _coherence_record(ops: AndoOperators, gens: Generators) -> CheckRecord:
     return CheckRecord("v_coherence", {}, counterexample)
 
 
-def _well_definedness_record(gens: Generators) -> CheckRecord:
-    kg, kh = kernel_basis(gens.G), kernel_basis(gens.H)
+def _well_definedness_record(g: Mat, h: Mat) -> CheckRecord:
+    kg, kh = kernel_basis(g), kernel_basis(h)
     params = {"kernel_dim_g": kg.cols, "kernel_dim_h": kh.cols}
     counterexample = None
     if kg.cols != kh.cols:
         counterexample = {"reason": "kernel dimensions differ"}
     else:
         # with equal dimensions, ker G inside ker H already makes them equal
-        hk = gens.H @ kg
+        hk = h @ kg
         j = next((j for j in range(kg.cols) if any(r[j] for r in hk.ints)), None)
         if j is not None:
             counterexample = {"direction": "ker(G) not in ker(H)",
@@ -349,14 +348,14 @@ def check_ando(ops: AndoOperators, params: CheckParams = CheckParams(),
     rows, cols = level_shape(ops.d, top)
     if any(m.rows < rows or m.cols < cols for m in (u, v)):
         raise DimensionMismatch(f"U and V must be truncated at level {top} or higher")
-    gens = build_generators(ops.T, ops.S)
+    g, h = build_generators(ops.T, ops.S)
     records = [
         _bivariate_record(ops, params),
         _commutation_record(ops, params, u, v),
         _injectivity_record("injectivity_u", u, ops.d, params),
         _injectivity_record("injectivity_v", v, ops.d, params),
-        _coherence_record(ops, gens),
-        _well_definedness_record(gens),
+        _coherence_record(ops, g, h),
+        _well_definedness_record(g, h),
     ]
     return _make_report(_meta("ando", ops, params, recipe), records)
 

@@ -117,7 +117,7 @@ _UNDER_O = """
 import json, sys
 from pathlib import Path
 import test_golden as golden
-from exactdilation.dilation import Generators, SzNagyOperators, ando
+from exactdilation.dilation import SzNagyOperators, ando
 from exactdilation.fields import FieldSpec, gf
 from exactdilation.linalg import identity, mat, zeros
 from exactdilation.pairs import PairRecipe
@@ -143,7 +143,6 @@ for make in (lambda: CheckParams(max_power=0),
              lambda: ops.replace(v=identity(ops.field, 9)),
              lambda: Problem(ops.field, 2, ops.T, None, recipe),
              lambda: SzNagyOperators(zeros(ops.field, 2, 3)),
-             lambda: Generators(zeros(ops.field, 8, 2), zeros(ops.field, 8, 3)),
              lambda: report_from_json(failing)):
     try:
         make()

@@ -1,4 +1,4 @@
-"""The nine value classes: construction, equality, hashing, immutability,
+"""The eight value classes: construction, equality, hashing, immutability,
 validation, ``replace`` and repr.
 
 Each class is checked against a frozen dataclass made here with the same
@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from exactdilation._record import Record
-from exactdilation.dilation import AndoOperators, Generators, SzNagyOperators
+from exactdilation.dilation import AndoOperators, SzNagyOperators
 from exactdilation.fields import RATIONAL, FieldSpec, gf
 from exactdilation.linalg import DimensionMismatch, identity, mat, zeros
 from exactdilation.pairs import InvalidRecipe, PairRecipe
@@ -25,8 +25,6 @@ REQUIRED = object()
 GF7 = gf(7)
 A = mat(RATIONAL, [[1, 2], [0, 1]])
 B = mat(RATIONAL, [[3, 0], [0, 3]])
-G = zeros(RATIONAL, 8, 2)
-H = mat(RATIONAL, [[1, 0]] + [[0, 0]] * 7)
 RECIPE = PairRecipe("polynomial", 2, RATIONAL)
 I8 = identity(RATIONAL, 8)
 OPS = AndoOperators(A, B, I8, I8)
@@ -46,7 +44,6 @@ CASES = {
     AndoOperators: ((("T", REQUIRED), ("S", REQUIRED), ("v", REQUIRED), ("v_inv", REQUIRED)),
                     (A, B, identity(RATIONAL, 8), identity(RATIONAL, 8)),
                     (B, A, identity(RATIONAL, 8), identity(RATIONAL, 8))),
-    Generators: ((("G", REQUIRED), ("H", REQUIRED)), (G, H), (H, G)),
     CheckParams: ((("max_power", 4), ("max_trunc", 5), ("trials", 8), ("seed", 0)),
                   (4, 5, 8, 0), (1, 0, 1, 7)),
     CheckRecord: ((("name", REQUIRED), ("params", REQUIRED), ("counterexample", None)),
@@ -256,10 +253,6 @@ INVALID = {
                                         ProblemError, "recipe must be over gf(7) with 'dim' 2"),
     "replace-problem-dim": (lambda: Problem(RATIONAL, 2, A, B, None).replace(dim=3),
                             DimensionMismatch, "T must be 3x3 over rational, got 2x2"),
-    "generators-shapes": (lambda: Generators(G, A), DimensionMismatch,
-                          "G and H need one shape over one field"),
-    "replace-generators-field": (lambda: Generators(G, H).replace(H=zeros(GF7, 8, 2)),
-                                 DimensionMismatch, "G and H need one shape over one field"),
     # d and field are read off T: T must be square, and the rest must fit it
     "sznagy-ops-d": (lambda: SzNagyOperators(zeros(RATIONAL, 3, 2)), DimensionMismatch,
                      "T must be 3x3 over rational, got 3x2 over rational"),

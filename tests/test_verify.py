@@ -6,7 +6,6 @@ import exactdilation.dilation as dilation_mod
 import exactdilation.verify as verify_mod
 from exactdilation.dilation import (
     AndoOperators,
-    Generators,
     NotCommuting,
     ando,
     apply_batch,
@@ -189,15 +188,15 @@ def test_v_coherence_fails_every_single_entry_change_of_v(field, kind):
     seen = set()
     for d in (1, 2, 3):
         ops = ando(*gen_pair(PairRecipe(kind, d, field, seed=5)))
-        gens = build_generators(ops.T, ops.S)
+        g, h = build_generators(ops.T, ops.S)
         n = 4 * d
         for i in range(n):
             for j in range(n):
                 bump = mat(field, [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
                 tampered = AndoOperators(ops.T, ops.S, ops.v + bump, ops.v_inv)
-                cx = verify_mod._coherence_record(tampered, gens).counterexample
+                cx = verify_mod._coherence_record(tampered, g, h).counterexample
                 assert cx is not None, (d, i, j)
-                if any(gens.G.ints[j]):
+                if any(g.ints[j]):
                     assert (cx["which"], cx["row"]) == ("v*G", i), (d, i, j, cx)
                 else:
                     assert (cx["which"], cx["col"]) == ("v_inv*v", j), (d, i, j, cx)
@@ -471,19 +470,18 @@ def test_batched_dilation_records_match_per_vector_reference(field, monkeypatch)
 
 def test_well_definedness_record_counterexamples():
     # unreachable from build_generators (ker G = ker H always), so handcrafted
-    same_dim = Generators(mat(RATIONAL, [[1, 0]]), mat(RATIONAL, [[0, 1]]))
-    rec = _well_definedness_record(same_dim)
+    rec = _well_definedness_record(mat(RATIONAL, [[1, 0]]), mat(RATIONAL, [[0, 1]]))
     assert not rec.passed
     assert rec.params == {"kernel_dim_g": 1, "kernel_dim_h": 1}
     assert rec.counterexample == {"direction": "ker(G) not in ker(H)",
                                   "coefficients": ["0", "1"]}
 
     g, h = mat(RATIONAL, [[1, 0], [0, 0]]), mat(RATIONAL, [[1, 0], [0, 1]])
-    rec = _well_definedness_record(Generators(g, h))
+    rec = _well_definedness_record(g, h)
     assert not rec.passed
     assert rec.params == {"kernel_dim_g": 1, "kernel_dim_h": 0}
     assert rec.counterexample == {"reason": "kernel dimensions differ"}
-    assert _well_definedness_record(Generators(g, g)).passed
+    assert _well_definedness_record(g, g).passed
 
 
 def test_extension_strategy_flag():
